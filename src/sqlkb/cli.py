@@ -12,7 +12,7 @@ from typing import Optional
 from . import evaluation, knowledge_base, llm, pipeline, retriever
 from .config import RunConfig, load_config
 from .dataset import Dataset, load_dataset
-from .errors import LineageError, SqlkbError
+from .errors import ConfigError, LineageError, SqlkbError
 from .knowledge_base import KbBuildConfig, KnowledgeBase
 from .llm import LlmConfig, LlmClient
 from .retriever import EmbeddingProvider, ProjectionHead, TrainConfig, TrainingPair
@@ -29,10 +29,14 @@ LEDGER_FILE = "llm_ledger.jsonl"
 
 def _provider(cfg: RunConfig) -> EmbeddingProvider:
     rc = cfg["retriever"]
+    if rc["backend"] not in ("hash", "http"):
+        raise ConfigError(
+            f"[retriever] backend: expected hash or http, got {rc['backend']!r}"
+        )
     return EmbeddingProvider(
         name=rc["backend"],
         dim=rc["dim"],
-        backend="http" if rc["backend"] == "http" else "hash",
+        backend=rc["backend"],
         endpoint=rc["endpoint"] or None,
     )
 

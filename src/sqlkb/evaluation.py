@@ -200,9 +200,7 @@ def kb_coverage(
     if not gold_knowledge:
         raise EmptySetError("gold knowledge list must be non-empty")
     entries = kb.sorted_entries()
-    matrix = (
-        np.stack([provider.embed(e.text) for e in entries]) if entries else None
-    )
+    matrix = provider.embed_many([e.text for e in entries]) if entries else None
     per_gold = []
     for gold in gold_knowledge:
         exact = gold in kb

@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from .dataset import Dataset, Query
 from .errors import InsufficientExamplesError, LlmError, ParseError
+from .ranking import row_dots, top_j
 
 if TYPE_CHECKING:
     from .dataset import ExampleTriplet
@@ -101,6 +104,8 @@ class KbBuildConfig:
 class KnowledgeBase:
     entries: dict[str, KnowledgeEntry] = field(default_factory=dict)
     build_config: KbBuildConfig = field(default_factory=KbBuildConfig)
+    # LLM generations that failed while expanding this KB
+    expansion_failures: int = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -145,6 +150,36 @@ def init_kb(dataset: Dataset, config: Optional[KbBuildConfig] = None) -> Knowled
     return kb
 
 
+@dataclass(frozen=True)
+class _QuestionMatrix:
+    """Embedded questions and filter masks of a dataset's records, in record order."""
+
+    vectors: np.ndarray
+    ids: np.ndarray
+    id_rank: np.ndarray  # position of each record id in ascending id order
+    has_knowledge: np.ndarray
+    has_sql: np.ndarray
+
+
+def _question_matrix(dataset: Dataset, embedder: "EmbeddingProvider") -> _QuestionMatrix:
+    cached = dataset.question_vectors.get(embedder.fingerprint)
+    if cached is not None:
+        return cached
+    records = dataset.records
+    ids = [rec.query.id for rec in records]
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    matrix = _QuestionMatrix(
+        vectors=embedder.embed_many([rec.query.text for rec in records]),
+        ids=np.array(ids, dtype=str),
+        id_rank=id_rank,
+        has_knowledge=np.array([rec.knowledge is not None for rec in records], dtype=bool),
+        has_sql=np.array([rec.gold_sql is not None for rec in records], dtype=bool),
+    )
+    dataset.question_vectors[embedder.fingerprint] = matrix
+    return matrix
+
+
 def select_examples(
     query: Query,
     dataset: Dataset,
@@ -156,25 +191,23 @@ def select_examples(
     """Rank dataset records by cosine similarity of their questions to the query.
 
     The query's own record (same id) is excluded; ties break by record id
-    ascending. Returns at most k records, never padded.
+    ascending. Returns at most k records, never padded. The dataset's
+    question matrix is embedded once per provider fingerprint and reused.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    candidates = [
-        rec
-        for rec in dataset.records
-        if rec.query.id != query.id
-        and (not require_knowledge or rec.knowledge is not None)
-        and (not require_sql or rec.gold_sql is not None)
-    ]
-    if not candidates:
+    questions = _question_matrix(dataset, embedder)
+    keep = questions.ids != query.id
+    if require_knowledge:
+        keep &= questions.has_knowledge
+    if require_sql:
+        keep &= questions.has_sql
+    candidates = np.flatnonzero(keep)
+    if not len(candidates):
         raise InsufficientExamplesError("no candidate examples available")
-    qvec = embedder.embed(query.text)
-    scored = [
-        (float(qvec @ embedder.embed(rec.query.text)), rec) for rec in candidates
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1].query.id))
-    return [rec for _, rec in scored[:k]]
+    scores = row_dots(questions.vectors, embedder.embed(query.text))[candidates]
+    best = candidates[top_j(scores, k, questions.id_rank[candidates])]
+    return [dataset.records[i] for i in best]
 
 
 def parse_knowledge_lines(completion: str) -> list[str]:
@@ -208,7 +241,11 @@ def expand_kb(
     from .pipeline import build_knowledge_prompt
 
     config = config or kb.build_config
-    result = KnowledgeBase(entries=dict(kb.entries), build_config=config)
+    result = KnowledgeBase(
+        entries=dict(kb.entries),
+        build_config=config,
+        expansion_failures=kb.expansion_failures,
+    )
     failures = 0
     for rec in dataset.records:
         schema = dataset.schema_for(rec.schema_ref)
@@ -248,13 +285,17 @@ def expand_kb(
                 )
     if failures:
         logger.warning("expand_kb completed with %d failed generations", failures)
-    result.expansion_failures = failures  # type: ignore[attr-defined]
+    result.expansion_failures += failures
     return result
 
 
 def save_kb(kb: KnowledgeBase, path: Path | str, config_hash: Optional[str] = None) -> None:
     """Write a line-delimited KB file: one header line, then entries sorted by id."""
-    header = {"format": KB_FORMAT, "build_config": kb.build_config.to_dict()}
+    header = {
+        "format": KB_FORMAT,
+        "build_config": kb.build_config.to_dict(),
+        "expansion_failures": kb.expansion_failures,
+    }
     if config_hash is not None:
         header["config_hash"] = config_hash
     lines = [json.dumps(header, sort_keys=True)]
@@ -284,7 +325,10 @@ def load_kb(path: Path | str) -> KnowledgeBase:
         raise ParseError(f"{path}: bad header: {exc}") from exc
     if header.get("format") != KB_FORMAT:
         raise ParseError(f"{path}: unrecognized KB format {header.get('format')!r}")
-    kb = KnowledgeBase(build_config=KbBuildConfig.from_dict(header["build_config"]))
+    kb = KnowledgeBase(
+        build_config=KbBuildConfig.from_dict(header["build_config"]),
+        expansion_failures=header.get("expansion_failures", 0),
+    )
     for n, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
@@ -325,5 +369,5 @@ def kb_stats(kb: KnowledgeBase) -> StatsReport:
         by_source=by_source,
         by_db=by_db,
         by_iteration=by_iteration,
-        expansion_failures=getattr(kb, "expansion_failures", 0),
+        expansion_failures=kb.expansion_failures,
     )

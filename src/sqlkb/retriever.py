@@ -18,16 +18,19 @@ from .errors import (
     ProviderError,
     UnknownEntryError,
 )
+from .ranking import normalize_rows, top_j
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase, KnowledgeEntry
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
-
-def _l2_normalize(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    return vec / norm if norm > 0 else vec
+# Texts per request of the http backend.
+HTTP_BATCH = 64
+# Rows normalized, or embedded and projected, together: bounds the
+# temporaries of large batches. Each row is computed on its own, so the
+# chunking does not change any bit of a result.
+ROW_CHUNK = 256
 
 
 @dataclass
@@ -41,8 +44,9 @@ class EmbeddingProvider:
     is returned as-is). Texts with disjoint, non-colliding token sets are
     therefore orthogonal.
 
-    The "http" backend POSTs {"texts": [...]} to the endpoint and expects
-    {"embeddings": [[...], ...]} back.
+    The "http" backend POSTs {"texts": [...]} to the endpoint, up to
+    HTTP_BATCH texts per request, and expects {"embeddings": [[...], ...]}
+    back, one row per text.
     """
 
     name: str = "hash"
@@ -51,53 +55,76 @@ class EmbeddingProvider:
     endpoint: Optional[str] = None
     timeout: float = 30.0
     _cache: dict = field(default_factory=dict, repr=False)
+    _buckets: dict = field(default_factory=dict, repr=False)
 
     @property
     def fingerprint(self) -> str:
         return f"{self.name}:{self.dim}:{self.backend}"
 
     def embed(self, text: str) -> np.ndarray:
-        """Return an L2-normalized vector of length dim."""
-        if not text:
-            raise ValueError("cannot embed empty text")
+        """Return an L2-normalized vector of length dim, cached per text."""
         cached = self._cache.get(text)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._cache[text] = self.embed_many([text])[0]
+        return cached
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed a batch of texts into an (n, dim) array, bypassing the cache.
+
+        With the hash backend, row i equals embed(texts[i]) bit for bit.
+        """
+        if not all(texts):
+            raise ValueError("cannot embed empty text")
+        if not texts:
+            return np.empty((0, self.dim))
         if self.backend == "hash":
-            vec = self._hash_embed(text)
-        elif self.backend == "http":
-            vec = self._http_embed(text)
-        else:
-            raise ConfigError(f"unknown embedding backend {self.backend!r}")
-        self._cache[text] = vec
-        return vec
+            return self._hash_rows(texts)
+        if self.backend == "http":
+            return self._http_rows(texts)
+        raise ConfigError(f"unknown embedding backend {self.backend!r}")
 
-    def _hash_embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in _TOKEN.findall(text.lower()):
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:8], "big") % self.dim
-            vec[bucket] += 1.0
-        return _l2_normalize(vec)
+    def _hash_rows(self, texts: Sequence[str]) -> np.ndarray:
+        lengths, buckets = [], []
+        known = self._buckets  # token -> bucket, so each token is hashed once
+        for text in texts:
+            tokens = _TOKEN.findall(text.lower())
+            lengths.append(len(tokens))
+            for token in tokens:
+                bucket = known.get(token)
+                if bucket is None:
+                    digest = hashlib.sha256(token.encode("utf-8")).digest()
+                    bucket = known[token] = int.from_bytes(digest[:8], "big") % self.dim
+                buckets.append(bucket)
+        rows = np.repeat(np.arange(len(texts)), lengths)
+        counts = np.zeros((len(texts), self.dim))
+        np.add.at(counts, (rows, np.array(buckets, dtype=np.intp)), 1.0)
+        for start in range(0, len(texts), ROW_CHUNK):
+            block = counts[start : start + ROW_CHUNK]
+            normalize_rows(block, out=block)
+        return counts
 
-    def _http_embed(self, text: str) -> np.ndarray:
+    def _http_rows(self, texts: Sequence[str]) -> np.ndarray:
         import requests
 
         if not self.endpoint:
             raise ConfigError("http embedding backend requires an endpoint")
-        try:
-            resp = requests.post(
-                self.endpoint, json={"texts": [text]}, timeout=self.timeout
-            )
-            resp.raise_for_status()
-            vec = np.asarray(resp.json()["embeddings"][0], dtype=np.float64)
-        except Exception as exc:
-            raise ProviderError(f"embedding service failed: {exc}") from exc
-        if vec.shape != (self.dim,):
-            raise ProviderError(
-                f"service returned dim {vec.shape}, expected ({self.dim},)"
-            )
-        return _l2_normalize(vec)
+        chunks = []
+        for start in range(0, len(texts), HTTP_BATCH):
+            chunk = texts[start : start + HTTP_BATCH]
+            try:
+                resp = requests.post(
+                    self.endpoint, json={"texts": chunk}, timeout=self.timeout
+                )
+                resp.raise_for_status()
+                rows = np.asarray(resp.json()["embeddings"], dtype=np.float64)
+            except Exception as exc:
+                raise ProviderError(f"embedding service failed: {exc}") from exc
+            if rows.shape != (len(chunk), self.dim):
+                raise ProviderError(
+                    f"service returned shape {rows.shape}, expected ({len(chunk)}, {self.dim})"
+                )
+            chunks.append(rows)
+        return normalize_rows(np.concatenate(chunks))[0]
 
 
 @dataclass
@@ -131,11 +158,17 @@ class ProjectionHead:
         return h.hexdigest()[:16]
 
     def project(self, vec: np.ndarray) -> np.ndarray:
+        """Project and L2-normalize one vector or each row of a matrix.
+
+        Each row is multiplied as a vector of its own (a stacked matmul), so
+        a row's result does not depend on the rows projected with it.
+        """
         if vec.shape[-1] != self.dim_in:
             raise DimensionMismatchError(
                 f"vector dim {vec.shape[-1]} != head dim_in {self.dim_in}"
             )
-        return _l2_normalize(vec @ self.weights)
+        projected = np.matmul(vec[..., None, :], self.weights)[..., 0, :]
+        return normalize_rows(projected, out=projected)[0]
 
     def save(
         self,
@@ -178,12 +211,24 @@ def embed(
 
 @dataclass
 class KnowledgeIndex:
-    """Flat full-scan index: one L2-normalized row per KB entry."""
+    """Flat full-scan index: one L2-normalized row per KB entry.
+
+    Entries are in ascending id order, so a row's position is its tie key.
+    """
 
     entries: tuple["KnowledgeEntry", ...]
     matrix: np.ndarray
     provider_fingerprint: str
     head_fingerprint: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if len(self.matrix) != len(self.entries):
+            raise ValueError(
+                f"index has {len(self.matrix)} rows for {len(self.entries)} entries"
+            )
+        ids = self.ids
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("index entries must be in strictly ascending id order")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -201,10 +246,14 @@ def build_index(
     entries = tuple(kb.sorted_entries())
     if not entries:
         raise EmptyKbError("cannot index an empty knowledge base")
-    rows = np.stack([embed(provider, e.text, head) for e in entries])
+    texts = [e.text for e in entries]
+    matrix = np.empty((len(texts), head.dim_out if head is not None else provider.dim))
+    for start in range(0, len(texts), ROW_CHUNK):
+        rows = provider.embed_many(texts[start : start + ROW_CHUNK])
+        matrix[start : start + ROW_CHUNK] = head.project(rows) if head is not None else rows
     return KnowledgeIndex(
         entries=entries,
-        matrix=rows,
+        matrix=matrix,
         provider_fingerprint=provider.fingerprint,
         head_fingerprint=head.fingerprint if head is not None else None,
     )
@@ -222,10 +271,8 @@ def retrieve(
         raise ValueError("j must be >= 1")
     if len(index) == 0:
         raise EmptyKbError("index is empty")
-    qvec = embed(provider, query, head)
-    scores = index.matrix @ qvec
-    order = sorted(range(len(index)), key=lambda i: (-scores[i], index.entries[i].id))
-    return [(index.entries[i], float(scores[i])) for i in order[:j]]
+    scores = index.matrix @ embed(provider, query, head)
+    return [(index.entries[i], float(scores[i])) for i in top_j(scores, j)]
 
 
 def info_nce_loss(
@@ -246,8 +293,8 @@ def info_nce_loss(
     for v in vecs:
         if v.shape != q.shape:
             raise DimensionMismatchError(f"vector shape {v.shape} != query {q.shape}")
-    qn = _l2_normalize(q)
-    logits = np.array([float(qn @ _l2_normalize(v)) / tau for v in vecs])
+    qn = normalize_rows(q)[0]
+    logits = (normalize_rows(np.stack(vecs))[0] @ qn) / tau
     m = logits.max()
     lse = m + np.log(np.exp(logits - m).sum())
     return float(lse - logits[0])
@@ -268,21 +315,13 @@ def info_nce_batch(
     rows, when given, extend every row's denominator.
     """
     B = queries.shape[0]
-    U = queries @ weights
-    V = positives @ weights
-    un = np.linalg.norm(U, axis=1, keepdims=True)
-    vn = np.linalg.norm(V, axis=1, keepdims=True)
-    un = np.where(un == 0, 1.0, un)
-    vn = np.where(vn == 0, 1.0, vn)
-    Uh, Vh = U / un, V / vn
+    Uh, un = normalize_rows(queries @ weights)
+    Vh, vn = normalize_rows(positives @ weights)
 
     cols = Vh
     extra = None
     if extra_negatives is not None and len(extra_negatives):
-        N = extra_negatives @ weights
-        nn = np.linalg.norm(N, axis=1, keepdims=True)
-        nn = np.where(nn == 0, 1.0, nn)
-        extra = N / nn
+        extra, nvn = normalize_rows(extra_negatives @ weights)
         cols = np.vstack([Vh, extra])
 
     S = (Uh @ cols.T) / tau  # (B, B + n_extra)
@@ -304,8 +343,6 @@ def info_nce_batch(
     grad = queries.T @ gU + positives.T @ gV
     if extra is not None:
         gNh = G[:, B:].T @ Uh
-        nvn = np.linalg.norm(extra_negatives @ weights, axis=1, keepdims=True)
-        nvn = np.where(nvn == 0, 1.0, nvn)
         gN = (gNh - (gNh * extra).sum(axis=1, keepdims=True) * extra) / nvn
         grad += extra_negatives.T @ gN
     return loss, grad
@@ -341,13 +378,7 @@ class RetrievalMetrics:
 
 def _pairwise_mrr(head_w: np.ndarray, q_raw: np.ndarray, k_raw: np.ndarray) -> float:
     """MRR of each query's own positive ranked against all positives."""
-    U = q_raw @ head_w
-    V = k_raw @ head_w
-    un = np.linalg.norm(U, axis=1, keepdims=True)
-    vn = np.linalg.norm(V, axis=1, keepdims=True)
-    un = np.where(un == 0, 1.0, un)
-    vn = np.where(vn == 0, 1.0, vn)
-    S = (U / un) @ (V / vn).T
+    S = normalize_rows(q_raw @ head_w)[0] @ normalize_rows(k_raw @ head_w)[0].T
     n = S.shape[0]
     ranks = (S > S[np.arange(n), np.arange(n)][:, None]).sum(axis=1) + 1
     return float(np.mean(1.0 / ranks))
@@ -370,10 +401,11 @@ def train_head(
     if len(pairs) < 2:
         raise ConfigError("need at least 2 training pairs")
 
-    q_raw = np.stack([provider.embed(p.query) for p in pairs])
-    k_raw = np.stack([provider.embed(p.positive) for p in pairs])
+    q_raw = provider.embed_many([p.query for p in pairs])
+    k_raw = provider.embed_many([p.positive for p in pairs])
     neg_texts = sorted({t for p in pairs for t in p.negatives})
-    neg_raw = np.stack([provider.embed(t) for t in neg_texts]) if neg_texts else None
+    neg_raw = provider.embed_many(neg_texts) if neg_texts else None
+    neg_row = {t: i for i, t in enumerate(neg_texts)}
 
     rng = np.random.default_rng(config.seed)
     n = len(pairs)
@@ -402,11 +434,7 @@ def train_head(
                 in_batch = sorted(
                     {t for i in batch for t in pairs[i].negatives}
                 )
-                extra = (
-                    np.stack([provider.embed(t) for t in in_batch])
-                    if in_batch
-                    else None
-                )
+                extra = neg_raw[[neg_row[t] for t in in_batch]] if in_batch else None
             _, grad = info_nce_batch(
                 W, q_raw[batch], k_raw[batch], config.tau, extra_negatives=extra
             )
@@ -428,18 +456,18 @@ def eval_retrieval(
     """MRR and Top@K over (query text, relevant entry ids) pairs."""
     if not labeled:
         raise ValueError("labeled set must be non-empty")
-    known = set(index.ids)
+    position = {entry_id: i for i, entry_id in enumerate(index.ids)}
     reciprocal = []
     hits = {k: 0 for k in ks}
     for query, relevant in labeled:
         rel = set(relevant)
-        missing = rel - known
+        missing = rel - position.keys()
         if missing:
             raise UnknownEntryError(f"labels reference unknown entries: {sorted(missing)}")
-        ranking = retrieve(query, index, len(index), provider, head)
-        rank = next(
-            i for i, (entry, _) in enumerate(ranking, start=1) if entry.id in rel
-        )
+        if not rel:
+            raise ValueError(f"label for {query!r} has no relevant entries")
+        scores = index.matrix @ embed(provider, query, head)
+        rank = min(_rank(scores, position[entry_id]) for entry_id in rel)
         reciprocal.append(1.0 / rank)
         for k in ks:
             if rank <= k:
@@ -449,3 +477,9 @@ def eval_retrieval(
         mrr=float(np.mean(reciprocal)),
         top_at={k: hits[k] / n for k in ks},
     )
+
+
+def _rank(scores: np.ndarray, pos: int) -> int:
+    """1-based rank of row `pos` under retrieve's order (score desc, position asc)."""
+    s = scores[pos]
+    return 1 + int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:pos] == s))

@@ -10,6 +10,7 @@ from sqlkb.cli import (
     OUTPUTS_FILE,
     REPORT_JSON,
     REPORT_TXT,
+    _provider,
     main,
 )
 from sqlkb.config import RunConfig, load_config
@@ -133,6 +134,17 @@ def test_full_workflow(workdir, capsys):
     assert "retrieval" in report and "coverage" in report
     out = capsys.readouterr().out
     assert "EX" in out
+
+
+def test_unknown_embedding_backend_rejected(workdir, capsys):
+    cfg = load_config(workdir=workdir, overrides=["retriever.backend=hsah"])
+    with pytest.raises(ConfigError, match="hsah"):
+        _provider(cfg)
+    run_cli(workdir, "build-kb")
+    capsys.readouterr()
+    argv = ("retrieve", "--set", "retriever.backend=hsah", "--force", "employees")
+    assert run_cli(workdir, *argv) == 2
+    assert "ConfigError" in capsys.readouterr().err
 
 
 def test_missing_artifact_is_clean_error(workdir, capsys):

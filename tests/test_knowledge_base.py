@@ -215,6 +215,31 @@ def test_save_load_round_trip(train_ds, tmp_path):
     assert again.build_config == kb.build_config
 
 
+def test_expansion_failures_survive_save_and_load(train_ds, provider, tmp_path):
+    cfg = KbBuildConfig(few_shot_k=5, iterations=1, seed=1)
+
+    def broken(prompt):
+        raise LlmError("down")
+
+    out = expand_kb(init_kb(train_ds, cfg), train_ds, mock_client(broken), provider, cfg)
+    assert out.expansion_failures > 0
+    path = tmp_path / "kb.jsonl"
+    save_kb(out, path)
+    again = load_kb(path)
+    assert again.expansion_failures == out.expansion_failures
+    assert kb_stats(again).expansion_failures == out.expansion_failures
+
+
+def test_load_kb_without_failure_count_defaults_to_zero(train_ds, tmp_path):
+    path = tmp_path / "kb.jsonl"
+    save_kb(init_kb(train_ds), path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["expansion_failures"]
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert load_kb(path).expansion_failures == 0
+
+
 def test_load_kb_duplicate_ids(tmp_path):
     kb = KnowledgeBase()
     kb.add(KnowledgeEntry.from_text("one two three", "dataset", "db"))

@@ -1,0 +1,152 @@
+"""The shared ranking core against full-sort oracles, on tie-heavy inputs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlkb.dataset import Dataset, ExampleTriplet, Query
+from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, select_examples
+from sqlkb.ranking import normalize_rows, row_dots, top_j
+from sqlkb.retriever import EmbeddingProvider, build_index, embed, eval_retrieval
+
+
+# --- top_j ---
+
+@st.composite
+def tie_heavy_scores(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    values = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    keyed = draw(st.booleans())
+    perm = draw(st.permutations(range(n))) if keyed else None
+    return np.array(values, dtype=np.float64), perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_scores())
+def test_top_j_equals_full_lexsort(case):
+    scores, perm = case
+    n = len(scores)
+    tie_key = None if perm is None else np.array(perm)
+    brute = np.lexsort((np.arange(n) if tie_key is None else tie_key, -scores))
+    for j in (1, n - 1, n, n + 3):
+        got = top_j(scores, j, tie_key)
+        assert got.tolist() == brute[:j].tolist()
+
+
+def test_top_j_keeps_every_tie_at_the_cut():
+    scores = np.array([0.5, 0.9, 0.5, 0.5, 0.1])
+    tie_key = np.array([4, 0, 3, 1, 2])
+    # three rows tie for 2nd place; the cut keeps the one with the lowest key
+    assert top_j(scores, 2, tie_key).tolist() == [1, 3]
+    assert top_j(scores, 2).tolist() == [1, 0]
+
+
+# --- row helpers ---
+
+def test_normalize_rows_leaves_zero_rows():
+    x = np.array([[3.0, 4.0], [0.0, 0.0]])
+    rows, norms = normalize_rows(x)
+    assert rows.tolist() == [[0.6, 0.8], [0.0, 0.0]]
+    assert norms.tolist() == [[5.0], [1.0]]
+    vec, norm = normalize_rows(np.array([0.0, 2.0]))
+    assert vec.tolist() == [0.0, 1.0] and norm.tolist() == [2.0]
+
+
+def test_row_dots_equal_per_row_dot():
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal((300, 64))
+    vec = rng.standard_normal(64)
+    assert np.array_equal(row_dots(matrix, vec), np.array([row @ vec for row in matrix]))
+
+
+# --- eval_retrieval ---
+
+def test_eval_retrieval_matches_full_ranking_with_several_relevant_ids():
+    provider = EmbeddingProvider(dim=32)
+    rng = np.random.default_rng(11)
+    vocab = [f"w{i}" for i in range(12)]
+    kb = KnowledgeBase()
+    # few words from a small vocabulary: many entries share a token multiset,
+    # so their rows and scores tie exactly
+    for _ in range(400):
+        words = rng.choice(vocab, size=int(rng.integers(2, 4)))
+        text = " ".join(words) + " " + " ".join(rng.permutation(words))
+        kb.add(KnowledgeEntry.from_text(text, "dataset", "db"))
+    index = build_index(kb, provider)
+    ids = index.ids
+    labeled = []
+    for _ in range(60):
+        query = " ".join(rng.choice(vocab, size=3))
+        relevant = list(rng.choice(ids, size=int(rng.integers(1, 5)), replace=False))
+        labeled.append((query, relevant))
+
+    ranks = []
+    for query, relevant in labeled:
+        scores = index.matrix @ embed(provider, query)
+        ranking = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+        ranks.append(next(r for r, i in enumerate(ranking, start=1) if ids[i] in relevant))
+    ks = (1, 3, 10, 50)
+    metrics = eval_retrieval(index, labeled, provider, ks=ks)
+    assert metrics.mrr == pytest.approx(np.mean([1.0 / r for r in ranks]), abs=1e-12)
+    assert metrics.top_at == {k: sum(r <= k for r in ranks) / len(ranks) for k in ks}
+
+
+def test_eval_retrieval_rejects_empty_label():
+    provider = EmbeddingProvider(dim=16)
+    kb = KnowledgeBase()
+    kb.add(KnowledgeEntry.from_text("alpha beta gamma", "dataset", "db"))
+    with pytest.raises(ValueError):
+        eval_retrieval(build_index(kb, provider), [("alpha", [])], provider)
+
+
+# --- select_examples ---
+
+def _synthetic_dataset(n: int, seed: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    vocab = [f"v{i}" for i in range(15)]
+    records = []
+    for i in rng.permutation(n):  # record order differs from id order
+        text = " ".join(rng.choice(vocab, size=int(rng.integers(2, 5))))
+        records.append(
+            ExampleTriplet(
+                query=Query(id=str(i), text=text, db_id="db"),
+                schema_ref="db",
+                knowledge=f"fact {i}" if rng.random() < 0.8 else None,
+                gold_sql="SELECT 1" if rng.random() < 0.7 else None,
+            )
+        )
+    return Dataset(records=tuple(records))
+
+
+def test_select_examples_equals_full_sort_over_same_scores():
+    provider = EmbeddingProvider(dim=64)
+    ds = _synthetic_dataset(3000, seed=3)
+    probes = [ds.records[i].query for i in (0, 17, 999)]
+    probes.append(Query(id="probe", text="v1 v2 v3", db_id="db"))
+    for probe in probes:
+        qv = provider.embed(probe.text)
+        for require_sql in (False, True):
+            pool = [
+                rec
+                for rec in ds.records
+                if rec.query.id != probe.id
+                and rec.knowledge is not None
+                and (not require_sql or rec.gold_sql is not None)
+            ]
+            scored = sorted(
+                pool, key=lambda r: (-float(qv @ provider.embed(r.query.text)), r.query.id)
+            )
+            for k in (1, 20, len(pool) + 5):
+                got = select_examples(probe, ds, k, provider, require_sql=require_sql)
+                assert [r.query.id for r in got] == [r.query.id for r in scored[:k]]
+
+
+def test_select_examples_caches_question_matrix_per_provider():
+    ds = _synthetic_dataset(50, seed=4)
+    probe = Query(id="probe", text="v1 v2", db_id="db")
+    select_examples(probe, ds, 3, EmbeddingProvider(dim=16))
+    select_examples(probe, ds, 3, EmbeddingProvider(dim=16))
+    select_examples(probe, ds, 3, EmbeddingProvider(dim=32))
+    assert sorted(ds.question_vectors) == ["hash:16:hash", "hash:32:hash"]
+    assert ds == Dataset(records=ds.records)  # the cache takes no part in equality

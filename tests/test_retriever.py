@@ -10,10 +10,12 @@ from sqlkb.errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyKbError,
+    ProviderError,
     UnknownEntryError,
 )
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry
 from sqlkb.retriever import (
+    HTTP_BATCH,
     EmbeddingProvider,
     KnowledgeIndex,
     ProjectionHead,
@@ -89,6 +91,79 @@ def test_embed_empty_text_rejected(provider):
         provider.embed("")
 
 
+def test_embed_many_bit_identical_to_embed():
+    texts = [f"alpha {i} beta{i % 7} gamma gamma" for i in range(600)]
+    texts += ["!!!", texts[1]]  # a text without tokens, and a repeat
+    batch = EmbeddingProvider(dim=64).embed_many(texts)
+    single = EmbeddingProvider(dim=64)
+    assert batch.shape == (len(texts), 64)
+    assert np.array_equal(batch, np.stack([single.embed(t) for t in texts]))
+    assert not batch[len(texts) - 2].any()  # no tokens: the zero vector
+
+
+def test_embed_many_rejects_empty_text(provider):
+    with pytest.raises(ValueError):
+        provider.embed_many(["fine text", ""])
+
+
+class FakeEmbeddingService:
+    """Stands in for requests.post: records batch sizes, answers per text."""
+
+    def __init__(self, dim, rows_delta=0, dim_delta=0):
+        self.dim, self.rows_delta, self.dim_delta = dim, rows_delta, dim_delta
+        self.batches = []
+
+    def post(self, url, json, timeout):
+        texts = json["texts"]
+        self.batches.append(len(texts))
+        rows = [
+            [float(len(t)), 1.0] + [0.0] * (self.dim - 2 + self.dim_delta)
+            for t in texts
+        ] + [[1.0] * self.dim] * self.rows_delta
+        return _FakeResponse({"embeddings": rows})
+
+
+class _FakeResponse:
+    def __init__(self, payload):
+        self.payload = payload
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.payload
+
+
+def test_http_embed_many_sends_one_request_per_batch(monkeypatch):
+    import requests
+
+    service = FakeEmbeddingService(dim=8)
+    monkeypatch.setattr(requests, "post", service.post)
+    prov = EmbeddingProvider(dim=8, backend="http", endpoint="http://embed.invalid")
+    texts = [f"text number {i}" for i in range(2 * HTTP_BATCH + 5)]
+    rows = prov.embed_many(texts)
+    assert service.batches == [HTTP_BATCH, HTTP_BATCH, 5]
+    assert rows.shape == (len(texts), 8)
+    expected = np.array([len(texts[10]), 1.0]) / math.hypot(len(texts[10]), 1.0)
+    assert np.allclose(rows[10, :2], expected)
+    assert np.array_equal(prov.embed(texts[10]), rows[10])
+    prov.embed(texts[10])  # cached: no new request
+    assert service.batches == [HTTP_BATCH, HTTP_BATCH, 5, 1]
+
+
+@pytest.mark.parametrize("rows_delta, dim_delta", [(1, 0), (0, 1), (0, -1)])
+def test_http_embed_many_rejects_wrong_shape(monkeypatch, rows_delta, dim_delta):
+    import requests
+
+    service = FakeEmbeddingService(dim=8, rows_delta=rows_delta, dim_delta=dim_delta)
+    monkeypatch.setattr(requests, "post", service.post)
+    prov = EmbeddingProvider(dim=8, backend="http", endpoint="http://embed.invalid")
+    with pytest.raises(ProviderError):
+        prov.embed_many(["one text", "another text"])
+    with pytest.raises(ProviderError):
+        prov.embed("a single text")
+
+
 # --- index / retrieve ---
 
 def test_build_index_empty_kb(provider):
@@ -109,6 +184,25 @@ def test_build_index_rebuild_identical(provider):
     b = build_index(kb, EmbeddingProvider(dim=provider.dim))
     assert np.array_equal(a.matrix, b.matrix)
     assert a.ids == b.ids
+
+
+def test_build_index_with_head_matches_per_entry_projection(provider):
+    kb = make_kb([f"entry {i} token{i} shared words" for i in range(700)])
+    head = init_head(provider.dim, 32, seed=3)
+    idx = build_index(kb, provider, head)
+    rows = np.stack([embed(provider, e.text, head) for e in kb.sorted_entries()])
+    assert idx.matrix.shape == (700, 32)
+    assert np.allclose(idx.matrix, rows, rtol=0, atol=1e-12)
+
+
+def test_index_requires_entries_in_id_order(provider):
+    idx = build_index(make_kb(["one two three", "four five six"]), provider)
+    with pytest.raises(ValueError):
+        KnowledgeIndex(
+            entries=idx.entries[::-1],
+            matrix=idx.matrix[::-1],
+            provider_fingerprint=idx.provider_fingerprint,
+        )
 
 
 def test_retrieve_exact_text_scores_one(provider):
