@@ -25,7 +25,6 @@ from .llm import CallLedger, LlmClient, LlmConfig
 from .pipeline import (
     PipelineConfig,
     RefinedKnowledge,
-    SqlStatement,
     build_knowledge_prompt,
     build_sql_prompt,
     generate_sql,

@@ -79,7 +79,14 @@ def _load_head(cfg: RunConfig) -> Optional[ProjectionHead]:
     path = cfg.workdir / HEAD_FILE
     if not cfg["retriever"]["use_head"] or not path.exists():
         return None
-    head, _ = ProjectionHead.load(path)
+    head, meta = ProjectionHead.load(path)
+    trained_for = meta.get("provider_fingerprint", "")
+    current = _provider(cfg).fingerprint
+    if trained_for and trained_for != current:
+        raise ConfigError(
+            f"{path} was trained for embedding provider {trained_for}, "
+            f"current provider is {current}"
+        )
     return head
 
 
@@ -99,12 +106,7 @@ def _check_lineage(cfg: RunConfig, artifact_hash: Optional[str], what: str, forc
 
 def cmd_build_kb(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _train_dataset(cfg)
-    kb_cfg = KbBuildConfig(
-        few_shot_k=cfg["kb"]["few_shot_k"],
-        iterations=cfg["kb"]["iterations"],
-        seed=cfg.seed,
-        prompt_budget=cfg["kb"]["prompt_budget"],
-    )
+    kb_cfg = KbBuildConfig(**cfg["kb"], seed=cfg.seed)
     kb = knowledge_base.init_kb(dataset, kb_cfg)
     print(f"seeded {len(kb)} entries from dataset evidence")
     if kb_cfg.iterations > 0:
@@ -174,14 +176,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     head = _load_head(cfg)
     index = retriever.build_index(kb, provider, head)
     client = _llm_client(cfg)
-    pc = cfg["pipeline"]
-    pipe_cfg = pipeline.PipelineConfig(
-        top_j=pc["top_j"],
-        budget=pc["budget"],
-        use_refinement=pc["use_refinement"],
-        few_shot_k=pc["few_shot_k"],
-        seed=cfg.seed,
-    )
+    pipe_cfg = pipeline.PipelineConfig(**cfg["pipeline"], seed=cfg.seed)
     outputs = pipeline.run_pipeline(
         _test_dataset(cfg), _train_dataset(cfg), index, client, provider, pipe_cfg, head
     )
@@ -203,13 +198,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     provider = _provider(cfg)
     head = _load_head(cfg)
     test = _test_dataset(cfg)
-    ec = cfg["eval"]
-    eval_cfg = evaluation.EvalConfig(
-        timeout=ec["timeout"],
-        timing_runs=ec["timing_runs"],
-        clip_max=ec["clip_max"],
-        deterministic_timing=ec["deterministic_timing"],
-    )
+    eval_cfg = evaluation.EvalConfig(**cfg["eval"])
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 

@@ -4,30 +4,33 @@ from __future__ import annotations
 
 import configparser
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ConfigError
+from .evaluation import EvalConfig
+from .knowledge_base import KbBuildConfig
+from .pipeline import PipelineConfig
+
+
+def _stage_section(cls) -> dict:
+    """A stage config's field defaults; its seed comes from [run]."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name != "seed"}
+
 
 DEFAULTS: dict[str, dict] = {
     "run": {
         "seed": 0,
-        "scenario": "overlap",  # overlap | non-overlap | cross-dataset
-        "jobs": 1,
     },
     "dataset": {
         "train": "train.json",
         "test": "test.json",
         "db_dir": "databases",
     },
-    "kb": {
-        "few_shot_k": 10,
-        "iterations": 5,
-        "prompt_budget": 12000,
-        "split": "train",
-    },
+    "kb": _stage_section(KbBuildConfig),
     "retriever": {
         "backend": "hash",
         "dim": 256,
@@ -49,21 +52,9 @@ DEFAULTS: dict[str, dict] = {
         "timeout": 120.0,
         "fixture": "",
     },
-    "pipeline": {
-        "top_j": 5,
-        "budget": 24000,
-        "use_refinement": True,
-        "few_shot_k": 10,
-    },
-    "eval": {
-        "timeout": 30.0,
-        "timing_runs": 3,
-        "clip_max": 100.0,
-        "deterministic_timing": False,
-    },
+    "pipeline": _stage_section(PipelineConfig),
+    "eval": _stage_section(EvalConfig),
 }
-
-_SCENARIOS = {"overlap", "non-overlap", "cross-dataset"}
 
 
 def _coerce(section: str, key: str, raw: str):
@@ -91,11 +82,6 @@ class RunConfig:
     def __init__(self, data: dict[str, dict], workdir: Path) -> None:
         self.data = data
         self.workdir = workdir
-        if data["run"]["scenario"] not in _SCENARIOS:
-            raise ConfigError(
-                f"scenario must be one of {sorted(_SCENARIOS)}, "
-                f"got {data['run']['scenario']!r}"
-            )
 
     def __getitem__(self, section: str) -> dict:
         return self.data[section]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -265,8 +265,3 @@ def render_schema(
         if len(text) <= budget:
             return text
     return text[:budget]
-
-
-def restrict_db_file(schema: DatabaseSchema, db_file: Optional[Path]) -> DatabaseSchema:
-    """Return a copy of the schema pointing at a different database file."""
-    return replace(schema, db_file=db_file)

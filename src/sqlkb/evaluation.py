@@ -131,6 +131,18 @@ def compute_ex(matches: Sequence[bool]) -> float:
     return 100.0 * sum(matches) / len(matches)
 
 
+def _ves_term(match: bool, t_gold: float, t_pred: float, clip_max: float) -> float:
+    """One query's efficiency term: sqrt(t_gold/t_pred) capped at clip_max
+    for a match, 0 otherwise."""
+    if not match:
+        return 0.0
+    if t_gold <= 0 or t_pred <= 0:
+        raise NonPositiveTimeError(
+            f"matched query has non-positive time: gold={t_gold}, pred={t_pred}"
+        )
+    return min(math.sqrt(t_gold / t_pred), clip_max)
+
+
 def compute_ves(
     per_query: Sequence[tuple[bool, float, float]],
     clip_max: float = 100.0,
@@ -142,15 +154,7 @@ def compute_ves(
     """
     if not per_query:
         raise EmptySetError("no queries to score")
-    total = 0.0
-    for match, t_gold, t_pred in per_query:
-        if not match:
-            continue
-        if t_gold <= 0 or t_pred <= 0:
-            raise NonPositiveTimeError(
-                f"matched query has non-positive time: gold={t_gold}, pred={t_pred}"
-            )
-        total += min(math.sqrt(t_gold / t_pred), clip_max)
+    total = sum(_ves_term(*timing, clip_max) for timing in per_query)
     return 100.0 * total / len(per_query)
 
 
@@ -297,7 +301,7 @@ def evaluate_run(
         raise AlignmentError(f"outputs reference unknown queries: {missing}")
 
     per_query = []
-    ves_terms = []
+    timings = []
     em_flags = []
     ss_values = []
     n_errors = 0
@@ -333,12 +337,10 @@ def evaluate_run(
                 if out.sql
                 else 0.0
             )
-        if match and t_gold > 0 and t_pred > 0:
-            term = min(math.sqrt(t_gold / t_pred), config.clip_max)
-        else:
-            term = 0.0
-        entry["ves_term"] = term
-        ves_terms.append((match, max(t_gold, 1e-9), max(t_pred, 1e-9)))
+        # a match whose timing re-run failed (time 0) scores 0
+        timing = (match and t_gold > 0 and t_pred > 0, t_gold, t_pred)
+        entry["ves_term"] = _ves_term(*timing, config.clip_max)
+        timings.append(timing)
         if rec.knowledge is not None and out.knowledge is not None:
             em = knowledge_exact_match(out.knowledge, rec.knowledge)
             entry["em"] = int(em)
@@ -352,11 +354,10 @@ def evaluate_run(
         per_query.append(entry)
 
     ex = compute_ex([bool(e["ex"]) for e in per_query])
-    ves = 100.0 * sum(e["ves_term"] for e in per_query) / len(per_query)
     return EvalReport(
         per_query=per_query,
         ex=ex,
-        ves=ves,
+        ves=compute_ves(timings, config.clip_max),
         em_pct=(100.0 * sum(em_flags) / len(em_flags)) if em_flags else None,
         mean_ss=float(np.mean(ss_values)) if ss_values else None,
         n_queries=len(outputs),

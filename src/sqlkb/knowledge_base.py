@@ -11,7 +11,7 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -86,18 +86,6 @@ class KbBuildConfig:
             raise ValueError("few_shot_k must be >= 1")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "few_shot_k": self.few_shot_k,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "prompt_budget": self.prompt_budget,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KbBuildConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -293,7 +281,7 @@ def save_kb(kb: KnowledgeBase, path: Path | str, config_hash: Optional[str] = No
     """Write a line-delimited KB file: one header line, then entries sorted by id."""
     header = {
         "format": KB_FORMAT,
-        "build_config": kb.build_config.to_dict(),
+        "build_config": asdict(kb.build_config),
         "expansion_failures": kb.expansion_failures,
     }
     if config_hash is not None:
@@ -326,7 +314,7 @@ def load_kb(path: Path | str) -> KnowledgeBase:
     if header.get("format") != KB_FORMAT:
         raise ParseError(f"{path}: unrecognized KB format {header.get('format')!r}")
     kb = KnowledgeBase(
-        build_config=KbBuildConfig.from_dict(header["build_config"]),
+        build_config=KbBuildConfig(**header["build_config"]),
         expansion_failures=header.get("expansion_failures", 0),
     )
     for n, line in enumerate(lines[1:], start=2):

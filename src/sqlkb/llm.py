@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import ContextOverflowError, LlmError, MockMissError, ReplayDriftError
+from .errors import (
+    ContextOverflowError,
+    LlmError,
+    MockMissError,
+    ParseError,
+    ReplayDriftError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -109,12 +115,17 @@ def load_fixture(path: Path | str) -> dict[str, str]:
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        digest = obj["prompt_sha256"]
-        if "prompt" in obj and prompt_sha256(obj["prompt"]) != digest:
-            raise ReplayDriftError(f"{path}:{n}: prompt does not match its hash")
-        if obj.get("ok", True):
-            responses[digest] = obj["completion"]
+        try:
+            obj = json.loads(line)
+            digest = obj["prompt_sha256"]
+            if "prompt" in obj and prompt_sha256(obj["prompt"]) != digest:
+                raise ReplayDriftError(f"{path}:{n}: prompt does not match its hash")
+            if obj.get("ok", True):
+                responses[digest] = obj["completion"]
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{n}: {exc}") from exc
+        except KeyError as exc:
+            raise ParseError(f"{path}:{n}: missing key {exc}") from exc
     return responses
 
 

@@ -10,7 +10,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .dataset import Dataset, DatabaseSchema, ExampleTriplet, Query, render_schema
-from .errors import BudgetError, EmptySqlError, InsufficientExamplesError, LlmError
+from .errors import (
+    BudgetError,
+    EmptySqlError,
+    InsufficientExamplesError,
+    LlmError,
+    ParseError,
+)
 from .knowledge_base import select_examples
 
 if TYPE_CHECKING:
@@ -21,6 +27,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 24_000
+OUTPUTS_FORMAT = "sqlkb/outputs/v1"
 
 _FENCE = re.compile(r"```(?:sql)?\s*(.*?)```", re.DOTALL | re.IGNORECASE)
 
@@ -31,13 +38,6 @@ class RefinedKnowledge:
     query_id: str
     retrieved_ids: tuple[str, ...]
     schema_id: str
-
-
-@dataclass(frozen=True)
-class SqlStatement:
-    text: str
-    query_id: str
-    knowledge: Optional[RefinedKnowledge] = None
 
 
 @dataclass
@@ -53,7 +53,7 @@ class PipelineConfig:
 class PipelineOutput:
     query_id: str
     sql: Optional[str]
-    knowledge: Optional[str]
+    knowledge: Optional[str]  # the Evidence text the SQL prompt showed; None if empty
     retrieved_ids: tuple[str, ...] = ()
     error: Optional[str] = None
 
@@ -183,12 +183,13 @@ def generate_sql(
     train_dataset: Dataset,
     config: Optional[PipelineConfig] = None,
     head: Optional["ProjectionHead"] = None,
-) -> tuple[SqlStatement, Optional[RefinedKnowledge]]:
+) -> PipelineOutput:
     """Retrieve top-j knowledge, optionally refine it, and generate the SQL.
 
     With use_refinement=False the retrieved entries are concatenated and
     used directly as the Evidence block; with top_j=0 the Evidence block
-    is empty (no-knowledge baseline).
+    is empty (no-knowledge baseline). The output records the retrieved
+    entry ids and the Evidence text the SQL prompt showed.
     """
     from .retriever import retrieve
 
@@ -199,10 +200,8 @@ def generate_sql(
             entry
             for entry, _ in retrieve(query.text, index, config.top_j, provider, head)
         ]
-    refined = None
     if retrieved and config.use_refinement:
-        refined = refine_knowledge(query, retrieved, schema, llm, config.budget)
-        evidence = refined.text
+        evidence = refine_knowledge(query, retrieved, schema, llm, config.budget).text
     else:
         evidence = "; ".join(e.text for e in retrieved)
 
@@ -217,10 +216,11 @@ def generate_sql(
     except InsufficientExamplesError:
         examples = []
     prompt = build_sql_prompt(query, evidence, schema, examples, config.budget)
-    sql_text = postprocess_sql(llm.complete(prompt))
-    return (
-        SqlStatement(text=sql_text, query_id=query.id, knowledge=refined),
-        refined,
+    return PipelineOutput(
+        query_id=query.id,
+        sql=postprocess_sql(llm.complete(prompt)),
+        knowledge=evidence or None,
+        retrieved_ids=tuple(e.id for e in retrieved),
     )
 
 
@@ -239,7 +239,7 @@ def run_pipeline(
     for rec in test_dataset.records:
         schema = test_dataset.schema_for(rec.schema_ref)
         try:
-            stmt, refined = generate_sql(
+            out = generate_sql(
                 rec.query,
                 schema,
                 index,
@@ -251,20 +251,10 @@ def run_pipeline(
             )
         except (LlmError, EmptySqlError) as exc:
             logger.warning("generation failed for %s: %s", rec.query.id, exc)
-            outputs.append(
-                PipelineOutput(
-                    query_id=rec.query.id, sql=None, knowledge=None, error=str(exc)
-                )
+            out = PipelineOutput(
+                query_id=rec.query.id, sql=None, knowledge=None, error=str(exc)
             )
-            continue
-        outputs.append(
-            PipelineOutput(
-                query_id=rec.query.id,
-                sql=stmt.text,
-                knowledge=refined.text if refined else None,
-                retrieved_ids=refined.retrieved_ids if refined else (),
-            )
-        )
+        outputs.append(out)
     return outputs
 
 
@@ -274,7 +264,7 @@ def save_outputs(
     config_hash: Optional[str] = None,
 ) -> None:
     """Line-delimited JSON: one header line, then one record per output."""
-    header: dict = {"format": "sqlkb/outputs/v1"}
+    header: dict = {"format": OUTPUTS_FORMAT}
     if config_hash is not None:
         header["config_hash"] = config_hash
     lines = [json.dumps(header, sort_keys=True)]
@@ -295,22 +285,33 @@ def save_outputs(
 
 
 def load_outputs(path: Path | str) -> tuple[list[PipelineOutput], dict]:
-    lines = Path(path).read_text().splitlines()
+    path = Path(path)
+    lines = path.read_text().splitlines()
     if not lines:
         return [], {}
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:1: bad header: {exc}") from exc
+    if header.get("format") != OUTPUTS_FORMAT:
+        raise ParseError(f"{path}: unrecognized outputs format {header.get('format')!r}")
     outputs = []
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        outputs.append(
-            PipelineOutput(
-                query_id=obj["query_id"],
-                sql=obj["sql"],
-                knowledge=obj["knowledge"],
-                retrieved_ids=tuple(obj.get("retrieved_ids", ())),
-                error=obj.get("error"),
+        try:
+            obj = json.loads(line)
+            outputs.append(
+                PipelineOutput(
+                    query_id=obj["query_id"],
+                    sql=obj["sql"],
+                    knowledge=obj["knowledge"],
+                    retrieved_ids=tuple(obj.get("retrieved_ids", ())),
+                    error=obj.get("error"),
+                )
             )
-        )
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{n}: {exc}") from exc
+        except KeyError as exc:
+            raise ParseError(f"{path}:{n}: missing key {exc}") from exc
     return outputs, header

@@ -237,7 +237,6 @@ TEST_RECORDS = [
 
 CONFIG_INI = """[run]
 seed = 0
-scenario = overlap
 
 [kb]
 iterations = 1

@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from sqlkb import cli
 from sqlkb.cli import (
     KB_FILE,
     HEAD_FILE,
@@ -13,7 +14,7 @@ from sqlkb.cli import (
     _provider,
     main,
 )
-from sqlkb.config import RunConfig, load_config
+from sqlkb.config import DEFAULTS, RunConfig, load_config
 from sqlkb.errors import ConfigError
 from sqlkb.toy import generate_toy
 
@@ -161,6 +162,83 @@ def test_lineage_mismatch_refused_then_forced(workdir, capsys):
     assert run_cli(workdir, "stats", "--set", "run.seed=99") == 2
     assert "LineageError" in capsys.readouterr().err
     assert run_cli(workdir, "stats", "--set", "run.seed=99", "--force") == 0
+
+
+class _RecordingSection(dict):
+    """A config section that notes every key read from it."""
+
+    def __init__(self, data, section, seen):
+        super().__init__(data)
+        self.section, self.seen = section, seen
+
+    def __getitem__(self, key):
+        self.seen.add((self.section, key))
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        # overriding iteration makes ** unpacking read through __getitem__
+        return super().__iter__()
+
+
+def test_workflow_reads_every_config_key(workdir, monkeypatch):
+    seen = set()
+
+    def recording_load_config(*args):
+        cfg = load_config(*args)
+        cfg.data = {s: _RecordingSection(v, s, seen) for s, v in cfg.data.items()}
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", recording_load_config)
+    for cmd in ("build-kb", "train-retriever", "generate", "evaluate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    declared = {(s, k) for s, section in DEFAULTS.items() for k in section}
+    assert declared - seen == set()
+
+
+def test_head_for_other_provider_rejected(workdir, capsys):
+    run_cli(workdir, "build-kb")
+    assert run_cli(workdir, "train-retriever") == 0
+    capsys.readouterr()
+    argv = ("retrieve", "--set", "retriever.dim=128", "--force", "employees")
+    assert run_cli(workdir, *argv) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError" in err
+    assert "hash:256:hash" in err and "hash:128:hash" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [
+        (lambda lines: lines[:2] + [lines[2][:-5]] + lines[3:], "outputs.jsonl:3:"),
+        (lambda lines: ['{"format": "sqlkb/kb/v1"}'] + lines[1:], "outputs format"),
+        (lambda lines: lines + ["{}"], "outputs.jsonl:8: missing key 'query_id'"),
+    ],
+)
+def test_corrupt_outputs_is_clean_error(workdir, capsys, corrupt, where):
+    for cmd in ("build-kb", "generate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    path = workdir / OUTPUTS_FILE
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run_cli(workdir, "evaluate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and where in err
+
+
+def test_corrupt_fixture_is_clean_error(workdir, tmp_path, capsys):
+    run_cli(workdir, "build-kb")
+    fixture = tmp_path / "fixture.jsonl"
+    lines = (workdir / LEDGER_FILE).read_text().splitlines()
+    for corrupt, where in [
+        ([lines[0][:-5], *lines[1:]], "fixture.jsonl:1:"),
+        ([*lines, "{}"], f"fixture.jsonl:{len(lines) + 1}: missing key"),
+    ]:
+        fixture.write_text("\n".join(corrupt) + "\n")
+        capsys.readouterr()
+        argv = ("generate", "--set", f"llm.fixture={fixture}", "--force")
+        assert run_cli(workdir, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError") and where in err
 
 
 def test_evaluate_requires_outputs(workdir, capsys):

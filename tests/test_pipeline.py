@@ -4,6 +4,7 @@ import pytest
 
 from sqlkb.dataset import Query
 from sqlkb.errors import BudgetError, EmptySqlError, LlmError
+from sqlkb.evaluation import EvalConfig, evaluate_run
 from sqlkb.knowledge_base import init_kb
 from sqlkb.llm import CallLedger, LlmClient, LlmConfig, synthetic_completer
 from sqlkb.pipeline import (
@@ -151,7 +152,7 @@ def test_generate_sql_with_refinement_makes_two_calls(
 ):
     ledger = CallLedger()
     rec = test_ds.records[0]
-    stmt, refined = generate_sql(
+    out = generate_sql(
         rec.query,
         test_ds.schema_for(rec.schema_ref),
         toy_index,
@@ -164,9 +165,9 @@ def test_generate_sql_with_refinement_makes_two_calls(
     refine_prompt, sql_prompt = (r.prompt for r in ledger.records)
     assert refine_prompt.endswith("Evidence: ")
     assert sql_prompt.endswith("SQL: ")
-    assert refined is not None and refined.text in sql_prompt
-    assert stmt.text.startswith("SELECT")
-    assert len(refined.retrieved_ids) == 3
+    assert out.knowledge is not None and out.knowledge in sql_prompt
+    assert out.sql.startswith("SELECT")
+    assert len(out.retrieved_ids) == 3
 
 
 def test_generate_sql_without_refinement_joins_retrieved(
@@ -174,7 +175,7 @@ def test_generate_sql_without_refinement_joins_retrieved(
 ):
     ledger = CallLedger()
     rec = test_ds.records[0]
-    _, refined = generate_sql(
+    out = generate_sql(
         rec.query,
         test_ds.schema_for(rec.schema_ref),
         toy_index,
@@ -183,18 +184,19 @@ def test_generate_sql_without_refinement_joins_retrieved(
         train_ds,
         PipelineConfig(top_j=2, use_refinement=False),
     )
-    assert refined is None
     assert len(ledger) == 1  # no refinement call
     evidence_line = [
         l for l in ledger.records[0].prompt.splitlines() if l.startswith("Evidence: ")
     ][-1]
+    assert evidence_line == f"Evidence: {out.knowledge}"
     assert "; " in evidence_line  # two retrieved texts concatenated
+    assert len(out.retrieved_ids) == 2
 
 
 def test_generate_sql_no_knowledge_baseline(train_ds, test_ds, provider, toy_index):
     ledger = CallLedger()
     rec = test_ds.records[0]
-    stmt, refined = generate_sql(
+    out = generate_sql(
         rec.query,
         test_ds.schema_for(rec.schema_ref),
         toy_index,
@@ -203,7 +205,7 @@ def test_generate_sql_no_knowledge_baseline(train_ds, test_ds, provider, toy_ind
         train_ds,
         PipelineConfig(top_j=0),
     )
-    assert refined is None
+    assert out.knowledge is None and out.retrieved_ids == ()
     assert len(ledger) == 1
     assert f"Question: {rec.query.text}\nEvidence: \nSQL: " in ledger.records[0].prompt
 
@@ -258,6 +260,24 @@ def test_run_pipeline_records_per_query_failures(
     failed = outputs[1]
     assert failed.sql is None and "boom" in failed.error
     assert all(o.sql for i, o in enumerate(outputs) if i != 1)
+
+
+def test_blank_refinement_records_no_knowledge_and_evaluates(
+    train_ds, test_ds, provider, toy_index
+):
+    def blank_refinement(prompt):
+        return " \n " if prompt.endswith("Evidence: ") else synthetic_completer(prompt)
+
+    client = LlmClient(LlmConfig(backend="mock"), fallback=blank_refinement)
+    outputs = run_pipeline(
+        test_ds, train_ds, toy_index, client, provider, PipelineConfig(top_j=2)
+    )
+    assert all(o.sql and o.knowledge is None for o in outputs)
+    assert all(len(o.retrieved_ids) == 2 for o in outputs)
+    report = evaluate_run(
+        outputs, test_ds, EvalConfig(deterministic_timing=True), provider
+    )
+    assert report.em_pct is None and report.mean_ss is None
 
 
 def test_run_pipeline_deterministic(train_ds, test_ds, provider, toy_index):
