@@ -43,15 +43,19 @@ def _provider(cfg: RunConfig) -> EmbeddingProvider:
 
 def _llm_client(cfg: RunConfig) -> LlmClient:
     lc = cfg["llm"]
-    config = LlmConfig(
-        backend=lc["backend"],
-        model=lc["model"],
-        endpoint=lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, ""),
-        api_key=os.environ.get(llm.API_KEY_ENV, ""),
-        temperature=lc["temperature"],
-        max_tokens=lc["max_tokens"],
-        timeout=lc["timeout"],
-    )
+    try:
+        config = LlmConfig(
+            backend=lc["backend"],
+            model=lc["model"],
+            endpoint=lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, ""),
+            api_key=os.environ.get(llm.API_KEY_ENV, ""),
+            temperature=lc["temperature"],
+            max_tokens=lc["max_tokens"],
+            timeout=lc["timeout"],
+            max_inflight=lc["max_inflight"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[llm] {exc}") from exc
     if config.backend == "mock":
         if lc["fixture"]:
             return llm.replay_client(config, cfg.path(lc["fixture"]))

@@ -50,6 +50,7 @@ DEFAULTS: dict[str, dict] = {
         "temperature": 0.0,
         "max_tokens": 1024,
         "timeout": 120.0,
+        "max_inflight": 4,  # concurrent http completions; mock runs stay serial
         "fixture": "",
     },
     "pipeline": _stage_section(PipelineConfig),

@@ -211,6 +211,13 @@ def parse_knowledge_lines(completion: str) -> list[str]:
     return out
 
 
+def _complete_or_error(llm: "LlmClient", prompt: str) -> str | LlmError:
+    try:
+        return llm.complete(prompt)
+    except LlmError as exc:
+        return exc
+
+
 def expand_kb(
     kb: KnowledgeBase,
     dataset: Dataset,
@@ -224,7 +231,10 @@ def expand_kb(
     of few-shot examples is drawn (uniformly without replacement from the
     top-2k most similar candidates) and shuffled, both under a seeded RNG
     keyed by (seed, record id, iteration), so results do not depend on
-    processing order. LLM failures are skipped and counted, never fatal.
+    processing order. The prompts are built in (record, iteration) order,
+    completed through `llm.fan_out`, and parsed in that same order, so
+    dedup keeps the same first entry however the completions interleave.
+    LLM failures are skipped and counted, never fatal.
     """
     from .pipeline import build_knowledge_prompt
 
@@ -234,7 +244,7 @@ def expand_kb(
         build_config=config,
         expansion_failures=kb.expansion_failures,
     )
-    failures = 0
+    tasks = []  # (record, iteration, prompt)
     for rec in dataset.records:
         schema = dataset.schema_for(rec.schema_ref)
         try:
@@ -250,27 +260,29 @@ def expand_kb(
             prompt = build_knowledge_prompt(
                 rec.query, schema, chosen, budget=config.prompt_budget
             )
-            try:
-                completion = llm.complete(prompt)
-            except LlmError as exc:
-                failures += 1
-                logger.warning(
-                    "knowledge generation failed for %s iteration %d: %s",
-                    rec.query.id,
-                    i,
-                    exc,
+            tasks.append((rec, i, prompt))
+    completions = llm.fan_out(_complete_or_error, [prompt for _, _, prompt in tasks])
+    failures = 0
+    for (rec, i, _), completion in zip(tasks, completions):
+        if isinstance(completion, LlmError):
+            failures += 1
+            logger.warning(
+                "knowledge generation failed for %s iteration %d: %s",
+                rec.query.id,
+                i,
+                completion,
+            )
+            continue
+        for text in parse_knowledge_lines(completion):
+            result.add(
+                KnowledgeEntry.from_text(
+                    text,
+                    source="generated",
+                    db_id=rec.schema_ref,
+                    origin_query_id=rec.query.id,
+                    iteration=i,
                 )
-                continue
-            for text in parse_knowledge_lines(completion):
-                result.add(
-                    KnowledgeEntry.from_text(
-                        text,
-                        source="generated",
-                        db_id=rec.schema_ref,
-                        origin_query_id=rec.query.id,
-                        iteration=i,
-                    )
-                )
+            )
     if failures:
         logger.warning("expand_kb completed with %d failed generations", failures)
     result.expansion_failures += failures
@@ -313,8 +325,12 @@ def load_kb(path: Path | str) -> KnowledgeBase:
         raise ParseError(f"{path}: bad header: {exc}") from exc
     if header.get("format") != KB_FORMAT:
         raise ParseError(f"{path}: unrecognized KB format {header.get('format')!r}")
+    try:
+        build_config = KbBuildConfig(**header["build_config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad build_config: {exc}") from exc
     kb = KnowledgeBase(
-        build_config=KbBuildConfig(**header["build_config"]),
+        build_config=build_config,
         expansion_failures=header.get("expansion_failures", 0),
     )
     for n, line in enumerate(lines[1:], start=2):

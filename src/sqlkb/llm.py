@@ -13,7 +13,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .errors import (
     ContextOverflowError,
@@ -24,6 +24,9 @@ from .errors import (
 )
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 API_KEY_ENV = "SQLKB_API_KEY"
 ENDPOINT_ENV = "SQLKB_LLM_ENDPOINT"
@@ -49,12 +52,14 @@ class LlmConfig:
     max_tokens: int = 1024
     timeout: float = 120.0
     max_context_chars: int = 200_000
-    max_inflight: int = 4
+    max_inflight: int = 4  # concurrent http completions in fan_out
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
 
 
 @dataclass
@@ -156,7 +161,37 @@ class LlmClient:
         self.responses = responses or {}
         self.fallback = fallback
         self.ledger = ledger if ledger is not None else CallLedger()
-        self._semaphore = threading.Semaphore(config.max_inflight)
+
+    def fan_out(self, fn: Callable[["LlmClient", T], R], items: Sequence[T]) -> list[R]:
+        """Return [fn(client, item) for item in items], in item order.
+
+        With the http backend and max_inflight > 1 the calls run on a pool of
+        max_inflight threads, all submitted at once, so a call sleeping
+        through a retry backoff does not hold up the others. Each call
+        writes to its own ledger through a twin of this client; those
+        ledgers are appended to this client's in item order, so the ledger
+        reads exactly as a serial run's. Mock completions take microseconds
+        and run inline.
+        """
+        if self.config.backend != "http" or self.config.max_inflight == 1:
+            return [fn(self, item) for item in items]
+        from concurrent.futures import ThreadPoolExecutor
+
+        twins = [LlmClient(self.config, self.responses, self.fallback) for _ in items]
+        results = []
+        with ThreadPoolExecutor(self.config.max_inflight) as pool:
+            futures = [pool.submit(fn, twin, item) for twin, item in zip(twins, items)]
+            try:
+                for twin, future in zip(twins, futures):
+                    future.exception()  # wait, so the ledger is complete
+                    for record in twin.ledger.records:
+                        self.ledger.append(record)
+                    results.append(future.result())
+            finally:
+                # A raising call ends the fan-out as it ends a serial loop.
+                for future in futures:
+                    future.cancel()
+        return results
 
     def complete(self, prompt: str) -> str:
         """Return the completion for a prompt; every call hits the ledger."""
@@ -173,8 +208,7 @@ class LlmClient:
             if self.config.backend == "mock":
                 completion = self._complete_mock(prompt, digest)
             elif self.config.backend == "http":
-                with self._semaphore:
-                    completion = self._complete_http(prompt)
+                completion = self._complete_http(prompt)
             else:
                 raise LlmError(f"unknown backend {self.config.backend!r}")
         except LlmError:

@@ -17,7 +17,7 @@ from .errors import (
     LlmError,
     ParseError,
 )
-from .knowledge_base import select_examples
+from .knowledge_base import _question_matrix, select_examples
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeEntry
@@ -233,17 +233,23 @@ def run_pipeline(
     config: Optional[PipelineConfig] = None,
     head: Optional["ProjectionHead"] = None,
 ) -> list[PipelineOutput]:
-    """Generate SQL for every test record; per-record failures are recorded."""
+    """Generate SQL for every test record; per-record failures are recorded.
+
+    Records go through `llm.fan_out`, one task per record, so outputs and
+    ledger come back in record order.
+    """
     config = config or PipelineConfig()
-    outputs = []
-    for rec in test_dataset.records:
+    # Embed the few-shot pool here, not once per concurrent worker.
+    _question_matrix(train_dataset, provider)
+
+    def one(client: "LlmClient", rec: ExampleTriplet) -> PipelineOutput:
         schema = test_dataset.schema_for(rec.schema_ref)
         try:
-            out = generate_sql(
+            return generate_sql(
                 rec.query,
                 schema,
                 index,
-                llm,
+                client,
                 provider,
                 train_dataset,
                 config,
@@ -251,11 +257,11 @@ def run_pipeline(
             )
         except (LlmError, EmptySqlError) as exc:
             logger.warning("generation failed for %s: %s", rec.query.id, exc)
-            out = PipelineOutput(
+            return PipelineOutput(
                 query_id=rec.query.id, sql=None, knowledge=None, error=str(exc)
             )
-        outputs.append(out)
-    return outputs
+
+    return llm.fan_out(one, test_dataset.records)
 
 
 def save_outputs(

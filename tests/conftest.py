@@ -1,12 +1,19 @@
+import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 from sqlkb.dataset import load_dataset
+from sqlkb.llm import LlmClient, LlmConfig, RetryPolicy, prompt_sha256, synthetic_completer
 from sqlkb.retriever import EmbeddingProvider
 from sqlkb.toy import generate_toy
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+STUB_TIMEOUT = 30.0  # seconds any one stub-backed call, or the shutdown, may take
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +40,102 @@ def provider() -> EmbeddingProvider:
 @pytest.fixture(scope="session")
 def goldens() -> Path:
     return GOLDEN_DIR
+
+
+class ChatStub:
+    """Threaded localhost chat-completions endpoint answering `synthetic_completer`.
+
+    Each request sleeps between half and all of `latency` seconds, by
+    prompt hash, so concurrent completions finish out of submission order. `status(prompt)`
+    picks the answer's HTTP status (200 by default). Counts requests in
+    arrival order and the most in flight at once.
+    """
+
+    def __init__(self) -> None:
+        self.url = ""
+        self.latency = 0.0
+        self.status: Callable[[str], int] = lambda prompt: 200
+        self.seen: list[str] = []
+        self.inflight = 0
+        self.inflight_max = 0
+        self._lock = threading.Lock()
+
+    def handle(self, prompt: str) -> tuple[int, dict]:
+        with self._lock:
+            self.seen.append(prompt)
+            self.inflight += 1
+            self.inflight_max = max(self.inflight_max, self.inflight)
+        try:
+            time.sleep(self.latency * (1 + int(prompt_sha256(prompt)[:2], 16) / 255) / 2)
+            status = self.status(prompt)
+            if status != 200:
+                return status, {"error": {"message": "stub refused"}}
+            return 200, {"choices": [{"message": {"content": synthetic_completer(prompt)}}]}
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+    def client(self, max_inflight: int, backoff: float = 0.01) -> LlmClient:
+        config = LlmConfig(
+            backend="http",
+            endpoint=self.url,
+            timeout=STUB_TIMEOUT,
+            max_inflight=max_inflight,
+            retry=RetryPolicy(attempts=3, backoff=backoff),
+        )
+        return LlmClient(config)
+
+    def bounded(self, fn: Callable, *args):
+        """Return fn(*args), failing the test if it takes over STUB_TIMEOUT."""
+        outcome: dict = {}
+
+        def run() -> None:
+            try:
+                outcome["result"] = fn(*args)
+            except BaseException as exc:  # re-raised on the test's thread
+                outcome["error"] = exc
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=STUB_TIMEOUT)
+        assert not worker.is_alive(), f"{fn.__name__} did not finish in {STUB_TIMEOUT}s"
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["result"]
+
+
+@pytest.fixture()
+def chat_stub():
+    stub = ChatStub()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self) -> None:
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            status, payload = stub.handle(body["messages"][0]["content"])
+            data = json.dumps(payload).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args) -> None:
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # server_close() joins the request threads
+    serving = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    serving.start()
+    stub.url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+    yield stub
+
+    def stop() -> None:
+        server.shutdown()
+        server.server_close()
+
+    stopping = threading.Thread(target=stop, daemon=True)
+    stopping.start()
+    stopping.join(timeout=STUB_TIMEOUT)
+    assert not stopping.is_alive(), "stub server did not shut down"

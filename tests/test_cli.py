@@ -274,3 +274,22 @@ def test_workflow_outputs_reproducible(tmp_path):
             ((wd / KB_FILE).read_bytes(), (wd / OUTPUTS_FILE).read_bytes())
         )
     assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("bad", [{"split": "train"}, {"few_shot_k": 0}])
+def test_bad_kb_build_config_is_clean_error(workdir, capsys, bad):
+    run_cli(workdir, "build-kb")
+    lines = (workdir / KB_FILE).read_text().splitlines()
+    header = json.loads(lines[0])
+    header["build_config"].update(bad)
+    (workdir / KB_FILE).write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert run_cli(workdir, "stats") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and "bad build_config" in err
+
+
+def test_max_inflight_below_one_is_config_error(workdir, capsys):
+    assert run_cli(workdir, "build-kb", "--set", "llm.max_inflight=0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError") and "[llm] max_inflight" in err

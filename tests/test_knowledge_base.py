@@ -282,3 +282,35 @@ def test_expand_determinism_byte_identical(train_ds, provider, tmp_path):
         save_kb(out, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_load_kb_rejects_bad_build_config(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    for build_config in [{"split": "train"}, {"few_shot_k": 0}, "not an object"]:
+        header = {"format": "sqlkb/kb/v1", "build_config": build_config}
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ParseError, match="bad build_config"):
+            load_kb(path)
+
+
+def test_expand_kb_concurrent_matches_serial(chat_stub, train_ds, provider, tmp_path):
+    chat_stub.latency = 0.01
+    refused = train_ds.records[3].query.text
+    chat_stub.status = lambda prompt: (
+        400 if prompt.endswith(f"Question: {refused}\nEvidence: ") else 200
+    )
+    config = KbBuildConfig(few_shot_k=5, iterations=2, seed=0)
+    files = {}
+    for max_inflight in (1, 4):
+        chat_stub.inflight_max = 0
+        client = chat_stub.client(max_inflight)
+        kb = chat_stub.bounded(expand_kb, init_kb(train_ds), train_ds, client, provider, config)
+        assert 1 <= chat_stub.inflight_max <= max_inflight
+        assert (chat_stub.inflight_max > 1) == (max_inflight > 1)  # it did overlap
+        assert kb.expansion_failures == 2
+        save_kb(kb, tmp_path / f"kb{max_inflight}.jsonl")
+        client.ledger.save(tmp_path / f"ledger{max_inflight}.jsonl")
+        files[max_inflight] = [
+            (tmp_path / f"{name}{max_inflight}.jsonl").read_bytes() for name in ("kb", "ledger")
+        ]
+    assert files[4] == files[1]

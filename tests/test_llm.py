@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -281,3 +282,80 @@ def test_http_failure_lands_in_ledger(stub_server):
     with pytest.raises(LlmError):
         client.complete("hello")
     assert len(ledger) == 1 and not ledger.records[0].ok
+
+
+def test_max_inflight_validation():
+    with pytest.raises(ValueError, match="max_inflight"):
+        LlmConfig(max_inflight=0)
+
+
+# --- fan_out (against the threaded chat_stub in conftest) ---
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_fan_out_keeps_item_order(chat_stub, max_inflight):
+    chat_stub.latency = 0.1
+    prompts = [f"prompt {i}" for i in range(12)]
+    client = chat_stub.client(max_inflight)
+    results = chat_stub.bounded(client.fan_out, LlmClient.complete, prompts)
+    assert results == [synthetic_completer(p) for p in prompts]
+    assert [r.prompt for r in client.ledger.records] == prompts
+    assert all(r.ok and r.backend == "http" for r in client.ledger.records)
+    assert chat_stub.inflight_max == max_inflight
+
+
+def test_fan_out_stress_more_workers_than_cores(chat_stub):
+    prompts = [f"prompt {i}" for i in range(60)]
+    client = chat_stub.client(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = chat_stub.bounded(client.fan_out, LlmClient.complete, prompts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [synthetic_completer(p) for p in prompts]
+    assert [r.prompt for r in client.ledger.records] == prompts
+    assert sorted(chat_stub.seen) == sorted(prompts)
+
+
+@pytest.mark.parametrize(
+    "config", [LlmConfig(backend="mock"), LlmConfig(backend="http", max_inflight=1)]
+)
+def test_fan_out_runs_inline_without_a_pool(config):
+    client = LlmClient(config)
+    calls = client.fan_out(lambda c, item: (item, c is client, threading.get_ident()), "abc")
+    assert calls == [(item, True, threading.get_ident()) for item in "abc"]
+
+
+def test_fan_out_retry_backoff_does_not_stall_others(chat_stub):
+    prompts = [f"prompt {i}" for i in range(8)]
+    refused = set()
+
+    def status(prompt):
+        if prompt == prompts[0] and prompt not in refused:
+            refused.add(prompt)
+            return 503
+        return 200
+
+    chat_stub.status = status
+    client = chat_stub.client(4, backoff=0.5)
+    results = chat_stub.bounded(client.fan_out, LlmClient.complete, prompts)
+    assert results == [synthetic_completer(p) for p in prompts]
+    # Every other prompt was answered while prompt 0 waited out its backoff.
+    assert chat_stub.seen[-1] == prompts[0]
+    assert sorted(chat_stub.seen[:-1]) == prompts
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_fan_out_error_ends_like_a_serial_loop(chat_stub, max_inflight):
+    prompts = [f"prompt {i}" for i in range(8)]
+
+    def complete_then_fail_on_third(client, prompt):
+        completion = client.complete(prompt)
+        if prompt == prompts[2]:
+            raise ValueError("task failed")
+        return completion
+
+    client = chat_stub.client(max_inflight)
+    with pytest.raises(ValueError, match="task failed"):
+        chat_stub.bounded(client.fan_out, complete_then_fail_on_third, prompts)
+    assert [r.prompt for r in client.ledger.records] == prompts[:3]

@@ -1,8 +1,10 @@
 import json
+import threading
+import time
 
 import pytest
 
-from sqlkb.dataset import Query
+from sqlkb.dataset import Query, load_dataset
 from sqlkb.errors import BudgetError, EmptySqlError, LlmError
 from sqlkb.evaluation import EvalConfig, evaluate_run
 from sqlkb.knowledge_base import init_kb
@@ -309,3 +311,54 @@ def test_outputs_header_is_first_line(tmp_path):
     save_outputs([], path, config_hash="cafe")
     first = json.loads(path.read_text().splitlines()[0])
     assert first["format"] == "sqlkb/outputs/v1"
+
+
+def test_run_pipeline_concurrent_matches_serial(chat_stub, train_ds, test_ds, provider, tmp_path):
+    chat_stub.latency = 0.01
+    refused = test_ds.records[1].query.text
+    chat_stub.status = lambda prompt: (
+        400 if prompt.endswith(f"Question: {refused}\nEvidence: ") else 200
+    )
+    index = build_index(init_kb(train_ds), provider)
+    config = PipelineConfig(top_j=3, few_shot_k=5)
+    files = {}
+    for max_inflight in (1, 4):
+        chat_stub.inflight_max = 0
+        client = chat_stub.client(max_inflight)
+        outputs = chat_stub.bounded(
+            run_pipeline, test_ds, train_ds, index, client, provider, config
+        )
+        assert 1 <= chat_stub.inflight_max <= max_inflight
+        assert (chat_stub.inflight_max > 1) == (max_inflight > 1)  # it did overlap
+        assert [o.query_id for o in outputs] == [r.query.id for r in test_ds.records]
+        assert outputs[1].error == "http status 400"
+        assert sum(o.error is not None for o in outputs) == 1
+        save_outputs(outputs, tmp_path / f"outputs{max_inflight}.jsonl")
+        client.ledger.save(tmp_path / f"ledger{max_inflight}.jsonl")
+        files[max_inflight] = [
+            (tmp_path / f"{name}{max_inflight}.jsonl").read_bytes()
+            for name in ("outputs", "ledger")
+        ]
+    assert files[4] == files[1]
+
+
+def test_run_pipeline_embeds_train_questions_once(chat_stub, toy_dir, test_ds, provider):
+    train = load_dataset(toy_dir / "train.json", toy_dir / "databases")
+    questions = [r.query.text for r in train.records]
+    embed_many = provider.embed_many
+    passes = []
+
+    def counted(texts):
+        if list(texts) == questions:
+            passes.append(threading.get_ident())
+            time.sleep(0.2)  # long enough for every worker to reach it
+        return embed_many(texts)
+
+    provider.embed_many = counted
+    index = build_index(init_kb(train), provider)
+    client = chat_stub.client(4)
+    chat_stub.bounded(
+        run_pipeline, test_ds, train, index, client, provider,
+        PipelineConfig(top_j=3, few_shot_k=5),
+    )
+    assert len(passes) == 1
