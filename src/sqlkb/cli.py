@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import evaluation, knowledge_base, llm, pipeline, retriever
 from .config import RunConfig, load_config
 from .dataset import Dataset, load_dataset
@@ -206,15 +208,17 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 
+    # The gold texts ride along as probes, so the KB is embedded only once.
     gold_knowledge = [r.knowledge for r in test.records if r.knowledge is not None]
+    probes = np.array([provider.embed(g) for g in gold_knowledge]) if gold_knowledge else None
+    index = retriever.build_index(kb, provider, head, probes)
     if gold_knowledge:
-        coverage = evaluation.kb_coverage(kb, gold_knowledge, provider)
+        coverage = evaluation.kb_coverage(kb, gold_knowledge, provider, index.probe_best)
         report.coverage = {
             "exact_match_pct": coverage.exact_match_pct,
             "mean_best_similarity": coverage.mean_best_similarity,
         }
 
-    index = retriever.build_index(kb, provider, head)
     labeled = []
     for rec in test.records:
         if rec.knowledge is None:

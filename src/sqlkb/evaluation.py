@@ -26,6 +26,7 @@ from .errors import (
     NonPositiveTimeError,
 )
 from .knowledge_base import normalize_text
+from .retriever import embed_blocks
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase
@@ -198,20 +199,25 @@ def kb_coverage(
     kb: "KnowledgeBase",
     gold_knowledge: Sequence[str],
     provider: "EmbeddingProvider",
+    best_similarity: Optional[Sequence[float]] = None,
 ) -> CoverageReport:
     """How well the KB covers a gold knowledge list: exact membership under
-    normalization, plus the best embedding similarity per gold item."""
+    normalization, plus the best embedding similarity per gold item.
+
+    `best_similarity` takes the per-gold maxima that
+    `build_index(..., probes=...)` computed already; without it the KB is
+    embedded here, in the same chunked pass.
+    """
     if not gold_knowledge:
         raise EmptySetError("gold knowledge list must be non-empty")
-    entries = kb.sorted_entries()
-    matrix = provider.embed_many([e.text for e in entries]) if entries else None
-    per_gold = []
-    for gold in gold_knowledge:
-        exact = gold in kb
-        best = 0.0
-        if matrix is not None:
-            best = float(np.max(matrix @ provider.embed(gold)))
-        per_gold.append({"gold": gold, "exact": exact, "best_similarity": best})
+    if best_similarity is None:
+        texts = [e.text for e in kb.sorted_entries()]
+        probes = np.array([provider.embed(g) for g in gold_knowledge])
+        best_similarity = embed_blocks(texts, provider, probes) if texts else [0.0] * len(probes)
+    per_gold = [
+        {"gold": gold, "exact": gold in kb, "best_similarity": float(best)}
+        for gold, best in zip(gold_knowledge, best_similarity, strict=True)
+    ]
     n = len(gold_knowledge)
     return CoverageReport(
         exact_match_pct=100.0 * sum(p["exact"] for p in per_gold) / n,

@@ -316,13 +316,10 @@ def save_kb(kb: KnowledgeBase, path: Path | str, config_hash: Optional[str] = No
 
 def load_kb(path: Path | str) -> KnowledgeBase:
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
     if not lines:
         return KnowledgeBase()
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: bad header: {exc}") from exc
+    header = _parse_header(path, *lines[0])
     if header.get("format") != KB_FORMAT:
         raise ParseError(f"{path}: unrecognized KB format {header.get('format')!r}")
     try:
@@ -333,19 +330,24 @@ def load_kb(path: Path | str) -> KnowledgeBase:
         build_config=build_config,
         expansion_failures=header.get("expansion_failures", 0),
     )
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in lines[1:]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{n}: {exc}") from exc
-        entry = KnowledgeEntry(
-            id=obj["id"],
-            text=obj["text"],
-            source=obj["source"],
-            db_id=obj["db_id"],
-            origin_query_id=obj.get("origin_query_id"),
-            iteration=obj.get("iteration"),
-        )
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}:{n}: entry is not a JSON object")
+        try:
+            entry = KnowledgeEntry(
+                id=obj["id"],
+                text=obj["text"],
+                source=obj["source"],
+                db_id=obj["db_id"],
+                origin_query_id=obj.get("origin_query_id"),
+                iteration=obj.get("iteration"),
+            )
+        except KeyError as exc:
+            raise ParseError(f"{path}:{n}: missing key {exc}") from exc
         if entry.id in kb.entries:
             raise ParseError(f"{path}:{n}: duplicate entry id {entry.id}")
         kb.entries[entry.id] = entry
@@ -356,7 +358,17 @@ def kb_header(path: Path | str) -> dict:
     """Read only the header line of a persisted KB file."""
     with open(path) as fh:
         first = fh.readline()
-    return json.loads(first) if first.strip() else {}
+    return _parse_header(path, 1, first) if first.strip() else {}
+
+
+def _parse_header(path: Path | str, n: int, line: str) -> dict:
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{n}: bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}:{n}: bad header: not a JSON object")
+    return header
 
 
 def kb_stats(kb: KnowledgeBase) -> StatsReport:

@@ -7,7 +7,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -220,6 +220,8 @@ class KnowledgeIndex:
     matrix: np.ndarray
     provider_fingerprint: str
     head_fingerprint: Optional[str] = None
+    # Per probe of build_index: best raw-provider dot product over all entries.
+    probe_best: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.matrix) != len(self.entries):
@@ -238,24 +240,61 @@ class KnowledgeIndex:
         return [e.id for e in self.entries]
 
 
+def embed_blocks(
+    texts: Sequence[str],
+    provider: EmbeddingProvider,
+    probes: np.ndarray,
+    on_block: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> np.ndarray:
+    """Embed texts ROW_CHUNK at a time; return each probe's best dot product.
+
+    `probes` holds raw provider vectors, one per row. Each block is scored
+    with one matrix-vector product per probe, which reproduces the bits of
+    `full_matrix @ probe` row for row (one product over all probes at once
+    does not). `on_block(start, rows)` then receives the block. The result
+    is -inf for every probe when there are no texts.
+    """
+    best = np.full(len(probes), -np.inf)
+    for start in range(0, len(texts), ROW_CHUNK):
+        rows = provider.embed_many(texts[start : start + ROW_CHUNK])
+        for i, probe in enumerate(probes):
+            best[i] = max(best[i], np.max(rows @ probe))
+        if on_block is not None:
+            on_block(start, rows)
+    return best
+
+
 def build_index(
     kb: "KnowledgeBase",
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
+    probes: Optional[np.ndarray] = None,
 ) -> KnowledgeIndex:
+    """Embed and index every KB entry in one pass.
+
+    With `probes` (raw provider vectors, one per row), the same pass also
+    records each probe's best similarity to the entries as `probe_best`.
+    """
     entries = tuple(kb.sorted_entries())
     if not entries:
         raise EmptyKbError("cannot index an empty knowledge base")
-    texts = [e.text for e in entries]
-    matrix = np.empty((len(texts), head.dim_out if head is not None else provider.dim))
-    for start in range(0, len(texts), ROW_CHUNK):
-        rows = provider.embed_many(texts[start : start + ROW_CHUNK])
+    matrix = np.empty((len(entries), head.dim_out if head is not None else provider.dim))
+
+    def store(start: int, rows: np.ndarray) -> None:
         matrix[start : start + ROW_CHUNK] = head.project(rows) if head is not None else rows
+
+    best = embed_blocks(
+        [e.text for e in entries],
+        provider,
+        probes if probes is not None else np.empty((0, provider.dim)),
+        store,
+    )
     return KnowledgeIndex(
         entries=entries,
         matrix=matrix,
         provider_fingerprint=provider.fingerprint,
         head_fingerprint=head.fingerprint if head is not None else None,
+        probe_best=best if probes is not None else None,
     )
 
 

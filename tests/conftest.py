@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from sqlkb.dataset import load_dataset
@@ -40,6 +41,25 @@ def provider() -> EmbeddingProvider:
 @pytest.fixture(scope="session")
 def goldens() -> Path:
     return GOLDEN_DIR
+
+
+TIE_VOCAB = ("alpha", "beta", "gamma", "delta", "omega")
+
+
+@pytest.fixture(scope="session")
+def tie_heavy_texts() -> Callable[[int, int], list[str]]:
+    """n distinct texts over a five-word vocabulary: reorderings of one bag
+    of words embed identically, so many rows and scores tie exactly."""
+
+    def make(n: int, seed: int = 0) -> list[str]:
+        rng = np.random.default_rng(seed)
+        texts: dict[str, None] = {}
+        while len(texts) < n:
+            words = rng.choice(TIE_VOCAB, size=rng.integers(1, 7))
+            texts[" ".join(words)] = None
+        return list(texts)
+
+    return make
 
 
 class ChatStub:

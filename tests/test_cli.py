@@ -16,6 +16,7 @@ from sqlkb.cli import (
 )
 from sqlkb.config import DEFAULTS, RunConfig, load_config
 from sqlkb.errors import ConfigError
+from sqlkb.retriever import ROW_CHUNK, EmbeddingProvider
 from sqlkb.toy import generate_toy
 
 
@@ -293,3 +294,51 @@ def test_max_inflight_below_one_is_config_error(workdir, capsys):
     assert run_cli(workdir, "build-kb", "--set", "llm.max_inflight=0") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError") and "[llm] max_inflight" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [
+        (lambda lines: [lines[0][:-5], *lines[1:]], "kb.jsonl:1: bad header"),
+        (lambda lines: [lines[0], lines[1].replace('"source"', '"origin"'), *lines[2:]],
+         "kb.jsonl:2: missing key 'source'"),
+        (lambda lines: [*lines[:2], "[1, 2]", *lines[3:]], "kb.jsonl:3: entry is not a JSON object"),
+    ],
+)
+def test_corrupt_kb_is_clean_error(workdir, capsys, corrupt, where):
+    run_cli(workdir, "build-kb")
+    path = workdir / KB_FILE
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run_cli(workdir, "stats") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and where in err
+
+
+def test_evaluate_embeds_kb_once(workdir, monkeypatch):
+    for cmd in ("build-kb", "train-retriever", "generate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    kb_lines = (workdir / KB_FILE).read_text().splitlines()[1:]
+    kb_texts = sorted(json.loads(line)["text"] for line in kb_lines)
+    # Batches embedded directly; single texts (queries, gold knowledge) go
+    # through the per-text cache of `embed` and are left out.
+    batches, in_embed = [], []
+    embed, embed_many = EmbeddingProvider.embed, EmbeddingProvider.embed_many
+
+    def recording_embed(self, text):
+        in_embed.append(text)
+        try:
+            return embed(self, text)
+        finally:
+            in_embed.pop()
+
+    def recording_embed_many(self, texts):
+        if not in_embed:
+            batches.append(list(texts))
+        return embed_many(self, texts)
+
+    monkeypatch.setattr(EmbeddingProvider, "embed", recording_embed)
+    monkeypatch.setattr(EmbeddingProvider, "embed_many", recording_embed_many)
+    assert run_cli(workdir, "evaluate") == 0
+    assert sorted(t for batch in batches for t in batch) == kb_texts
+    assert max(len(batch) for batch in batches) <= ROW_CHUNK

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from sqlkb.evaluation import (
 )
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry
 from sqlkb.pipeline import PipelineOutput
+from sqlkb.retriever import ROW_CHUNK, build_index
 
 
 def company_db(toy_dir):
@@ -231,6 +233,30 @@ def test_kb_coverage_planted(provider):
     assert math.isclose(report.exact_match_pct, 30.0)
     assert all(math.isclose(p["best_similarity"], 1.0, abs_tol=1e-9) for p in report.per_gold[:3])
     assert 0.0 <= report.mean_best_similarity <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3])
+def test_kb_coverage_best_similarity_bit_identical(provider, tie_heavy_texts, n):
+    kb = KnowledgeBase()
+    for text in tie_heavy_texts(n):
+        kb.add(KnowledgeEntry.from_text(text, "dataset", "db"))
+    gold = tie_heavy_texts(12, seed=5)
+    full = provider.embed_many([e.text for e in kb.sorted_entries()])
+    want = [float(np.max(full @ provider.embed(g))) for g in gold]
+    walked = kb_coverage(kb, gold, provider)
+    probes = np.array([provider.embed(g) for g in gold])
+    supplied = kb_coverage(kb, gold, provider, build_index(kb, provider, None, probes).probe_best)
+    for report in (walked, supplied):
+        assert [p["best_similarity"] for p in report.per_gold] == want
+        assert report.mean_best_similarity == float(np.mean(want))
+    assert walked == supplied
+
+
+def test_kb_coverage_empty_kb_reports_zero(provider):
+    report = kb_coverage(KnowledgeBase(), ["alpha beta", "gamma"], provider)
+    assert report.mean_best_similarity == 0.0
+    assert [p["best_similarity"] for p in report.per_gold] == [0.0, 0.0]
+    assert report.exact_match_pct == 0.0
 
 
 def test_kb_coverage_empty_gold(provider):

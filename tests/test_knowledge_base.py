@@ -251,6 +251,17 @@ def test_load_kb_duplicate_ids(tmp_path):
         load_kb(path)
 
 
+def test_load_kb_error_names_file_line_past_blank_lines(tmp_path):
+    kb = KnowledgeBase()
+    kb.add(KnowledgeEntry.from_text("one two three", "dataset", "db"))
+    path = tmp_path / "kb.jsonl"
+    save_kb(kb, path)
+    header, entry = path.read_text().splitlines()
+    path.write_text("\n".join([header, "", entry, "", '{"id": "x"}']) + "\n")
+    with pytest.raises(ParseError, match=r"kb.jsonl:5: missing key 'text'"):
+        load_kb(path)
+
+
 def test_load_kb_empty_file(tmp_path):
     path = tmp_path / "kb.jsonl"
     path.write_text("")

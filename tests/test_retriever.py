@@ -16,6 +16,7 @@ from sqlkb.errors import (
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry
 from sqlkb.retriever import (
     HTTP_BATCH,
+    ROW_CHUNK,
     EmbeddingProvider,
     KnowledgeIndex,
     ProjectionHead,
@@ -193,6 +194,23 @@ def test_build_index_with_head_matches_per_entry_projection(provider):
     rows = np.stack([embed(provider, e.text, head) for e in kb.sorted_entries()])
     assert idx.matrix.shape == (700, 32)
     assert np.allclose(idx.matrix, rows, rtol=0, atol=1e-12)
+
+
+KB_SIZES = [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3]
+
+
+@pytest.mark.parametrize("n", KB_SIZES)
+@pytest.mark.parametrize("head_dim", [None, 32])
+def test_build_index_probes_leave_matrix_unchanged(provider, tie_heavy_texts, n, head_dim):
+    kb = make_kb(tie_heavy_texts(n))
+    head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
+    probes = provider.embed_many(tie_heavy_texts(5, seed=9))
+    plain = build_index(kb, provider, head)
+    probed = build_index(kb, provider, head, probes)
+    assert np.array_equal(probed.matrix, plain.matrix)
+    assert plain.probe_best is None
+    full = provider.embed_many([e.text for e in kb.sorted_entries()])
+    assert probed.probe_best.tolist() == [float(np.max(full @ p)) for p in probes]
 
 
 def test_index_requires_entries_in_id_order(provider):
