@@ -209,11 +209,13 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     report.config_hash = cfg.config_hash
 
     # The gold texts ride along as probes, so the KB is embedded only once.
+    # An empty KB gets no index: EX, VES, EM and SS need none.
     gold_knowledge = [r.knowledge for r in test.records if r.knowledge is not None]
     probes = np.array([provider.embed(g) for g in gold_knowledge]) if gold_knowledge else None
-    index = retriever.build_index(kb, provider, head, probes)
+    index = retriever.build_index(kb, provider, head, probes) if len(kb) else None
     if gold_knowledge:
-        coverage = evaluation.kb_coverage(kb, gold_knowledge, provider, index.probe_best)
+        best = index.probe_best if index is not None else None
+        coverage = evaluation.kb_coverage(kb, gold_knowledge, provider, best)
         report.coverage = {
             "exact_match_pct": coverage.exact_match_pct,
             "mean_best_similarity": coverage.mean_best_similarity,

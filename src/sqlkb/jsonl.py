@@ -1,0 +1,38 @@
+"""The line format shared by kb.jsonl, outputs.jsonl and the LLM ledger:
+one JSON object per line. Blank lines are skipped but counted, so line
+numbers are the file's own."""
+
+import json
+from pathlib import Path
+from typing import Iterable, Iterator
+
+from .errors import ParseError
+
+
+def write_jsonl(path: Path | str, objs: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line, each ending in a newline."""
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
+def read_jsonl(path: Path | str, header: bool = False) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) per non-blank line, streaming the file.
+
+    A line that is not JSON, or not a JSON object, raises ParseError naming
+    `path:line`; with `header`, the first non-blank line's error says
+    "bad header".
+    """
+    prefix = "bad header: " if header else ""
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{n}: {prefix}{exc}") from exc
+            if not isinstance(obj, dict):
+                problem = f"{prefix}not a JSON object" if prefix else "entry is not a JSON object"
+                raise ParseError(f"{path}:{n}: {problem}")
+            yield n, obj
+            prefix = ""

@@ -7,11 +7,11 @@ fact phrased with different casing or spacing is stored once.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
 import re
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, Query
 from .errors import InsufficientExamplesError, LlmError, ParseError
+from .jsonl import read_jsonl, write_jsonl
 from .ranking import row_dots, top_j
 
 if TYPE_CHECKING:
@@ -290,7 +291,8 @@ def expand_kb(
 
 
 def save_kb(kb: KnowledgeBase, path: Path | str, config_hash: Optional[str] = None) -> None:
-    """Write a line-delimited KB file: one header line, then entries sorted by id."""
+    """Write a line-delimited KB file: one header line, then entries sorted by
+    id, each without its unset optional fields."""
     header = {
         "format": KB_FORMAT,
         "build_config": asdict(kb.build_config),
@@ -298,28 +300,15 @@ def save_kb(kb: KnowledgeBase, path: Path | str, config_hash: Optional[str] = No
     }
     if config_hash is not None:
         header["config_hash"] = config_hash
-    lines = [json.dumps(header, sort_keys=True)]
-    for entry in kb.sorted_entries():
-        obj = {
-            "id": entry.id,
-            "text": entry.text,
-            "source": entry.source,
-            "db_id": entry.db_id,
-        }
-        if entry.origin_query_id is not None:
-            obj["origin_query_id"] = entry.origin_query_id
-        if entry.iteration is not None:
-            obj["iteration"] = entry.iteration
-        lines.append(json.dumps(obj, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    entries = ({k: v for k, v in vars(e).items() if v is not None} for e in kb.sorted_entries())
+    write_jsonl(path, chain([header], entries))
 
 
 def load_kb(path: Path | str) -> KnowledgeBase:
-    path = Path(path)
-    lines = [(n, ln) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
-    if not lines:
+    lines = read_jsonl(path, header=True)
+    _, header = next(lines, (0, None))
+    if header is None:
         return KnowledgeBase()
-    header = _parse_header(path, *lines[0])
     if header.get("format") != KB_FORMAT:
         raise ParseError(f"{path}: unrecognized KB format {header.get('format')!r}")
     try:
@@ -330,13 +319,7 @@ def load_kb(path: Path | str) -> KnowledgeBase:
         build_config=build_config,
         expansion_failures=header.get("expansion_failures", 0),
     )
-    for n, line in lines[1:]:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{n}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"{path}:{n}: entry is not a JSON object")
+    for n, obj in lines:
         try:
             entry = KnowledgeEntry(
                 id=obj["id"],
@@ -346,29 +329,19 @@ def load_kb(path: Path | str) -> KnowledgeBase:
                 origin_query_id=obj.get("origin_query_id"),
                 iteration=obj.get("iteration"),
             )
+            if entry.id in kb.entries:
+                raise ParseError(f"{path}:{n}: duplicate entry id {entry.id}")
         except KeyError as exc:
             raise ParseError(f"{path}:{n}: missing key {exc}") from exc
-        if entry.id in kb.entries:
-            raise ParseError(f"{path}:{n}: duplicate entry id {entry.id}")
+        except TypeError as exc:  # an unhashable id
+            raise ParseError(f"{path}:{n}: {exc}") from exc
         kb.entries[entry.id] = entry
     return kb
 
 
 def kb_header(path: Path | str) -> dict:
-    """Read only the header line of a persisted KB file."""
-    with open(path) as fh:
-        first = fh.readline()
-    return _parse_header(path, 1, first) if first.strip() else {}
-
-
-def _parse_header(path: Path | str, n: int, line: str) -> dict:
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{n}: bad header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}:{n}: bad header: not a JSON object")
-    return header
+    """Read only the header line of a persisted KB file ({} for an empty file)."""
+    return next(read_jsonl(path, header=True), (0, {}))[1]
 
 
 def kb_stats(kb: KnowledgeBase) -> StatsReport:

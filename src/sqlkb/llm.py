@@ -7,7 +7,6 @@ and replayed so pipeline runs are bit-reproducible in tests.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import threading
 import time
@@ -22,6 +21,7 @@ from .errors import (
     ParseError,
     ReplayDriftError,
 )
+from .jsonl import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -94,20 +94,8 @@ class CallLedger:
 
     def save(self, path: Path | str) -> None:
         """Persist as a line-delimited replay fixture."""
-        lines = []
-        for r in self.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "prompt_sha256": r.prompt_sha256,
-                        "prompt": r.prompt,
-                        "completion": r.completion,
-                        "ok": r.ok,
-                    },
-                    sort_keys=True,
-                )
-            )
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        keys = ("prompt_sha256", "prompt", "completion", "ok")
+        write_jsonl(path, ({k: getattr(r, k) for k in keys} for r in self.records))
 
 
 def load_fixture(path: Path | str) -> dict[str, str]:
@@ -117,20 +105,19 @@ def load_fixture(path: Path | str) -> dict[str, str]:
     prompt_sha256 indicates a corrupted or hand-edited fixture.
     """
     responses = {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for n, obj in read_jsonl(path):
         try:
-            obj = json.loads(line)
             digest = obj["prompt_sha256"]
-            if "prompt" in obj and prompt_sha256(obj["prompt"]) != digest:
-                raise ReplayDriftError(f"{path}:{n}: prompt does not match its hash")
-            if obj.get("ok", True):
-                responses[digest] = obj["completion"]
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{n}: {exc}") from exc
+            completion = obj["completion"] if obj.get("ok", True) else None
         except KeyError as exc:
             raise ParseError(f"{path}:{n}: missing key {exc}") from exc
+        for key in ("prompt_sha256", "prompt", "completion"):
+            if key in obj and not isinstance(obj[key], str):
+                raise ParseError(f"{path}:{n}: {key} is not a string")
+        if "prompt" in obj and prompt_sha256(obj["prompt"]) != digest:
+            raise ReplayDriftError(f"{path}:{n}: prompt does not match its hash")
+        if completion is not None:
+            responses[digest] = completion
     return responses
 
 

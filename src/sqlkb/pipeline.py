@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -17,6 +17,7 @@ from .errors import (
     LlmError,
     ParseError,
 )
+from .jsonl import read_jsonl, write_jsonl
 from .knowledge_base import _question_matrix, select_examples
 
 if TYPE_CHECKING:
@@ -273,40 +274,19 @@ def save_outputs(
     header: dict = {"format": OUTPUTS_FORMAT}
     if config_hash is not None:
         header["config_hash"] = config_hash
-    lines = [json.dumps(header, sort_keys=True)]
-    for out in outputs:
-        lines.append(
-            json.dumps(
-                {
-                    "query_id": out.query_id,
-                    "sql": out.sql,
-                    "knowledge": out.knowledge,
-                    "retrieved_ids": list(out.retrieved_ids),
-                    "error": out.error,
-                },
-                sort_keys=True,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_jsonl(path, chain([header], map(asdict, outputs)))
 
 
 def load_outputs(path: Path | str) -> tuple[list[PipelineOutput], dict]:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
+    lines = read_jsonl(path, header=True)
+    _, header = next(lines, (0, None))
+    if header is None:
         return [], {}
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:1: bad header: {exc}") from exc
     if header.get("format") != OUTPUTS_FORMAT:
         raise ParseError(f"{path}: unrecognized outputs format {header.get('format')!r}")
     outputs = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for n, obj in lines:
         try:
-            obj = json.loads(line)
             outputs.append(
                 PipelineOutput(
                     query_id=obj["query_id"],
@@ -316,8 +296,8 @@ def load_outputs(path: Path | str) -> tuple[list[PipelineOutput], dict]:
                     error=obj.get("error"),
                 )
             )
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{n}: {exc}") from exc
         except KeyError as exc:
             raise ParseError(f"{path}:{n}: missing key {exc}") from exc
+        except TypeError as exc:  # retrieved_ids not a list
+            raise ParseError(f"{path}:{n}: {exc}") from exc
     return outputs, header

@@ -15,6 +15,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyKbError,
+    ParseError,
     ProviderError,
     UnknownEntryError,
 )
@@ -189,8 +190,13 @@ class ProjectionHead:
 
     @classmethod
     def load(cls, path: Path | str) -> tuple["ProjectionHead", dict]:
-        obj = json.loads(Path(path).read_text())
-        head = cls(weights=np.asarray(obj["weights"], dtype=np.float64), tau=obj["tau"])
+        try:
+            obj = json.loads(Path(path).read_text())
+            head = cls(weights=np.asarray(obj["weights"], dtype=np.float64), tau=obj["tau"])
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
         meta = {k: v for k, v in obj.items() if k != "weights"}
         return head, meta
 
@@ -298,6 +304,16 @@ def build_index(
     )
 
 
+def _check_fingerprints(
+    index: KnowledgeIndex, provider: EmbeddingProvider, head: Optional[ProjectionHead]
+) -> None:
+    """Refuse to score queries embedded otherwise than the index rows."""
+    built = (index.provider_fingerprint, index.head_fingerprint)
+    used = (provider.fingerprint, head.fingerprint if head is not None else None)
+    if used != built:
+        raise ConfigError(f"index was built for (provider, head) {built}, query uses {used}")
+
+
 def retrieve(
     query: str,
     index: KnowledgeIndex,
@@ -310,6 +326,7 @@ def retrieve(
         raise ValueError("j must be >= 1")
     if len(index) == 0:
         raise EmptyKbError("index is empty")
+    _check_fingerprints(index, provider, head)
     scores = index.matrix @ embed(provider, query, head)
     return [(index.entries[i], float(scores[i])) for i in top_j(scores, j)]
 
@@ -495,6 +512,7 @@ def eval_retrieval(
     """MRR and Top@K over (query text, relevant entry ids) pairs."""
     if not labeled:
         raise ValueError("labeled set must be non-empty")
+    _check_fingerprints(index, provider, head)
     position = {entry_id: i for i, entry_id in enumerate(index.ids)}
     reciprocal = []
     hits = {k: 0 for k in ks}

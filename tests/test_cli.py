@@ -342,3 +342,56 @@ def test_evaluate_embeds_kb_once(workdir, monkeypatch):
     assert run_cli(workdir, "evaluate") == 0
     assert sorted(t for batch in batches for t in batch) == kb_texts
     assert max(len(batch) for batch in batches) <= ROW_CHUNK
+
+
+def test_outputs_line_not_object_is_clean_error(workdir, capsys):
+    for cmd in ("build-kb", "generate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    path = workdir / OUTPUTS_FILE
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:2], "[1]", *lines[3:]]) + "\n")
+    capsys.readouterr()
+    assert run_cli(workdir, "evaluate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and "outputs.jsonl:3: entry is not a JSON object" in err
+
+
+def test_kb_with_leading_blank_line_is_lineage_checked(workdir, capsys):
+    run_cli(workdir, "build-kb")
+    path = workdir / KB_FILE
+    path.write_text("\n" + path.read_text())
+    assert run_cli(workdir, "stats") == 0
+    capsys.readouterr()
+    assert run_cli(workdir, "stats", "--set", "run.seed=9") == 2
+    assert capsys.readouterr().err.startswith("error: LineageError")
+
+
+def test_evaluate_on_empty_kb_reports_zero_coverage(workdir, capsys):
+    for cmd in ("build-kb", "train-retriever", "generate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    path = workdir / KB_FILE
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    assert run_cli(workdir, "evaluate") == 0
+    report = json.loads((workdir / REPORT_JSON).read_text())
+    assert report["coverage"] == {"exact_match_pct": 0.0, "mean_best_similarity": 0.0}
+    assert report["retrieval"] is None
+    assert report["n_queries"] == 6
+
+
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [
+        (lambda text: text[: len(text) // 2], "head.json: "),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "weights"}),
+         "head.json: missing key 'weights'"),
+    ],
+)
+def test_corrupt_head_is_clean_error(workdir, capsys, corrupt, where):
+    for cmd in ("build-kb", "train-retriever"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    path = workdir / HEAD_FILE
+    path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    assert run_cli(workdir, "generate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and where in err

@@ -1,0 +1,134 @@
+"""The JSON-lines artifacts: corrupt lines fail loudly, and a round trip
+keeps every byte."""
+
+import json
+import re
+
+import pytest
+
+from sqlkb.errors import ParseError
+from sqlkb.jsonl import read_jsonl, write_jsonl
+from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, kb_header, load_kb, save_kb
+from sqlkb.llm import CallLedger, LedgerRecord, load_fixture, prompt_sha256
+from sqlkb.pipeline import PipelineOutput, load_outputs, save_outputs
+
+
+def sample_kb() -> KnowledgeBase:
+    kb = KnowledgeBase()
+    kb.add(KnowledgeEntry.from_text("alpha refers to state = 'AL'", "dataset", "company", "tr1"))
+    kb.add(KnowledgeEntry.from_text("beta means grade 2 or higher", "generated", "clinic", "tr2", 3))
+    return kb
+
+
+def sample_outputs() -> list[PipelineOutput]:
+    return [
+        PipelineOutput("te1", "SELECT 1", "alpha refers to state", ("a1", "b2")),
+        PipelineOutput("te2", None, None, error="http status 400"),
+    ]
+
+
+def sample_ledger(n: int) -> CallLedger:
+    ledger = CallLedger()
+    for i in range(n):
+        prompt = f"Question: q{i}\nSQL: "
+        ledger.append(
+            LedgerRecord(prompt_sha256(prompt), prompt, f"SELECT {i}", 0.1, "mock", ok=i != 1)
+        )
+    return ledger
+
+
+# name: (writer of a three-line file, loader, first key the loader reads,
+# whether line 1 is a header); the fixture has no header, only records.
+ARTIFACTS = {
+    "kb": (lambda p: save_kb(sample_kb(), p, "h"), load_kb, "id", True),
+    "outputs": (lambda p: save_outputs(sample_outputs(), p, "h"), load_outputs, "query_id", True),
+    "fixture": (lambda p: sample_ledger(3).save(p), load_fixture, "prompt_sha256", False),
+}
+
+
+@pytest.mark.parametrize("artifact", ARTIFACTS)
+@pytest.mark.parametrize(
+    "line, text, problem",
+    [
+        (3, '{"id": "x",', "Expecting"),
+        (3, "null", "entry is not a JSON object"),
+        (3, "[1]", "entry is not a JSON object"),
+        (3, '"x"', "entry is not a JSON object"),
+        (1, "[1]", "header"),
+        (3, "{}", "missing key"),
+    ],
+)
+def test_corrupt_line_is_parse_error_naming_path_line(tmp_path, artifact, line, text, problem):
+    write, load, first_key, has_header = ARTIFACTS[artifact]
+    path = tmp_path / f"{artifact}.jsonl"
+    write(path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    if problem == "header":
+        problem = "bad header: not a JSON object" if has_header else "entry is not a JSON object"
+    elif problem == "missing key":
+        problem = f"missing key '{first_key}'"
+    with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: {problem}")):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "artifact, record",
+    [
+        ("kb", {"id": [1], "text": "t", "source": "dataset", "db_id": "db"}),
+        ("outputs", {"query_id": "q", "sql": None, "knowledge": None, "retrieved_ids": 5}),
+    ],
+)
+def test_unusable_field_is_parse_error_naming_path_line(tmp_path, artifact, record):
+    write, load, _, _ = ARTIFACTS[artifact]
+    path = tmp_path / f"{artifact}.jsonl"
+    write(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:2], json.dumps(record)]) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: ")):
+        load(path)
+
+
+def test_read_jsonl_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text('\n{"a": 1}\n  \n{"b": 2}\n\n')
+    assert list(read_jsonl(path, header=True)) == [(2, {"a": 1}), (4, {"b": 2})]
+
+
+def test_kb_header_skips_leading_blank_line(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    save_kb(sample_kb(), path, "h")
+    path.write_text("\n" + path.read_text())
+    assert kb_header(path)["config_hash"] == "h"
+    assert len(load_kb(path)) == 2
+
+
+def test_kb_round_trip_is_byte_identical(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_kb(sample_kb(), first, "h")
+    save_kb(load_kb(first), second, kb_header(first)["config_hash"])
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_outputs_round_trip_is_byte_identical(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_outputs(sample_outputs(), first, "h")
+    outputs, header = load_outputs(first)
+    assert outputs == sample_outputs()
+    save_outputs(outputs, second, header["config_hash"])
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_ledger_round_trip_is_byte_identical(tmp_path, n):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    ledger = sample_ledger(n)
+    ledger.save(first)
+    write_jsonl(second, (obj for _, obj in read_jsonl(first)))
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes().count(b"\n") == n
+    assert load_fixture(first) == {
+        r.prompt_sha256: r.completion for r in ledger.records if r.ok
+    }

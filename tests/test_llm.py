@@ -10,6 +10,7 @@ from sqlkb.errors import (
     ContextOverflowError,
     LlmError,
     MockMissError,
+    ParseError,
     ReplayDriftError,
 )
 from sqlkb.llm import (
@@ -359,3 +360,10 @@ def test_fan_out_error_ends_like_a_serial_loop(chat_stub, max_inflight):
     with pytest.raises(ValueError, match="task failed"):
         chat_stub.bounded(client.fan_out, complete_then_fail_on_third, prompts)
     assert [r.prompt for r in client.ledger.records] == prompts[:3]
+
+
+def test_load_fixture_rejects_non_string_completion(tmp_path):
+    path = tmp_path / "fixture.jsonl"
+    path.write_text(json.dumps({"prompt_sha256": prompt_sha256("p"), "completion": 5}) + "\n")
+    with pytest.raises(ParseError, match=r"fixture.jsonl:1: completion is not a string"):
+        load_fixture(path)

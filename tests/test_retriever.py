@@ -519,3 +519,27 @@ def test_eval_retrieval_unknown_entry(provider):
     _, idx = planted_index(provider)
     with pytest.raises(UnknownEntryError):
         eval_retrieval(idx, [("whatever query", ["no-such-id"])], provider)
+
+
+@pytest.mark.parametrize("score", ["retrieve", "eval_retrieval"])
+@pytest.mark.parametrize("mismatch", ["other head", "no head", "other dim"])
+def test_index_fingerprints_must_match_query_embedding(score, mismatch):
+    provider = EmbeddingProvider(dim=16)
+    head = init_head(provider.dim, 8, seed=1)
+    index = build_index(make_kb(["alpha beta gamma", "delta epsilon zeta"]), provider, head)
+    if mismatch == "other head":
+        other = init_head(provider.dim, 8, seed=2)
+        query_provider, query_head = provider, other
+        names = (head.fingerprint, other.fingerprint)
+    elif mismatch == "no head":
+        query_provider, query_head = provider, None
+        names = (head.fingerprint, "None")
+    else:
+        query_provider, query_head = EmbeddingProvider(dim=32), head
+        names = ("hash:16:hash", "hash:32:hash")
+    with pytest.raises(ConfigError) as info:
+        if score == "retrieve":
+            retrieve("alpha beta", index, 1, query_provider, query_head)
+        else:
+            eval_retrieval(index, [("alpha beta", [index.ids[0]])], query_provider, query_head)
+    assert all(name in str(info.value) for name in names)
