@@ -180,9 +180,15 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
     head = _load_head(cfg)
-    index = retriever.build_index(kb, provider, head)
-    client = _llm_client(cfg)
     pipe_cfg = pipeline.PipelineConfig(**cfg["pipeline"], seed=cfg.seed)
+    # Nothing to retrieve with top_j = 0 or from an empty KB: build no index.
+    index = None
+    if pipe_cfg.top_j > 0:
+        if len(kb):
+            index = retriever.build_index(kb, provider, head)
+        else:
+            logger.warning("the knowledge base has no entries; no knowledge is retrieved")
+    client = _llm_client(cfg)
     outputs = pipeline.run_pipeline(
         _test_dataset(cfg), _train_dataset(cfg), index, client, provider, pipe_cfg, head
     )

@@ -56,8 +56,15 @@ def execute_sql(
     sql: str,
     timeout: float = 30.0,
     ordered: Optional[bool] = None,
+    max_rows: Optional[int] = None,
 ) -> ExecutionResult:
-    """Run a statement read-only; errors and timeouts land in the status."""
+    """Run a statement read-only; errors and timeouts land in the status.
+
+    `elapsed` covers executing the statement and fetching its rows, not
+    opening the connection. With `max_rows`, at most that many rows are
+    fetched, so a runaway result cannot exhaust memory; the status stays
+    "ok".
+    """
     if ordered is None:
         ordered = sql_is_ordered(sql)
     deadline = time.monotonic() + timeout
@@ -66,7 +73,10 @@ def execute_sql(
         con = sqlite3.connect(f"file:{Path(db_file)}?mode=ro", uri=True)
         try:
             con.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1000)
-            rows = tuple(tuple(r) for r in con.execute(sql).fetchall())
+            start = time.monotonic()
+            cursor = con.execute(sql)
+            fetched = cursor.fetchall() if max_rows is None else cursor.fetchmany(max_rows)
+            elapsed = time.monotonic() - start
         finally:
             con.close()
     except sqlite3.Error as exc:
@@ -76,7 +86,7 @@ def execute_sql(
             rows=(), ordered=ordered, elapsed=elapsed, status=status, error=str(exc)
         )
     return ExecutionResult(
-        rows=rows, ordered=ordered, elapsed=time.monotonic() - start, status="ok"
+        rows=tuple(tuple(r) for r in fetched), ordered=ordered, elapsed=elapsed, status="ok"
     )
 
 
@@ -151,7 +161,11 @@ def compute_ves(
     """Efficiency score: (100/N) * sum over matches of sqrt(t_gold/t_pred).
 
     The ratio is clipped to [0, clip_max] to bound timer noise. Per-query
-    times are expected to be medians over repeated runs (see time_query).
+    times are expected to be medians over repeated runs of the statement
+    alone (see time_query), the EX run being the first. Unmatched queries
+    score 0 whatever their times, so `evaluate_run` does not time them; an
+    identical gold and predicted statement is timed once, and its term is
+    exactly 1.
     """
     if not per_query:
         raise EmptySetError("no queries to score")
@@ -160,11 +174,20 @@ def compute_ves(
 
 
 def time_query(
-    db_file: Path | str, sql: str, runs: int = 3, timeout: float = 30.0
+    db_file: Path | str,
+    sql: str,
+    runs: int = 3,
+    timeout: float = 30.0,
+    first: Optional[float] = None,
 ) -> float:
-    """Median wall-clock execution time over repeated runs."""
-    times = []
-    for _ in range(max(1, runs)):
+    """Median wall-clock execution time over `runs` samples; 0.0 if a run
+    fails.
+
+    `first` is the elapsed time of a run already made (the EX run); it
+    counts as the first sample, so only `runs - 1` more runs are made.
+    """
+    times = [] if first is None else [max(first, 1e-9)]
+    while len(times) < max(1, runs):
         result = execute_sql(db_file, sql, timeout=timeout)
         if result.status != "ok":
             return 0.0
@@ -326,22 +349,29 @@ def evaluate_run(
             n_errors += 1
             entry["error"] = out.error
         else:
-            pred_res = execute_sql(
-                db_file, out.sql, timeout=config.timeout, ordered=gold_res.ordered
+            # The same statement on the same read-only database: run it once.
+            # Otherwise a prediction with more rows than gold cannot match,
+            # so no more are fetched.
+            pred_res = gold_res if out.sql == rec.gold_sql else execute_sql(
+                db_file,
+                out.sql,
+                timeout=config.timeout,
+                ordered=gold_res.ordered,
+                max_rows=len(gold_res.rows) + 1,
             )
             match = execution_match(pred_res, gold_res)
             entry["pred_status"] = pred_res.status
         entry["ex"] = int(match)
         if config.deterministic_timing:
             t_gold = t_pred = 1.0
+        elif not match:  # the term is 0 whatever the times
+            t_gold = t_pred = 0.0
         else:
             t_gold = time_query(
-                db_file, rec.gold_sql, config.timing_runs, config.timeout
+                db_file, rec.gold_sql, config.timing_runs, config.timeout, gold_res.elapsed
             )
-            t_pred = (
-                time_query(db_file, out.sql, config.timing_runs, config.timeout)
-                if out.sql
-                else 0.0
+            t_pred = t_gold if pred_res is gold_res else time_query(
+                db_file, out.sql, config.timing_runs, config.timeout, pred_res.elapsed
             )
         # a match whose timing re-run failed (time 0) scores 0
         timing = (match and t_gold > 0 and t_pred > 0, t_gold, t_pred)

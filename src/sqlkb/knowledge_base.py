@@ -329,6 +329,8 @@ def load_kb(path: Path | str) -> KnowledgeBase:
                 origin_query_id=obj.get("origin_query_id"),
                 iteration=obj.get("iteration"),
             )
+            if not isinstance(entry.text, str):
+                raise ParseError(f"{path}:{n}: text is not a string")
             if entry.id in kb.entries:
                 raise ParseError(f"{path}:{n}: duplicate entry id {entry.id}")
         except KeyError as exc:

@@ -178,7 +178,7 @@ def postprocess_sql(completion: str) -> str:
 def generate_sql(
     query: Query,
     schema: DatabaseSchema,
-    index: "KnowledgeIndex",
+    index: Optional["KnowledgeIndex"],
     llm: "LlmClient",
     provider: "EmbeddingProvider",
     train_dataset: Dataset,
@@ -188,15 +188,16 @@ def generate_sql(
     """Retrieve top-j knowledge, optionally refine it, and generate the SQL.
 
     With use_refinement=False the retrieved entries are concatenated and
-    used directly as the Evidence block; with top_j=0 the Evidence block
-    is empty (no-knowledge baseline). The output records the retrieved
-    entry ids and the Evidence text the SQL prompt showed.
+    used directly as the Evidence block; with top_j=0, or without an index
+    (an empty KB), the Evidence block is empty (no-knowledge baseline). The
+    output records the retrieved entry ids and the Evidence text the SQL
+    prompt showed.
     """
     from .retriever import retrieve
 
     config = config or PipelineConfig()
     retrieved: list = []
-    if config.top_j > 0:
+    if config.top_j > 0 and index is not None:
         retrieved = [
             entry
             for entry, _ in retrieve(query.text, index, config.top_j, provider, head)
@@ -228,7 +229,7 @@ def generate_sql(
 def run_pipeline(
     test_dataset: Dataset,
     train_dataset: Dataset,
-    index: "KnowledgeIndex",
+    index: Optional["KnowledgeIndex"],
     llm: "LlmClient",
     provider: "EmbeddingProvider",
     config: Optional[PipelineConfig] = None,
@@ -300,4 +301,7 @@ def load_outputs(path: Path | str) -> tuple[list[PipelineOutput], dict]:
             raise ParseError(f"{path}:{n}: missing key {exc}") from exc
         except TypeError as exc:  # retrieved_ids not a list
             raise ParseError(f"{path}:{n}: {exc}") from exc
+        for key in ("sql", "knowledge"):
+            if not isinstance(obj[key], (str, type(None))):
+                raise ParseError(f"{path}:{n}: {key} is not a string or null")
     return outputs, header

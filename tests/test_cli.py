@@ -395,3 +395,40 @@ def test_corrupt_head_is_clean_error(workdir, capsys, corrupt, where):
     assert run_cli(workdir, "generate") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError") and where in err
+
+
+def test_generate_on_empty_kb_retrieves_nothing(workdir, caplog):
+    for cmd in ("build-kb", "train-retriever"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    path = workdir / KB_FILE
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    # the no-knowledge baseline (a config change, hence --force) and the default top_j
+    for argv in (("--set", "pipeline.top_j=0", "--force"), ()):
+        assert run_cli(workdir, "generate", *argv) == 0, argv
+        records = [json.loads(l) for l in (workdir / OUTPUTS_FILE).read_text().splitlines()[1:]]
+        assert len(records) == 6
+        assert all(r["retrieved_ids"] == [] and r["knowledge"] is None for r in records)
+    assert "no knowledge is retrieved" in caplog.text
+    assert run_cli(workdir, "evaluate") == 0
+
+
+@pytest.mark.parametrize(
+    "artifact, command, key, where",
+    [
+        (OUTPUTS_FILE, "evaluate", "sql", "outputs.jsonl:2: sql is not a string or null"),
+        (OUTPUTS_FILE, "evaluate", "knowledge", "outputs.jsonl:2: knowledge is not a string or null"),
+        (KB_FILE, "stats", "text", "kb.jsonl:2: text is not a string"),
+    ],
+)
+def test_mistyped_field_is_clean_error(workdir, capsys, artifact, command, key, where):
+    for cmd in ("build-kb", "generate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    path = workdir / artifact
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key] = 5
+    path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert run_cli(workdir, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and where in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlkb import evaluation
 from sqlkb.errors import AlignmentError, EmptySetError, NonPositiveTimeError
 from sqlkb.evaluation import (
     EvalConfig,
@@ -347,3 +348,84 @@ def test_evaluate_run_deterministic_timing_reproducible(test_ds, provider):
         for _ in range(2)
     ]
     assert reports[0].to_dict() == reports[1].to_dict()
+
+
+# --- single-pass evaluation: each statement runs once per needed sample ---
+
+ENDLESS = "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) SELECT x FROM c"
+
+
+def record_executions(monkeypatch):
+    """Replace evaluation.execute_sql with a wrapper that logs (sql, kwargs)."""
+    calls = []
+    execute = evaluation.execute_sql
+
+    def recording(db_file, sql, *args, **kwargs):
+        calls.append((sql, kwargs))
+        return execute(db_file, sql, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "execute_sql", recording)
+    return calls
+
+
+def test_execute_sql_max_rows_bounds_a_runaway_query(toy_dir):
+    res = execute_sql(company_db(toy_dir), ENDLESS, timeout=2.0, max_rows=4)
+    assert res.status == "ok"
+    assert res.rows == ((1,), (2,), (3,), (4,))
+
+
+def test_evaluate_run_caps_predicted_rows(test_ds):
+    outputs = gold_outputs(test_ds)
+    outputs[1] = PipelineOutput(query_id=outputs[1].query_id, sql=ENDLESS, knowledge=None)
+    report = evaluate_run(outputs, test_ds, EvalConfig(timeout=2.0, deterministic_timing=True))
+    assert report.per_query[1]["pred_status"] == "ok"
+    assert report.per_query[1]["ex"] == 0
+
+
+@pytest.mark.parametrize(
+    "timing_runs, deterministic, per_query",
+    [(3, False, 3), (1, False, 1), (3, True, 1)],
+)
+def test_evaluate_run_runs_gold_predictions_once_per_sample(
+    test_ds, monkeypatch, timing_runs, deterministic, per_query
+):
+    calls = record_executions(monkeypatch)
+    config = EvalConfig(timing_runs=timing_runs, deterministic_timing=deterministic)
+    report = evaluate_run(gold_outputs(test_ds), test_ds, config)
+    assert len(calls) == per_query * len(test_ds.records)
+    assert all(e["ves_term"] == 1.0 for e in report.per_query)
+    assert report.ves == 100.0
+
+
+def test_evaluate_run_does_not_time_unmatched_predictions(test_ds, monkeypatch):
+    outputs = [
+        PipelineOutput(query_id=rec.query.id, sql="SELECT 'no such answer'", knowledge=None)
+        for rec in test_ds.records
+    ]
+    calls = record_executions(monkeypatch)
+    report = evaluate_run(outputs, test_ds, EvalConfig(timing_runs=3))
+    assert len(calls) == 2 * len(outputs)  # gold and predicted, each once for EX
+    assert report.ex == 0.0 and report.ves == 0.0
+
+
+def test_evaluate_run_times_a_matched_rewrite_uncapped(test_ds, monkeypatch):
+    rec = test_ds.records[0]
+    rewrite = rec.gold_sql + " "
+    outputs = [PipelineOutput(query_id=rec.query.id, sql=rewrite, knowledge=None)]
+    gold_rows = execute_sql(test_ds.schema_for(rec.schema_ref).db_file, rec.gold_sql).rows
+    calls = record_executions(monkeypatch)
+    report = evaluate_run(outputs, test_ds, EvalConfig(timing_runs=3))
+    assert report.ex == 100.0 and report.per_query[0]["ves_term"] > 0
+    assert [sql for sql, _ in calls] == [rec.gold_sql, rewrite] + [rec.gold_sql] * 2 + [rewrite] * 2
+    # the prediction's EX run is capped at gold rows + 1; its timing reruns are not
+    caps = [kwargs.get("max_rows") for _, kwargs in calls]
+    assert caps == [None, len(gold_rows) + 1] + [None] * 4
+
+
+def test_time_query_first_sample_counts_as_a_run(toy_dir, monkeypatch):
+    calls = record_executions(monkeypatch)
+    sql = "SELECT COUNT(*) FROM employee"
+    assert time_query(company_db(toy_dir), sql, runs=3, first=60.0) < 60.0
+    assert len(calls) == 2
+    assert time_query(company_db(toy_dir), sql, runs=1, first=60.0) == 60.0
+    assert len(calls) == 2
