@@ -45,19 +45,14 @@ def _provider(cfg: RunConfig) -> EmbeddingProvider:
 
 def _llm_client(cfg: RunConfig) -> LlmClient:
     lc = cfg["llm"]
-    try:
-        config = LlmConfig(
-            backend=lc["backend"],
-            model=lc["model"],
-            endpoint=lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, ""),
-            api_key=os.environ.get(llm.API_KEY_ENV, ""),
-            temperature=lc["temperature"],
-            max_tokens=lc["max_tokens"],
-            timeout=lc["timeout"],
-            max_inflight=lc["max_inflight"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[llm] {exc}") from exc
+    if lc["backend"] not in ("http", "mock"):
+        raise ConfigError(f"[llm] backend: expected http or mock, got {lc['backend']!r}")
+    config = cfg.stage(
+        LlmConfig,
+        "llm",
+        endpoint=lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, ""),
+        api_key=os.environ.get(llm.API_KEY_ENV, ""),
+    )
     if config.backend == "mock":
         if lc["fixture"]:
             return llm.replay_client(config, cfg.path(lc["fixture"]))
@@ -112,13 +107,16 @@ def _check_lineage(cfg: RunConfig, artifact_hash: Optional[str], what: str, forc
 
 def cmd_build_kb(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _train_dataset(cfg)
-    kb_cfg = KbBuildConfig(**cfg["kb"], seed=cfg.seed)
+    kb_cfg = cfg.stage(KbBuildConfig, "kb")
     kb = knowledge_base.init_kb(dataset, kb_cfg)
     print(f"seeded {len(kb)} entries from dataset evidence")
+    ledger = llm.CallLedger()
     if kb_cfg.iterations > 0:
         client = _llm_client(cfg)
         kb = knowledge_base.expand_kb(kb, dataset, client, _provider(cfg), kb_cfg)
-        client.ledger.save(cfg.workdir / LEDGER_FILE)
+        ledger = client.ledger
+    # build-kb starts the ledger; generate appends to it
+    ledger.save(cfg.workdir / LEDGER_FILE, stage="build-kb")
     out = cfg.workdir / KB_FILE
     knowledge_base.save_kb(kb, out, config_hash=cfg.config_hash)
     stats = knowledge_base.kb_stats(kb)
@@ -136,16 +134,7 @@ def cmd_train_retriever(cfg: RunConfig, args: argparse.Namespace) -> int:
         if rec.knowledge is not None
     ]
     provider = _provider(cfg)
-    rc = cfg["retriever"]
-    train_cfg = TrainConfig(
-        batch_size=rc["batch_size"],
-        epochs=rc["epochs"],
-        lr=rc["lr"],
-        tau=rc["tau"],
-        seed=cfg.seed,
-        dim_out=rc["head_dim"] or None,
-        holdout_fraction=rc["holdout_fraction"],
-    )
+    train_cfg = cfg.stage(TrainConfig, "retriever", dim_out=cfg["retriever"]["head_dim"] or None)
     head = retriever.train_head(pairs, provider, train_cfg)
     out = cfg.workdir / HEAD_FILE
     head.save(out, provider.fingerprint, config_hash=cfg.config_hash)
@@ -180,7 +169,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
     head = _load_head(cfg)
-    pipe_cfg = pipeline.PipelineConfig(**cfg["pipeline"], seed=cfg.seed)
+    pipe_cfg = cfg.stage(pipeline.PipelineConfig, "pipeline")
     # Nothing to retrieve with top_j = 0 or from an empty KB: build no index.
     index = None
     if pipe_cfg.top_j > 0:
@@ -194,7 +183,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     out = cfg.workdir / OUTPUTS_FILE
     pipeline.save_outputs(outputs, out, config_hash=cfg.config_hash)
-    client.ledger.save(cfg.workdir / LEDGER_FILE)
+    client.ledger.save(cfg.workdir / LEDGER_FILE, stage="generate", append=True)
     failed = sum(1 for o in outputs if o.error)
     print(f"{len(outputs)} outputs written to {out} ({failed} failed)")
     return 0
@@ -210,7 +199,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     provider = _provider(cfg)
     head = _load_head(cfg)
     test = _test_dataset(cfg)
-    eval_cfg = evaluation.EvalConfig(**cfg["eval"])
+    eval_cfg = cfg.stage(evaluation.EvalConfig, "eval")
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 

@@ -8,17 +8,21 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TypeVar
 
 from .errors import ConfigError
 from .evaluation import EvalConfig
 from .knowledge_base import KbBuildConfig
+from .llm import LlmConfig
 from .pipeline import PipelineConfig
+from .retriever import TrainConfig
+
+T = TypeVar("T")
 
 
-def _stage_section(cls) -> dict:
-    """A stage config's field defaults; its seed comes from [run]."""
-    return {f.name: f.default for f in dataclasses.fields(cls) if f.name != "seed"}
+def _stage_section(cls, skip: Sequence[str] = ()) -> dict:
+    """A stage config's field defaults, less `skip`; its seed comes from [run]."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in ("seed", *skip)}
 
 
 DEFAULTS: dict[str, dict] = {
@@ -35,22 +39,13 @@ DEFAULTS: dict[str, dict] = {
         "backend": "hash",
         "dim": 256,
         "head_dim": 64,
-        "tau": 0.05,
-        "lr": 0.001,
-        "batch_size": 128,
-        "epochs": 30,
-        "holdout_fraction": 0.25,
         "use_head": True,
         "endpoint": "",
+        **_stage_section(TrainConfig, skip=("dim_out",)),
     },
+    # api_key comes from the environment only, so it never enters the hash
     "llm": {
-        "backend": "mock",  # http | mock
-        "model": "",
-        "endpoint": "",
-        "temperature": 0.0,
-        "max_tokens": 1024,
-        "timeout": 120.0,
-        "max_inflight": 4,  # concurrent http completions; mock runs stay serial
+        **_stage_section(LlmConfig, skip=("api_key", "max_context_chars", "retry")),
         "fixture": "",
     },
     "pipeline": _stage_section(PipelineConfig),
@@ -70,11 +65,13 @@ def _coerce(section: str, key: str, raw: str):
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    if isinstance(default, str):
+        return raw
+    try:
+        return type(default)(raw)
+    except ValueError:
+        kind = type(default).__name__
+        raise ConfigError(f"[{section}] {key}: expected {kind}, got {raw!r}") from None
 
 
 class RunConfig:
@@ -96,6 +93,20 @@ class RunConfig:
         canonical = json.dumps(self.data, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
+    def stage(self, cls: type[T], section: str, **extra) -> T:
+        """Build stage config `cls` from [section]: the section's keys that
+        are fields of `cls`, [run] seed when `cls` has a seed, then `extra`.
+        A value `cls` rejects is a ConfigError naming the section."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        values = {key: self[section][key] for key in self[section] if key in names}
+        if "seed" in names:
+            values["seed"] = self.seed
+        values.update(extra)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+
     def path(self, relative: str) -> Path:
         p = Path(relative)
         return p if p.is_absolute() else self.workdir / p
@@ -107,24 +118,22 @@ def load_config(
     overrides: Sequence[str] = (),
 ) -> RunConfig:
     """Build a RunConfig; overrides use the form 'section.key=value'."""
-    data = copy.deepcopy(DEFAULTS)
+    values = []  # (section, key, raw), file first so --set wins
     if config_file is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(config_file)
-        if not read:
+        if not parser.read(config_file):
             raise ConfigError(f"cannot read config file {config_file}")
         for section in parser.sections():
             if section not in DEFAULTS:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                data[section][key] = _coerce(section, key, raw)
+            values += [(section, key, raw) for key, raw in parser.items(section)]
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         target, raw = item.split("=", 1)
-        section, key = target.split(".", 1)
-        if section not in DEFAULTS:
-            raise ConfigError(f"unknown config section [{section}]")
+        values.append((*target.split(".", 1), raw))
+    data = copy.deepcopy(DEFAULTS)
+    for section, key, raw in values:
         data[section][key] = _coerce(section, key, raw)
     if workdir is None:
         workdir = Path(config_file).parent if config_file else Path.cwd()

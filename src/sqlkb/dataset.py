@@ -84,6 +84,13 @@ class Dataset:
             raise SchemaRefError(f"unknown db_id: {db_id!r}") from None
 
 
+def _primary_key_column(con: sqlite3.Connection, table: str, seq: int) -> str:
+    """Column `seq` of a table's primary key; "" if it has none or no such table."""
+    # PRAGMA table_info rows: (cid, name, type, notnull, default, pk position or 0)
+    keys = sorted((r[5], r[1]) for r in con.execute(f'PRAGMA table_info("{table}")') if r[5])
+    return keys[seq][1] if seq < len(keys) else ""
+
+
 def load_schema(db_file: Path | str) -> DatabaseSchema:
     """Read tables, columns, and foreign keys from a SQLite file."""
     db_file = Path(db_file)
@@ -112,10 +119,8 @@ def load_schema(db_file: Path | str) -> DatabaseSchema:
                 tables.append(Table(name=name, columns=cols))
                 for r in con.execute(f'PRAGMA foreign_key_list("{name}")'):
                     # r: (id, seq, ref_table, from_col, to_col, ...)
-                    to_col = r[4]
-                    if to_col is None:
-                        ref = next(t for t in tables if t.name == r[2])
-                        to_col = ref.columns[0].name if ref.columns else ""
+                    # REFERENCES parent without a column means the parent's key
+                    to_col = r[4] if r[4] is not None else _primary_key_column(con, r[2], r[1])
                     fks.append(
                         ForeignKey(table=name, column=r[3], ref_table=r[2], ref_column=to_col)
                     )
@@ -182,12 +187,15 @@ def load_dataset(
             raise ParseError(f"{path}: record {qid} evidence must be a string")
         if evidence == "":
             evidence = None
+        gold_sql = rec.get("SQL")
+        if gold_sql is not None and not isinstance(gold_sql, str):
+            raise ParseError(f"{path}: record {qid} SQL must be a string or null")
         records.append(
             ExampleTriplet(
                 query=Query(id=qid, text=text, db_id=db_id),
                 schema_ref=db_id,
                 knowledge=evidence,
-                gold_sql=rec.get("SQL"),
+                gold_sql=gold_sql,
             )
         )
     return Dataset(records=tuple(records), schemas=schemas, split=split)

@@ -258,6 +258,14 @@ class EvalConfig:
     clip_max: float = 100.0
     deterministic_timing: bool = False  # fixed unit times; VES collapses to EX
 
+    def __post_init__(self) -> None:
+        if not self.timeout > 0:  # also rejects NaN
+            raise ValueError("timeout must be > 0")
+        if self.timing_runs < 1:
+            raise ValueError("timing_runs must be >= 1")
+        if not self.clip_max > 0:
+            raise ValueError("clip_max must be > 0")
+
 
 @dataclass
 class EvalReport:

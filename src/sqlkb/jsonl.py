@@ -9,9 +9,10 @@ from typing import Iterable, Iterator
 from .errors import ParseError
 
 
-def write_jsonl(path: Path | str, objs: Iterable[dict]) -> None:
-    """Write one sorted-key JSON object per line, each ending in a newline."""
-    with open(path, "w") as fh:
+def write_jsonl(path: Path | str, objs: Iterable[dict], append: bool = False) -> None:
+    """Write one sorted-key JSON object per line, each ending in a newline;
+    with `append`, after the file's existing lines."""
+    with open(path, "a" if append else "w") as fh:
         fh.writelines(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
 
 

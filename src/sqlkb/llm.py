@@ -92,10 +92,16 @@ class CallLedger:
         with self._lock:
             return len(self._records)
 
-    def save(self, path: Path | str) -> None:
-        """Persist as a line-delimited replay fixture."""
+    def save(self, path: Path | str, stage: str = "", append: bool = False) -> None:
+        """Persist as a line-delimited replay fixture.
+
+        A `stage` tags every line with the command that made the calls;
+        `append` adds the lines to an existing file instead of replacing it.
+        """
         keys = ("prompt_sha256", "prompt", "completion", "ok")
-        write_jsonl(path, ({k: getattr(r, k) for k in keys} for r in self.records))
+        tag = {"stage": stage} if stage else {}
+        lines = ({**{k: getattr(r, k) for k in keys}, **tag} for r in self.records)
+        write_jsonl(path, lines, append)
 
 
 def load_fixture(path: Path | str) -> dict[str, str]:

@@ -49,6 +49,12 @@ class PipelineConfig:
     few_shot_k: int = 10
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.top_j < 0:
+            raise ValueError("top_j must be >= 0")
+        if self.few_shot_k < 1:
+            raise ValueError("few_shot_k must be >= 1")
+
 
 @dataclass
 class PipelineOutput:

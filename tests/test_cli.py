@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -87,6 +88,32 @@ def test_config_path_resolution(tmp_path):
     cfg = RunConfig(load_config(workdir=tmp_path).data, tmp_path)
     assert cfg.path("kb.jsonl") == tmp_path / "kb.jsonl"
     assert cfg.path("/abs/file") == __import__("pathlib").Path("/abs/file")
+
+
+@dataclasses.dataclass
+class _SeededStage:
+    top_j: int = 0
+    seed: int = 0
+    note: str = ""
+
+    def __post_init__(self):
+        if self.top_j > 10:
+            raise ValueError("top_j must be <= 10")
+
+
+@dataclasses.dataclass
+class _UnseededStage:
+    budget: int = 0
+
+
+def test_stage_builds_config_from_section(tmp_path):
+    cfg = load_config(workdir=tmp_path, overrides=["run.seed=7", "pipeline.top_j=2"])
+    # budget, use_refinement and few_shot_k are not fields of _SeededStage
+    assert cfg.stage(_SeededStage, "pipeline", note="x") == _SeededStage(2, 7, "x")
+    assert cfg.stage(_SeededStage, "pipeline", top_j=4).top_j == 4  # extra wins
+    assert cfg.stage(_UnseededStage, "pipeline") == _UnseededStage(budget=24000)
+    with pytest.raises(ConfigError, match=r"^\[pipeline\] top_j must be <= 10$"):
+        cfg.stage(_SeededStage, "pipeline", top_j=11)
 
 
 # --- CLI workflow on the bundled toy dataset ---
@@ -432,3 +459,79 @@ def test_mistyped_field_is_clean_error(workdir, capsys, artifact, command, key, 
     assert run_cli(workdir, command) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError") and where in err
+
+
+def ledger_stages(workdir):
+    lines = (workdir / LEDGER_FILE).read_text().splitlines()
+    return [json.loads(line)["stage"] for line in lines]
+
+
+def test_backend_typo_is_config_error(workdir, capsys):
+    assert run_cli(workdir, "build-kb", "--set", "llm.backend=htpp") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError") and "'htpp'" in err
+    assert not (workdir / LEDGER_FILE).exists()
+    assert run_cli(workdir, "build-kb") == 0
+    (workdir / LEDGER_FILE).unlink()
+    capsys.readouterr()
+    assert run_cli(workdir, "generate", "--set", "llm.backend=htpp", "--force") == 2
+    assert "'htpp'" in capsys.readouterr().err
+    assert not (workdir / OUTPUTS_FILE).exists() and not (workdir / LEDGER_FILE).exists()
+
+
+@pytest.mark.parametrize(
+    "setting, where",
+    [
+        ("kb.iterations=abc", "[kb] iterations: expected int, got 'abc'"),
+        ("eval.timeout=fast", "[eval] timeout: expected float, got 'fast'"),
+    ],
+)
+def test_unparsable_value_is_config_error(workdir, capsys, setting, where):
+    assert run_cli(workdir, "build-kb", "--set", setting) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError") and where in err
+
+
+ARTIFACTS_BEFORE = {"build-kb": (), "generate": ("build-kb",), "evaluate": ("build-kb", "generate")}
+
+
+@pytest.mark.parametrize(
+    "command, setting, where",
+    [
+        ("build-kb", "kb.few_shot_k=0", "[kb] few_shot_k must be >= 1"),
+        ("generate", "pipeline.few_shot_k=0", "[pipeline] few_shot_k must be >= 1"),
+        ("generate", "pipeline.top_j=-2", "[pipeline] top_j must be >= 0"),
+        ("evaluate", "eval.timing_runs=0", "[eval] timing_runs must be >= 1"),
+        ("evaluate", "eval.timeout=0", "[eval] timeout must be > 0"),
+        ("evaluate", "eval.timeout=nan", "[eval] timeout must be > 0"),
+        ("evaluate", "eval.clip_max=-1", "[eval] clip_max must be > 0"),
+    ],
+)
+def test_out_of_range_value_is_config_error(workdir, capsys, command, setting, where):
+    for cmd in ARTIFACTS_BEFORE[command]:
+        assert run_cli(workdir, cmd) == 0, cmd
+    capsys.readouterr()
+    assert run_cli(workdir, command, "--set", setting, "--force") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and where in err
+
+
+def test_ledger_keeps_both_stages_and_replays_build_kb(workdir, capsys):
+    for cmd in ("build-kb", "train-retriever", "generate", "evaluate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    assert ledger_stages(workdir) == ["build-kb"] * 20 + ["generate"] * 12
+    kb_body = (workdir / KB_FILE).read_text().splitlines()[1:]
+    # every expansion prompt is answered from the ledger; the fixture is read
+    # before build-kb starts the ledger afresh
+    argv = ("build-kb", "--set", f"llm.fixture={LEDGER_FILE}", "--force")
+    assert run_cli(workdir, *argv) == 0
+    assert "20 generated" in capsys.readouterr().out
+    assert (workdir / KB_FILE).read_text().splitlines()[1:] == kb_body
+    assert ledger_stages(workdir) == ["build-kb"] * 20
+
+
+def test_build_kb_without_calls_starts_an_empty_ledger(workdir):
+    for cmd in ("build-kb", "generate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    assert run_cli(workdir, "build-kb", "--set", "kb.iterations=0", "--force") == 0
+    assert (workdir / LEDGER_FILE).read_text() == ""

@@ -109,6 +109,61 @@ def test_load_schema_foreign_keys(toy_dir):
     assert names == sorted(names)
 
 
+def _schema_of(tmp_path, *statements):
+    path = tmp_path / "fk.sqlite"
+    con = sqlite3.connect(path)
+    for statement in statements:
+        con.execute(statement)
+    con.commit()
+    con.close()
+    return load_schema(path)
+
+
+def _fk_targets(schema):
+    return {(f.table, f.column): (f.ref_table, f.ref_column) for f in schema.foreign_keys}
+
+
+def test_load_schema_implicit_fk_to_later_table(tmp_path):
+    # "account" is read before "zone", which it references without a column
+    schema = _schema_of(
+        tmp_path,
+        "CREATE TABLE zone (code TEXT PRIMARY KEY, label TEXT)",
+        "CREATE TABLE account (id INTEGER PRIMARY KEY, zone REFERENCES zone)",
+    )
+    assert _fk_targets(schema) == {("account", "zone"): ("zone", "code")}
+
+
+def test_load_schema_implicit_fk_uses_primary_key(tmp_path):
+    schema = _schema_of(
+        tmp_path,
+        "CREATE TABLE account (name TEXT, id INTEGER PRIMARY KEY)",
+        "CREATE TABLE pair (b TEXT, a TEXT, PRIMARY KEY (a, b))",
+        "CREATE TABLE plain (x TEXT)",
+        "CREATE TABLE txn (acct REFERENCES account, pa TEXT, pb TEXT, loose REFERENCES plain,"
+        " gone REFERENCES missing, FOREIGN KEY (pa, pb) REFERENCES pair)",
+    )
+    assert _fk_targets(schema) == {
+        ("txn", "acct"): ("account", "id"),
+        ("txn", "pa"): ("pair", "a"),  # by position in the composite key
+        ("txn", "pb"): ("pair", "b"),
+        ("txn", "loose"): ("plain", ""),  # no primary key
+        ("txn", "gone"): ("missing", ""),  # no such table
+    }
+
+
+def test_non_string_sql_is_parse_error(tmp_path, toy_dir):
+    path = tmp_path / "sql.json"
+    records = [
+        {"question_id": "a", "question": "no gold", "db_id": "company", "SQL": None},
+        {"question_id": "b", "question": "numeric gold", "db_id": "company", "SQL": 5},
+    ]
+    path.write_text(json.dumps(records[:1]))
+    assert load_dataset(path, toy_dir / "databases").records[0].gold_sql is None
+    path.write_text(json.dumps(records))
+    with pytest.raises(ParseError, match="record b SQL"):
+        load_dataset(path, toy_dir / "databases")
+
+
 def test_load_schema_empty_database(tmp_path):
     path = tmp_path / "empty.sqlite"
     sqlite3.connect(path).close()
