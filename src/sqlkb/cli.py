@@ -35,6 +35,8 @@ def _provider(cfg: RunConfig) -> EmbeddingProvider:
         raise ConfigError(
             f"[retriever] backend: expected hash or http, got {rc['backend']!r}"
         )
+    if rc["dim"] < 1:
+        raise ConfigError(f"[retriever] dim must be >= 1, got {rc['dim']}")
     return EmbeddingProvider(
         name=rc["backend"],
         dim=rc["dim"],
@@ -43,21 +45,44 @@ def _provider(cfg: RunConfig) -> EmbeddingProvider:
     )
 
 
-def _llm_client(cfg: RunConfig) -> LlmClient:
+def _llm_config(cfg: RunConfig) -> LlmConfig:
     lc = cfg["llm"]
     if lc["backend"] not in ("http", "mock"):
         raise ConfigError(f"[llm] backend: expected http or mock, got {lc['backend']!r}")
-    config = cfg.stage(
+    if lc["fixture"] and lc["backend"] != "mock":
+        raise ConfigError(
+            "[llm] fixture: replay needs backend = mock; a fixture is looked up "
+            "by prompt hash alone, so it could answer for another model"
+        )
+    return cfg.stage(
         LlmConfig,
         "llm",
         endpoint=lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, ""),
         api_key=os.environ.get(llm.API_KEY_ENV, ""),
     )
+
+
+def _llm_client(cfg: RunConfig) -> LlmClient:
+    config = _llm_config(cfg)
+    if cfg["llm"]["fixture"]:
+        return llm.replay_client(config, cfg.path(cfg["llm"]["fixture"]))
     if config.backend == "mock":
-        if lc["fixture"]:
-            return llm.replay_client(config, cfg.path(lc["fixture"]))
         return LlmClient(config, fallback=llm.synthetic_completer)
     return LlmClient(config)
+
+
+def _train_config(cfg: RunConfig) -> TrainConfig:
+    return cfg.stage(TrainConfig, "retriever", dim_out=cfg["retriever"]["head_dim"] or None)
+
+
+def _check_config(cfg: RunConfig) -> None:
+    """Refuse a bad value in any section, whichever command runs."""
+    _provider(cfg)
+    _llm_config(cfg)
+    _train_config(cfg)
+    cfg.stage(KbBuildConfig, "kb")
+    cfg.stage(pipeline.PipelineConfig, "pipeline")
+    cfg.stage(evaluation.EvalConfig, "eval")
 
 
 def _train_dataset(cfg: RunConfig) -> Dataset:
@@ -134,8 +159,7 @@ def cmd_train_retriever(cfg: RunConfig, args: argparse.Namespace) -> int:
         if rec.knowledge is not None
     ]
     provider = _provider(cfg)
-    train_cfg = cfg.stage(TrainConfig, "retriever", dim_out=cfg["retriever"]["head_dim"] or None)
-    head = retriever.train_head(pairs, provider, train_cfg)
+    head = retriever.train_head(pairs, provider, _train_config(cfg))
     out = cfg.workdir / HEAD_FILE
     head.save(out, provider.fingerprint, config_hash=cfg.config_hash)
     print(f"projection head ({head.dim_in}x{head.dim_out}, tau={head.tau}) "
@@ -300,6 +324,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         cfg = load_config(args.config, args.workdir, args.overrides)
+        _check_config(cfg)
         cfg.workdir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args)
     except SqlkbError as exc:

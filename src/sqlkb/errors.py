@@ -57,8 +57,12 @@ class LlmError(SqlkbError):
     """A completion call failed."""
 
 
-class MockMissError(LlmError):
-    """The mock backend has no canned completion for this prompt."""
+class MockMissError(SqlkbError):
+    """The mock backend has no canned completion for this prompt.
+
+    Not an LlmError: a replay fixture that lacks a prompt is a fault of the
+    fixture, not a failed generation, so it ends the command.
+    """
 
 
 class ContextOverflowError(LlmError):

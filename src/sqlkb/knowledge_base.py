@@ -87,6 +87,8 @@ class KbBuildConfig:
             raise ValueError("few_shot_k must be >= 1")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if self.prompt_budget < 0:
+            raise ValueError("prompt_budget must be >= 0")
 
 
 @dataclass

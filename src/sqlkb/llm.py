@@ -187,7 +187,12 @@ class LlmClient:
         return results
 
     def complete(self, prompt: str) -> str:
-        """Return the completion for a prompt; every call hits the ledger."""
+        """Return the completion for a prompt.
+
+        The answer comes from the recorded responses whatever the backend,
+        else from the http backend, else from the mock's fallback. Every
+        call that gets past the prompt checks leaves one ledger record.
+        """
         if not prompt:
             raise LlmError("prompt must be non-empty")
         if len(prompt) > self.config.max_context_chars:
@@ -196,43 +201,31 @@ class LlmClient:
                 f"{self.config.max_context_chars} chars"
             )
         digest = prompt_sha256(prompt)
+        completion: Optional[str] = None
         start = time.monotonic()
         try:
-            if self.config.backend == "mock":
-                completion = self._complete_mock(prompt, digest)
+            if self.config.backend not in ("http", "mock"):
+                raise LlmError(f"unknown backend {self.config.backend!r}")
+            if digest in self.responses:
+                completion = self.responses[digest]
             elif self.config.backend == "http":
                 completion = self._complete_http(prompt)
+            elif self.fallback is not None:
+                completion = self.fallback(prompt)
             else:
-                raise LlmError(f"unknown backend {self.config.backend!r}")
-        except LlmError:
+                raise MockMissError(f"no canned completion for prompt hash {digest[:12]}")
+            return completion
+        finally:
             self.ledger.append(
                 LedgerRecord(
                     prompt_sha256=digest,
                     prompt=prompt,
-                    completion="",
+                    completion=completion or "",
                     latency=time.monotonic() - start,
                     backend=self.config.backend,
-                    ok=False,
+                    ok=completion is not None,
                 )
             )
-            raise
-        self.ledger.append(
-            LedgerRecord(
-                prompt_sha256=digest,
-                prompt=prompt,
-                completion=completion,
-                latency=time.monotonic() - start,
-                backend=self.config.backend,
-            )
-        )
-        return completion
-
-    def _complete_mock(self, prompt: str, digest: str) -> str:
-        if digest in self.responses:
-            return self.responses[digest]
-        if self.fallback is not None:
-            return self.fallback(prompt)
-        raise MockMissError(f"no canned completion for prompt hash {digest[:12]}")
 
     def _complete_http(self, prompt: str) -> str:
         import requests
@@ -277,5 +270,5 @@ class LlmClient:
 
 
 def replay_client(config: LlmConfig, fixture_path: Path | str) -> LlmClient:
-    """Mock client answering strictly from a persisted fixture."""
+    """Client answering from a persisted fixture before its backend."""
     return LlmClient(config, responses=load_fixture(fixture_path))

@@ -52,6 +52,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.top_j < 0:
             raise ValueError("top_j must be >= 0")
+        if self.budget < 0:
+            raise ValueError("budget must be >= 0")
         if self.few_shot_k < 1:
             raise ValueError("few_shot_k must be >= 1")
 

@@ -425,6 +425,19 @@ class TrainConfig:
     dim_out: Optional[int] = None  # defaults to provider dim
     holdout_fraction: float = 0.25
 
+    # batch_size is checked by train_head, which needs two pairs per batch.
+    def __post_init__(self) -> None:
+        if not self.tau > 0:  # also rejects NaN
+            raise ValueError("tau must be > 0")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be >= 0 and finite")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not 0 <= self.holdout_fraction < 1:
+            raise ValueError("holdout_fraction must be >= 0 and < 1")
+        if self.dim_out is not None and self.dim_out < 1:
+            raise ValueError(f"dim_out must be >= 1, got {self.dim_out}")
+
 
 @dataclass
 class RetrievalMetrics:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 
 import pytest
@@ -492,15 +493,30 @@ def test_unparsable_value_is_config_error(workdir, capsys, setting, where):
     assert err.startswith("error: ConfigError") and where in err
 
 
-ARTIFACTS_BEFORE = {"build-kb": (), "generate": ("build-kb",), "evaluate": ("build-kb", "generate")}
+ARTIFACTS_BEFORE = {
+    "build-kb": (),
+    "train-retriever": (),
+    "generate": ("build-kb",),
+    "evaluate": ("build-kb", "generate"),
+    "stats": ("build-kb",),
+}
 
 
 @pytest.mark.parametrize(
     "command, setting, where",
     [
         ("build-kb", "kb.few_shot_k=0", "[kb] few_shot_k must be >= 1"),
+        ("build-kb", "kb.prompt_budget=-1", "[kb] prompt_budget must be >= 0"),
+        ("train-retriever", "retriever.tau=0", "[retriever] tau must be > 0"),
+        ("train-retriever", "retriever.lr=nan", "[retriever] lr must be >= 0 and finite"),
+        ("train-retriever", "retriever.epochs=-1", "[retriever] epochs must be >= 0"),
+        ("train-retriever", "retriever.holdout_fraction=-0.5",
+         "[retriever] holdout_fraction must be >= 0 and < 1"),
+        ("train-retriever", "retriever.head_dim=-5", "[retriever] dim_out must be >= 1, got -5"),
+        ("train-retriever", "retriever.dim=0", "[retriever] dim must be >= 1, got 0"),
         ("generate", "pipeline.few_shot_k=0", "[pipeline] few_shot_k must be >= 1"),
         ("generate", "pipeline.top_j=-2", "[pipeline] top_j must be >= 0"),
+        ("generate", "pipeline.budget=-1", "[pipeline] budget must be >= 0"),
         ("evaluate", "eval.timing_runs=0", "[eval] timing_runs must be >= 1"),
         ("evaluate", "eval.timeout=0", "[eval] timeout must be > 0"),
         ("evaluate", "eval.timeout=nan", "[eval] timeout must be > 0"),
@@ -535,3 +551,45 @@ def test_build_kb_without_calls_starts_an_empty_ledger(workdir):
         assert run_cli(workdir, cmd) == 0, cmd
     assert run_cli(workdir, "build-kb", "--set", "kb.iterations=0", "--force") == 0
     assert (workdir / LEDGER_FILE).read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "command, setting, where",
+    [
+        ("train-retriever", "llm.backend=htpp", "[llm] backend: expected http or mock, got 'htpp'"),
+        ("stats", "eval.timeout=0", "[eval] timeout must be > 0"),
+    ],
+)
+def test_every_command_checks_every_section(workdir, capsys, command, setting, where):
+    assert run_cli(workdir, "build-kb") == 0
+    capsys.readouterr()
+    assert run_cli(workdir, command, "--set", setting, "--force") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and where in err
+    assert not (workdir / HEAD_FILE).exists()
+
+
+def test_replay_fixture_needs_the_mock_backend(workdir, capsys):
+    assert run_cli(workdir, "build-kb") == 0
+    capsys.readouterr()
+    argv = ("--set", "llm.backend=http", "--set", f"llm.fixture={LEDGER_FILE}", "--force")
+    assert run_cli(workdir, "generate", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and "[llm] fixture" in err
+    assert not (workdir / OUTPUTS_FILE).exists()
+
+
+@pytest.mark.parametrize("command, fixture_records", [("build-kb", 0), ("generate", 20)])
+def test_replay_miss_ends_the_command(workdir, capsys, command, fixture_records):
+    assert run_cli(workdir, "build-kb") == 0
+    # An empty fixture answers no prompt; build-kb's 20 records answer no SQL prompt.
+    lines = (workdir / LEDGER_FILE).read_text().splitlines(keepends=True)
+    (workdir / "fixture.jsonl").write_text("".join(lines[:fixture_records]))
+    before = {name: (workdir / name).read_bytes() for name in (KB_FILE, LEDGER_FILE)}
+    capsys.readouterr()
+    assert run_cli(workdir, command, "--set", "llm.fixture=fixture.jsonl", "--force") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MockMissError: ")
+    assert re.search(r"prompt hash [0-9a-f]{12}$", err.strip())
+    assert {name: (workdir / name).read_bytes() for name in before} == before
+    assert not (workdir / OUTPUTS_FILE).exists()

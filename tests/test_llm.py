@@ -110,6 +110,17 @@ def test_ledger_records_success_and_failure():
     assert bad.prompt_sha256 == prompt_sha256("bad prompt")
 
 
+def test_fallback_exception_leaves_failed_record():
+    def broken(prompt):
+        raise ValueError("fallback bug")
+
+    client = LlmClient(LlmConfig(backend="mock"), fallback=broken)
+    with pytest.raises(ValueError, match="fallback bug"):
+        client.complete("hello")
+    (record,) = client.ledger.records
+    assert not record.ok and record.completion == "" and record.prompt == "hello"
+
+
 def test_ledger_thread_safety():
     ledger = CallLedger()
     client = LlmClient(LlmConfig(backend="mock"), fallback=lambda p: p, ledger=ledger)
@@ -283,6 +294,16 @@ def test_http_failure_lands_in_ledger(stub_server):
     with pytest.raises(LlmError):
         client.complete("hello")
     assert len(ledger) == 1 and not ledger.records[0].ok
+
+
+def test_recorded_response_answers_before_http(chat_stub):
+    client = LlmClient(
+        chat_stub.client(1).config, responses={prompt_sha256("hello"): "recorded"}
+    )
+    assert client.complete("hello") == "recorded"
+    assert chat_stub.seen == []
+    (record,) = client.ledger.records
+    assert record.ok and record.completion == "recorded" and record.backend == "http"
 
 
 def test_max_inflight_validation():
