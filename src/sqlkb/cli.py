@@ -72,7 +72,25 @@ def _llm_client(cfg: RunConfig) -> LlmClient:
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
+    # TrainConfig leaves batch_size to train_head, which needs two pairs per batch.
+    if cfg["retriever"]["batch_size"] < 2:
+        raise ConfigError(
+            f"[retriever] batch_size must be >= 2 for in-batch negatives, "
+            f"got {cfg['retriever']['batch_size']}"
+        )
     return cfg.stage(TrainConfig, "retriever", dim_out=cfg["retriever"]["head_dim"] or None)
+
+
+# Stage configs built from their section alone; _check_config builds each.
+STAGE_CONFIGS = {
+    "kb": KbBuildConfig,
+    "pipeline": pipeline.PipelineConfig,
+    "eval": evaluation.EvalConfig,
+}
+
+
+def _stage(cfg: RunConfig, section: str):
+    return cfg.stage(STAGE_CONFIGS[section], section)
 
 
 def _check_config(cfg: RunConfig) -> None:
@@ -80,9 +98,8 @@ def _check_config(cfg: RunConfig) -> None:
     _provider(cfg)
     _llm_config(cfg)
     _train_config(cfg)
-    cfg.stage(KbBuildConfig, "kb")
-    cfg.stage(pipeline.PipelineConfig, "pipeline")
-    cfg.stage(evaluation.EvalConfig, "eval")
+    for section in STAGE_CONFIGS:
+        _stage(cfg, section)
 
 
 def _train_dataset(cfg: RunConfig) -> Dataset:
@@ -132,7 +149,7 @@ def _check_lineage(cfg: RunConfig, artifact_hash: Optional[str], what: str, forc
 
 def cmd_build_kb(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _train_dataset(cfg)
-    kb_cfg = cfg.stage(KbBuildConfig, "kb")
+    kb_cfg = _stage(cfg, "kb")
     kb = knowledge_base.init_kb(dataset, kb_cfg)
     print(f"seeded {len(kb)} entries from dataset evidence")
     ledger = llm.CallLedger()
@@ -193,7 +210,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
     head = _load_head(cfg)
-    pipe_cfg = cfg.stage(pipeline.PipelineConfig, "pipeline")
+    pipe_cfg = _stage(cfg, "pipeline")
     # Nothing to retrieve with top_j = 0 or from an empty KB: build no index.
     index = None
     if pipe_cfg.top_j > 0:
@@ -223,7 +240,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     provider = _provider(cfg)
     head = _load_head(cfg)
     test = _test_dataset(cfg)
-    eval_cfg = cfg.stage(evaluation.EvalConfig, "eval")
+    eval_cfg = _stage(cfg, "eval")
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 

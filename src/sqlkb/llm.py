@@ -104,11 +104,12 @@ class CallLedger:
         write_jsonl(path, lines, append)
 
 
-def load_fixture(path: Path | str) -> dict[str, str]:
+def load_fixture(path: Path | str, keep_failed: bool = False) -> dict[str, Optional[str]]:
     """Load a replay fixture as {prompt hash: completion}.
 
     A record whose stored prompt does not hash to its recorded
-    prompt_sha256 indicates a corrupted or hand-edited fixture.
+    prompt_sha256 indicates a corrupted or hand-edited fixture. Failed
+    records are skipped; `keep_failed` maps a never-answered prompt to None.
     """
     responses = {}
     for n, obj in read_jsonl(path):
@@ -124,6 +125,8 @@ def load_fixture(path: Path | str) -> dict[str, str]:
             raise ReplayDriftError(f"{path}:{n}: prompt does not match its hash")
         if completion is not None:
             responses[digest] = completion
+        elif keep_failed:
+            responses.setdefault(digest, None)
     return responses
 
 
@@ -146,7 +149,7 @@ class LlmClient:
     def __init__(
         self,
         config: LlmConfig,
-        responses: Optional[dict[str, str]] = None,
+        responses: Optional[dict[str, Optional[str]]] = None,
         fallback: Optional[Callable[[str], str]] = None,
         ledger: Optional[CallLedger] = None,
     ) -> None:
@@ -187,12 +190,9 @@ class LlmClient:
         return results
 
     def complete(self, prompt: str) -> str:
-        """Return the completion for a prompt.
-
-        The answer comes from the recorded responses whatever the backend,
-        else from the http backend, else from the mock's fallback. Every
-        call that gets past the prompt checks leaves one ledger record.
-        """
+        """Return the recorded completion (None: a recorded failure), else the
+        http backend's or the mock fallback's. Every call past the prompt
+        checks leaves one ledger record."""
         if not prompt:
             raise LlmError("prompt must be non-empty")
         if len(prompt) > self.config.max_context_chars:
@@ -208,6 +208,8 @@ class LlmClient:
                 raise LlmError(f"unknown backend {self.config.backend!r}")
             if digest in self.responses:
                 completion = self.responses[digest]
+                if completion is None:
+                    raise LlmError(f"recorded failure for prompt hash {digest[:12]}")
             elif self.config.backend == "http":
                 completion = self._complete_http(prompt)
             elif self.fallback is not None:
@@ -270,5 +272,5 @@ class LlmClient:
 
 
 def replay_client(config: LlmConfig, fixture_path: Path | str) -> LlmClient:
-    """Client answering from a persisted fixture before its backend."""
-    return LlmClient(config, responses=load_fixture(fixture_path))
+    """Client answering from a persisted fixture, failures too, before its backend."""
+    return LlmClient(config, responses=load_fixture(fixture_path, keep_failed=True))

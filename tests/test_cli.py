@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -17,7 +18,8 @@ from sqlkb.cli import (
     main,
 )
 from sqlkb.config import DEFAULTS, RunConfig, load_config
-from sqlkb.errors import ConfigError
+from sqlkb import llm
+from sqlkb.errors import ConfigError, LlmError
 from sqlkb.retriever import ROW_CHUNK, EmbeddingProvider
 from sqlkb.toy import generate_toy
 
@@ -220,6 +222,19 @@ def test_workflow_reads_every_config_key(workdir, monkeypatch):
     monkeypatch.setattr(cli, "load_config", recording_load_config)
     for cmd in ("build-kb", "train-retriever", "generate", "evaluate"):
         assert run_cli(workdir, cmd) == 0, cmd
+    declared = {(s, k) for s, section in DEFAULTS.items() for k in section}
+    assert declared - seen == set()
+
+
+def test_commands_read_every_config_key(workdir):
+    # main checks every section before dispatch; called directly, the
+    # commands show that each key is read where it takes effect
+    seen = set()
+    cfg = load_config(workdir / "run.ini")
+    cfg.data = {s: _RecordingSection(v, s, seen) for s, v in cfg.data.items()}
+    args = argparse.Namespace(force=False)
+    for cmd in ("build-kb", "train-retriever", "generate", "evaluate"):
+        assert cli.COMMANDS[cmd](cfg, args) == 0, cmd
     declared = {(s, k) for s, section in DEFAULTS.items() for k in section}
     assert declared - seen == set()
 
@@ -507,6 +522,8 @@ ARTIFACTS_BEFORE = {
     [
         ("build-kb", "kb.few_shot_k=0", "[kb] few_shot_k must be >= 1"),
         ("build-kb", "kb.prompt_budget=-1", "[kb] prompt_budget must be >= 0"),
+        ("train-retriever", "retriever.batch_size=1", "[retriever] batch_size must be >= 2"),
+        ("stats", "retriever.batch_size=1", "[retriever] batch_size must be >= 2"),
         ("train-retriever", "retriever.tau=0", "[retriever] tau must be > 0"),
         ("train-retriever", "retriever.lr=nan", "[retriever] lr must be >= 0 and finite"),
         ("train-retriever", "retriever.epochs=-1", "[retriever] epochs must be >= 0"),
@@ -593,3 +610,35 @@ def test_replay_miss_ends_the_command(workdir, capsys, command, fixture_records)
     assert re.search(r"prompt hash [0-9a-f]{12}$", err.strip())
     assert {name: (workdir / name).read_bytes() for name in before} == before
     assert not (workdir / OUTPUTS_FILE).exists()
+
+
+def test_replay_fails_a_recorded_failure_again(workdir, monkeypatch, capsys):
+    failed, synthetic = [], llm.synthetic_completer
+
+    def flaky(prompt):
+        # the first SQL call fails, as an http 429 would
+        if prompt.endswith("SQL: ") and not failed:
+            failed.append(prompt)
+            raise LlmError("http status 429")
+        return synthetic(prompt)
+
+    assert run_cli(workdir, "build-kb") == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.llm, "synthetic_completer", flaky)
+        assert run_cli(workdir, "generate") == 0
+    recorded = [json.loads(line) for line in (workdir / LEDGER_FILE).read_text().splitlines()]
+    assert [r["ok"] for r in recorded].count(False) == 1
+    first = (workdir / OUTPUTS_FILE).read_text().splitlines()
+    (workdir / "fixture.jsonl").write_text((workdir / LEDGER_FILE).read_text())
+    capsys.readouterr()
+    argv = ("generate", "--set", "llm.fixture=fixture.jsonl", "--force")
+    assert run_cli(workdir, *argv) == 0
+    assert "6 outputs written" in capsys.readouterr().out
+
+    def records(lines):
+        # the error text names the replay, not the recorded cause
+        return [{**o, "error": o["error"] is not None} for o in map(json.loads, lines[1:])]
+
+    replayed = (workdir / OUTPUTS_FILE).read_text().splitlines()
+    assert records(replayed) == records(first)
+    assert sum(o["error"] for o in records(replayed)) == 1

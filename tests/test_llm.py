@@ -152,6 +152,36 @@ def test_ledger_save_and_replay(tmp_path):
         replayed.complete("third question")
 
 
+def test_replay_fails_a_recorded_failure_again(tmp_path):
+    answers = {"flaky": ["boom", "fine"], "broken": ["boom"], "good": ["fine"]}
+
+    def fallback(prompt):
+        answer = answers[prompt].pop(0)
+        if answer == "boom":
+            raise LlmError("http status 429")
+        return f"answer to {prompt}"
+
+    ledger = CallLedger()
+    client = LlmClient(LlmConfig(backend="mock"), fallback=fallback, ledger=ledger)
+    for prompt in ("flaky", "broken", "flaky", "good"):
+        try:
+            client.complete(prompt)
+        except LlmError:
+            pass
+    path = tmp_path / "fixture.jsonl"
+    ledger.save(path)
+
+    replayed = replay_client(LlmConfig(backend="mock"), path)
+    # a prompt answered once replays its answer, however often it failed
+    assert replayed.complete("flaky") == "answer to flaky"
+    with pytest.raises(LlmError, match="recorded failure") as failure:
+        replayed.complete("broken")
+    assert not isinstance(failure.value, MockMissError)
+    with pytest.raises(MockMissError):
+        replayed.complete("never asked")
+    assert [r.ok for r in replayed.ledger.records] == [True, False, False]
+
+
 def test_ledger_save_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     CallLedger().save(path)
