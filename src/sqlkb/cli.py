@@ -247,7 +247,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     # The gold texts ride along as probes, so the KB is embedded only once.
     # An empty KB gets no index: EX, VES, EM and SS need none.
     gold_knowledge = [r.knowledge for r in test.records if r.knowledge is not None]
-    probes = np.array([provider.embed(g) for g in gold_knowledge]) if gold_knowledge else None
+    probes = np.array([provider.raw(g) for g in gold_knowledge]) if gold_knowledge else None
     index = retriever.build_index(kb, provider, head, probes) if len(kb) else None
     if gold_knowledge:
         best = index.probe_best if index is not None else None

@@ -235,7 +235,7 @@ def kb_coverage(
         raise EmptySetError("gold knowledge list must be non-empty")
     if best_similarity is None:
         texts = [e.text for e in kb.sorted_entries()]
-        probes = np.array([provider.embed(g) for g in gold_knowledge])
+        probes = np.array([provider.raw(g) for g in gold_knowledge])
         best_similarity = embed_blocks(texts, provider, probes) if texts else [0.0] * len(probes)
     per_gold = [
         {"gold": gold, "exact": gold in kb, "best_similarity": float(best)}

@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import Dataset, Query
 from .errors import InsufficientExamplesError, LlmError, ParseError
 from .jsonl import read_jsonl, write_jsonl
-from .ranking import row_dots, top_j
+from .ranking import cosine_key, top_j
 
 if TYPE_CHECKING:
     from .dataset import ExampleTriplet
@@ -143,9 +143,11 @@ def init_kb(dataset: Dataset, config: Optional[KbBuildConfig] = None) -> Knowled
 
 @dataclass(frozen=True)
 class _QuestionMatrix:
-    """Embedded questions and filter masks of a dataset's records, in record order."""
+    """Raw question rows, their squared norms and filter masks of a dataset's
+    records, in record order."""
 
-    vectors: np.ndarray
+    rows: np.ndarray
+    sq_norms: np.ndarray
     ids: np.ndarray
     id_rank: np.ndarray  # position of each record id in ascending id order
     has_knowledge: np.ndarray
@@ -160,8 +162,10 @@ def _question_matrix(dataset: Dataset, embedder: "EmbeddingProvider") -> _Questi
     ids = [rec.query.id for rec in records]
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    rows = embedder.raw_many([rec.query.text for rec in records])
     matrix = _QuestionMatrix(
-        vectors=embedder.embed_many([rec.query.text for rec in records]),
+        rows=rows,
+        sq_norms=np.einsum("ij,ij->i", rows, rows),
         ids=np.array(ids, dtype=str),
         id_rank=id_rank,
         has_knowledge=np.array([rec.knowledge is not None for rec in records], dtype=bool),
@@ -184,6 +188,8 @@ def select_examples(
     The query's own record (same id) is excluded; ties break by record id
     ascending. Returns at most k records, never padded. The dataset's
     question matrix is embedded once per provider fingerprint and reused.
+    Candidates are ranked by `cosine_key` of the raw rows, which is exact for
+    the hash backend, so the id rule decides every exact tie.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -196,8 +202,9 @@ def select_examples(
     candidates = np.flatnonzero(keep)
     if not len(candidates):
         raise InsufficientExamplesError("no candidate examples available")
-    scores = row_dots(questions.vectors, embedder.embed(query.text))[candidates]
-    best = candidates[top_j(scores, k, questions.id_rank[candidates])]
+    dots = questions.rows @ embedder.raw(query.text)
+    keys = cosine_key(dots, questions.sq_norms)[candidates]
+    best = candidates[top_j(keys, k, questions.id_rank[candidates])]
     return [dataset.records[i] for i in best]
 
 

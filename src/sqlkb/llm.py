@@ -67,7 +67,6 @@ class LedgerRecord:
     prompt_sha256: str
     prompt: str
     completion: str
-    latency: float
     backend: str
     ok: bool = True
 
@@ -202,7 +201,6 @@ class LlmClient:
             )
         digest = prompt_sha256(prompt)
         completion: Optional[str] = None
-        start = time.monotonic()
         try:
             if self.config.backend not in ("http", "mock"):
                 raise LlmError(f"unknown backend {self.config.backend!r}")
@@ -223,7 +221,6 @@ class LlmClient:
                     prompt_sha256=digest,
                     prompt=prompt,
                     completion=completion or "",
-                    latency=time.monotonic() - start,
                     backend=self.config.backend,
                     ok=completion is not None,
                 )

@@ -312,4 +312,6 @@ def load_outputs(path: Path | str) -> tuple[list[PipelineOutput], dict]:
         for key in ("sql", "knowledge"):
             if not isinstance(obj[key], (str, type(None))):
                 raise ParseError(f"{path}:{n}: {key} is not a string or null")
+            if obj[key] == "":
+                raise ParseError(f"{path}:{n}: {key} is an empty string")
     return outputs, header

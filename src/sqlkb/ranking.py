@@ -26,14 +26,19 @@ def normalize_rows(
     return np.divide(x, norms, out=out), norms
 
 
-def row_dots(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """`matrix @ vec` computed as one BLAS dot product per row.
+def cosine_key(dots: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    """Order key of cosine similarities from raw dot products.
 
-    Equal bit for bit to `[row @ vec for row in matrix]`. A plain
-    `matrix @ vec` (one matrix-vector call) accumulates in another order and
-    can differ in the last bit, which reorders mathematically tied rows.
+    `dots[..., i]` is one query's dot product with row i and `sq_norms[i]`
+    is that row's squared norm. The key `dot·|dot| / ‖row‖²` is the signed
+    squared cosine times the query's squared norm, so it rises with the
+    cosine; an all-zero row (whose dots are 0) gets 0. With integer rows
+    (hash token counts) every input is exact, so two rows whose cosines are
+    exactly equal get bit-equal keys under any blocking, dtype or row order.
     """
-    return np.matmul(matrix[:, None, :], vec[:, None])[:, 0, 0]
+    key = np.abs(dots)
+    key *= dots
+    return np.divide(key, sq_norms, out=key, where=sq_norms > 0)
 
 
 def top_j(scores: np.ndarray, j: int, tie_key: Optional[np.ndarray] = None) -> np.ndarray:
@@ -55,3 +60,10 @@ def top_j(scores: np.ndarray, j: int, tie_key: Optional[np.ndarray] = None) -> n
     keys = candidates if tie_key is None else tie_key[candidates]
     order = np.lexsort((keys, -scores[candidates]))
     return candidates[order[:j]]
+
+
+def rank_of(scores: np.ndarray, pos: int) -> int:
+    """1-based rank of row `pos` under top_j's order with no tie key
+    (score descending, then position ascending)."""
+    s = scores[pos]
+    return 1 + int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:pos] == s))

@@ -19,7 +19,7 @@ from .errors import (
     ProviderError,
     UnknownEntryError,
 )
-from .ranking import normalize_rows, top_j
+from .ranking import cosine_key, normalize_rows, rank_of, top_j
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase, KnowledgeEntry
@@ -28,9 +28,8 @@ _TOKEN = re.compile(r"[a-z0-9]+")
 
 # Texts per request of the http backend.
 HTTP_BATCH = 64
-# Rows normalized, or embedded and projected, together: bounds the
-# temporaries of large batches. Each row is computed on its own, so the
-# chunking does not change any bit of a result.
+# Rows normalized, or embedded, scored and projected, together: bounds the
+# temporaries of large batches. No bit of a result depends on the chunking.
 ROW_CHUNK = 256
 
 
@@ -38,16 +37,18 @@ ROW_CHUNK = 256
 class EmbeddingProvider:
     """Sentence embedding source.
 
-    The "hash" backend is fully deterministic and offline. Its recipe,
+    The "hash" backend is fully deterministic and offline. Its raw row,
     fixed for reproducibility: lowercase the text, extract tokens matching
     [a-z0-9]+, and for each token occurrence add 1.0 at bucket
-    int(sha256(token)[:8]) % dim; finally L2-normalize (an all-zero vector
-    is returned as-is). Texts with disjoint, non-colliding token sets are
-    therefore orthogonal.
+    int(sha256(token)[:8]) % dim. Texts with disjoint, non-colliding token
+    sets are therefore orthogonal.
 
     The "http" backend POSTs {"texts": [...]} to the endpoint, up to
     HTTP_BATCH texts per request, and expects {"embeddings": [[...], ...]}
-    back, one row per text.
+    back, one raw row per text.
+
+    `raw`/`raw_many` return the raw rows; `embed`/`embed_many` return them
+    L2-normalized (an all-zero row is returned as-is).
     """
 
     name: str = "hash"
@@ -55,7 +56,7 @@ class EmbeddingProvider:
     backend: str = "hash"  # "hash" | "http"
     endpoint: Optional[str] = None
     timeout: float = 30.0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)  # text -> raw row
     _buckets: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -63,16 +64,31 @@ class EmbeddingProvider:
         return f"{self.name}:{self.dim}:{self.backend}"
 
     def embed(self, text: str) -> np.ndarray:
-        """Return an L2-normalized vector of length dim, cached per text."""
-        cached = self._cache.get(text)
-        if cached is None:
-            cached = self._cache[text] = self.embed_many([text])[0]
-        return cached
+        """Return an L2-normalized vector of length dim, from the cached raw row."""
+        return normalize_rows(self.raw(text)[None])[0][0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Embed a batch of texts into an (n, dim) array, bypassing the cache.
 
-        With the hash backend, row i equals embed(texts[i]) bit for bit.
+        Row i equals embed(texts[i]) bit for bit.
+        """
+        rows = self.raw_many(texts)
+        for start in range(0, len(rows), ROW_CHUNK):
+            block = rows[start : start + ROW_CHUNK]
+            normalize_rows(block, out=block)
+        return rows
+
+    def raw(self, text: str) -> np.ndarray:
+        """Return the raw (unnormalized) row of one text, cached per text."""
+        cached = self._cache.get(text)
+        if cached is None:
+            cached = self._cache[text] = self.raw_many([text])[0]
+        return cached
+
+    def raw_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Raw rows of a batch of texts as an (n, dim) array, bypassing the cache.
+
+        Hash backend: each text's token counts.
         """
         if not all(texts):
             raise ValueError("cannot embed empty text")
@@ -99,9 +115,6 @@ class EmbeddingProvider:
         rows = np.repeat(np.arange(len(texts)), lengths)
         counts = np.zeros((len(texts), self.dim))
         np.add.at(counts, (rows, np.array(buckets, dtype=np.intp)), 1.0)
-        for start in range(0, len(texts), ROW_CHUNK):
-            block = counts[start : start + ROW_CHUNK]
-            normalize_rows(block, out=block)
         return counts
 
     def _http_rows(self, texts: Sequence[str]) -> np.ndarray:
@@ -125,7 +138,7 @@ class EmbeddingProvider:
                     f"service returned shape {rows.shape}, expected ({len(chunk)}, {self.dim})"
                 )
             chunks.append(rows)
-        return normalize_rows(np.concatenate(chunks))[0]
+        return np.concatenate(chunks)
 
 
 @dataclass
@@ -226,7 +239,7 @@ class KnowledgeIndex:
     matrix: np.ndarray
     provider_fingerprint: str
     head_fingerprint: Optional[str] = None
-    # Per probe of build_index: best raw-provider dot product over all entries.
+    # Per probe of build_index: best provider cosine similarity over all entries.
     probe_best: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -252,22 +265,26 @@ def embed_blocks(
     probes: np.ndarray,
     on_block: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """Embed texts ROW_CHUNK at a time; return each probe's best dot product.
+    """Embed texts ROW_CHUNK at a time; return each probe's best cosine similarity.
 
-    `probes` holds raw provider vectors, one per row. Each block is scored
-    with one matrix-vector product per probe, which reproduces the bits of
-    `full_matrix @ probe` row for row (one product over all probes at once
-    does not). `on_block(start, rows)` then receives the block. The result
-    is -inf for every probe when there are no texts.
+    `probes` holds raw provider rows, one per probe. Each block of raw rows
+    is scored against all probes with one product and ranked by
+    `cosine_key`; the best key k of a probe p is returned as the cosine
+    sign(k)·sqrt(|k|) / ‖p‖, 0 for an all-zero probe. With the hash backend
+    the keys are exact, so the result does not depend on ROW_CHUNK.
+    `on_block(start, rows)` then receives the block's normalized rows. The
+    result is -inf for a probe with tokens when there are no texts.
     """
     best = np.full(len(probes), -np.inf)
     for start in range(0, len(texts), ROW_CHUNK):
-        rows = provider.embed_many(texts[start : start + ROW_CHUNK])
-        for i, probe in enumerate(probes):
-            best[i] = max(best[i], np.max(rows @ probe))
+        rows = provider.raw_many(texts[start : start + ROW_CHUNK])
+        keys = cosine_key(probes @ rows.T, np.einsum("ij,ij->i", rows, rows))
+        np.maximum(best, keys.max(axis=1), out=best)
         if on_block is not None:
-            on_block(start, rows)
-    return best
+            on_block(start, normalize_rows(rows, out=rows)[0])
+    probe_norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
+    root = np.sign(best) * np.sqrt(np.abs(best))
+    return np.divide(root, probe_norms, out=np.zeros_like(best), where=probe_norms > 0)
 
 
 def build_index(
@@ -278,8 +295,9 @@ def build_index(
 ) -> KnowledgeIndex:
     """Embed and index every KB entry in one pass.
 
-    With `probes` (raw provider vectors, one per row), the same pass also
-    records each probe's best similarity to the entries as `probe_best`.
+    With `probes` (raw provider rows, one per probe), the same pass also
+    records each probe's best cosine similarity to the entries as
+    `probe_best` (see `embed_blocks`).
     """
     entries = tuple(kb.sorted_entries())
     if not entries:
@@ -537,7 +555,7 @@ def eval_retrieval(
         if not rel:
             raise ValueError(f"label for {query!r} has no relevant entries")
         scores = index.matrix @ embed(provider, query, head)
-        rank = min(_rank(scores, position[entry_id]) for entry_id in rel)
+        rank = min(rank_of(scores, position[entry_id]) for entry_id in rel)
         reciprocal.append(1.0 / rank)
         for k in ks:
             if rank <= k:
@@ -548,8 +566,3 @@ def eval_retrieval(
         top_at={k: hits[k] / n for k in ks},
     )
 
-
-def _rank(scores: np.ndarray, pos: int) -> int:
-    """1-based rank of row `pos` under retrieve's order (score desc, position asc)."""
-    s = scores[pos]
-    return 1 + int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:pos] == s))

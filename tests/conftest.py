@@ -1,6 +1,8 @@
 import json
+import math
 import threading
 import time
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
@@ -60,6 +62,30 @@ def tie_heavy_texts() -> Callable[[int, int], list[str]]:
         return list(texts)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def count_best_cosines() -> Callable[[EmbeddingProvider, list[str], list[str]], list[float]]:
+    """Per probe text, the best cosine over `texts` as `embed_blocks` reports
+    it, from the hash backend's token counts pair by pair in exact arithmetic:
+    the largest key d·|d| / ‖row‖² (0 for an all-zero row), then
+    sign(key)·sqrt(|key|) / ‖probe‖ (0 for an all-zero probe)."""
+
+    def best(provider: EmbeddingProvider, texts: list[str], probes: list[str]) -> list[float]:
+        rows = [[int(c) for c in row] for row in provider.raw_many(texts)]
+        out = []
+        for probe in map(provider.raw, probes):
+            q = [int(c) for c in probe]
+            keys = []
+            for row in rows:
+                d, rr = sum(a * b for a, b in zip(row, q)), sum(a * a for a in row)
+                keys.append(Fraction(d * abs(d), rr) if rr else Fraction(0))
+            key = float(max(keys))
+            qq = sum(a * a for a in q)
+            out.append(math.copysign(math.sqrt(abs(key)), key) / math.sqrt(qq) if qq else 0.0)
+        return out
+
+    return best
 
 
 class ChatStub:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +21,7 @@ from sqlkb.cli import (
 from sqlkb.config import DEFAULTS, RunConfig, load_config
 from sqlkb import llm
 from sqlkb.errors import ConfigError, LlmError
-from sqlkb.retriever import ROW_CHUNK, EmbeddingProvider
+from sqlkb.retriever import HTTP_BATCH, ROW_CHUNK, EmbeddingProvider
 from sqlkb.toy import generate_toy
 
 
@@ -364,27 +365,55 @@ def test_evaluate_embeds_kb_once(workdir, monkeypatch):
     kb_lines = (workdir / KB_FILE).read_text().splitlines()[1:]
     kb_texts = sorted(json.loads(line)["text"] for line in kb_lines)
     # Batches embedded directly; single texts (queries, gold knowledge) go
-    # through the per-text cache of `embed` and are left out.
-    batches, in_embed = [], []
-    embed, embed_many = EmbeddingProvider.embed, EmbeddingProvider.embed_many
+    # through the per-text cache of `raw`, which `embed` reads, and are left out.
+    batches, in_raw = [], []
+    raw, raw_many = EmbeddingProvider.raw, EmbeddingProvider.raw_many
 
-    def recording_embed(self, text):
-        in_embed.append(text)
+    def recording_raw(self, text):
+        in_raw.append(text)
         try:
-            return embed(self, text)
+            return raw(self, text)
         finally:
-            in_embed.pop()
+            in_raw.pop()
 
-    def recording_embed_many(self, texts):
-        if not in_embed:
+    def recording_raw_many(self, texts):
+        if not in_raw:
             batches.append(list(texts))
-        return embed_many(self, texts)
+        return raw_many(self, texts)
 
-    monkeypatch.setattr(EmbeddingProvider, "embed", recording_embed)
-    monkeypatch.setattr(EmbeddingProvider, "embed_many", recording_embed_many)
+    monkeypatch.setattr(EmbeddingProvider, "raw", recording_raw)
+    monkeypatch.setattr(EmbeddingProvider, "raw_many", recording_raw_many)
     assert run_cli(workdir, "evaluate") == 0
     assert sorted(t for batch in batches for t in batch) == kb_texts
     assert max(len(batch) for batch in batches) <= ROW_CHUNK
+
+
+def test_generate_http_embedding_requests(workdir, monkeypatch):
+    """With the http embedding backend, generate sends one request per
+    HTTP_BATCH texts of each KB block and of the train questions, and one
+    per test question (its raw row and its unit vector share a cache)."""
+    import requests
+
+    hashed = EmbeddingProvider(dim=256)
+    requests_sent = []
+
+    def post(url, json, timeout):
+        requests_sent.append(list(json["texts"]))
+        rows = hashed.raw_many(json["texts"]).tolist()
+        return SimpleNamespace(raise_for_status=lambda: None, json=lambda: {"embeddings": rows})
+
+    monkeypatch.setattr(requests, "post", post)
+    http = ("--set", "retriever.backend=http", "--set", "retriever.endpoint=http://embed.invalid")
+    assert run_cli(workdir, "build-kb", *http) == 0
+    requests_sent.clear()
+    assert run_cli(workdir, "generate", *http) == 0
+    n_kb = len((workdir / KB_FILE).read_text().splitlines()) - 1
+    n_train = len(json.loads((workdir / "train.json").read_text()))
+    test_questions = {r["question"] for r in json.loads((workdir / "test.json").read_text())}
+    kb_blocks = [min(ROW_CHUNK, n_kb - start) for start in range(0, n_kb, ROW_CHUNK)]
+    batches = lambda n: -(-n // HTTP_BATCH)
+    want = sum(map(batches, kb_blocks)) + batches(n_train) + len(test_questions)
+    assert len(requests_sent) == want
 
 
 def test_outputs_line_not_object_is_clean_error(workdir, capsys):
@@ -456,20 +485,22 @@ def test_generate_on_empty_kb_retrieves_nothing(workdir, caplog):
 
 
 @pytest.mark.parametrize(
-    "artifact, command, key, where",
+    "artifact, command, key, where, value",
     [
-        (OUTPUTS_FILE, "evaluate", "sql", "outputs.jsonl:2: sql is not a string or null"),
-        (OUTPUTS_FILE, "evaluate", "knowledge", "outputs.jsonl:2: knowledge is not a string or null"),
-        (KB_FILE, "stats", "text", "kb.jsonl:2: text is not a string"),
+        (OUTPUTS_FILE, "evaluate", "sql", "outputs.jsonl:2: sql is not a string or null", 5),
+        (OUTPUTS_FILE, "evaluate", "knowledge", "outputs.jsonl:2: knowledge is not a string or null", 5),
+        (OUTPUTS_FILE, "evaluate", "sql", "outputs.jsonl:2: sql is an empty string", ""),
+        (OUTPUTS_FILE, "evaluate", "knowledge", "outputs.jsonl:2: knowledge is an empty string", ""),
+        (KB_FILE, "stats", "text", "kb.jsonl:2: text is not a string", 5),
     ],
 )
-def test_mistyped_field_is_clean_error(workdir, capsys, artifact, command, key, where):
+def test_mistyped_field_is_clean_error(workdir, capsys, artifact, command, key, where, value):
     for cmd in ("build-kb", "generate"):
         assert run_cli(workdir, cmd) == 0, cmd
     path = workdir / artifact
     lines = path.read_text().splitlines()
     record = json.loads(lines[1])
-    record[key] = 5
+    record[key] = value
     path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
     capsys.readouterr()
     assert run_cli(workdir, command) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlkb import evaluation
+from sqlkb import evaluation, retriever
 from sqlkb.errors import AlignmentError, EmptySetError, NonPositiveTimeError
 from sqlkb.evaluation import (
     EvalConfig,
@@ -237,20 +237,35 @@ def test_kb_coverage_planted(provider):
 
 
 @pytest.mark.parametrize("n", [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3])
-def test_kb_coverage_best_similarity_bit_identical(provider, tie_heavy_texts, n):
+def test_kb_coverage_best_similarity_bit_identical(
+    provider, tie_heavy_texts, count_best_cosines, n
+):
     kb = KnowledgeBase()
     for text in tie_heavy_texts(n):
         kb.add(KnowledgeEntry.from_text(text, "dataset", "db"))
     gold = tie_heavy_texts(12, seed=5)
-    full = provider.embed_many([e.text for e in kb.sorted_entries()])
-    want = [float(np.max(full @ provider.embed(g))) for g in gold]
+    want = count_best_cosines(provider, [e.text for e in kb.sorted_entries()], gold)
     walked = kb_coverage(kb, gold, provider)
-    probes = np.array([provider.embed(g) for g in gold])
+    probes = np.array([provider.raw(g) for g in gold])
     supplied = kb_coverage(kb, gold, provider, build_index(kb, provider, None, probes).probe_best)
     for report in (walked, supplied):
         assert [p["best_similarity"] for p in report.per_gold] == want
         assert report.mean_best_similarity == float(np.mean(want))
     assert walked == supplied
+
+
+def test_kb_coverage_maxima_do_not_depend_on_row_chunk(provider, tie_heavy_texts, monkeypatch):
+    kb = KnowledgeBase()
+    for text in tie_heavy_texts(300):
+        kb.add(KnowledgeEntry.from_text(text, "dataset", "db"))
+    gold = tie_heavy_texts(12, seed=5)
+    probes = np.array([provider.raw(g) for g in gold])
+    maxima = []
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(retriever, "ROW_CHUNK", chunk)
+        maxima.append([p["best_similarity"] for p in kb_coverage(kb, gold, provider).per_gold])
+        maxima.append(build_index(kb, provider, None, probes).probe_best.tolist())
+    assert all(m == maxima[0] for m in maxima)
 
 
 def test_kb_coverage_empty_kb_reports_zero(provider):

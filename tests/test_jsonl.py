@@ -32,7 +32,7 @@ def sample_ledger(n: int) -> CallLedger:
     for i in range(n):
         prompt = f"Question: q{i}\nSQL: "
         ledger.append(
-            LedgerRecord(prompt_sha256(prompt), prompt, f"SELECT {i}", 0.1, "mock", ok=i != 1)
+            LedgerRecord(prompt_sha256(prompt), prompt, f"SELECT {i}", "mock", ok=i != 1)
         )
     return ledger
 

@@ -212,7 +212,6 @@ def test_fixture_skips_failed_records(tmp_path):
             prompt_sha256=prompt_sha256("failed"),
             prompt="failed",
             completion="",
-            latency=0.0,
             backend="mock",
             ok=False,
         )

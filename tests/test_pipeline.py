@@ -345,16 +345,16 @@ def test_run_pipeline_concurrent_matches_serial(chat_stub, train_ds, test_ds, pr
 def test_run_pipeline_embeds_train_questions_once(chat_stub, toy_dir, test_ds, provider):
     train = load_dataset(toy_dir / "train.json", toy_dir / "databases")
     questions = [r.query.text for r in train.records]
-    embed_many = provider.embed_many
+    raw_many = provider.raw_many
     passes = []
 
     def counted(texts):
         if list(texts) == questions:
             passes.append(threading.get_ident())
             time.sleep(0.2)  # long enough for every worker to reach it
-        return embed_many(texts)
+        return raw_many(texts)
 
-    provider.embed_many = counted
+    provider.raw_many = counted
     index = build_index(init_kb(train), provider)
     client = chat_stub.client(4)
     chat_stub.bounded(

@@ -1,5 +1,7 @@
 """The shared ranking core against full-sort oracles, on tie-heavy inputs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from sqlkb.dataset import Dataset, ExampleTriplet, Query
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, select_examples
-from sqlkb.ranking import normalize_rows, row_dots, top_j
+from sqlkb.ranking import normalize_rows, rank_of, top_j
 from sqlkb.retriever import EmbeddingProvider, build_index, embed, eval_retrieval
 
 
@@ -32,6 +34,8 @@ def test_top_j_equals_full_lexsort(case):
     for j in (1, n - 1, n, n + 3):
         got = top_j(scores, j, tie_key)
         assert got.tolist() == brute[:j].tolist()
+    if tie_key is None:
+        assert [rank_of(scores, pos) for pos in brute] == list(range(1, n + 1))
 
 
 def test_top_j_keeps_every_tie_at_the_cut():
@@ -51,13 +55,6 @@ def test_normalize_rows_leaves_zero_rows():
     assert norms.tolist() == [[5.0], [1.0]]
     vec, norm = normalize_rows(np.array([0.0, 2.0]))
     assert vec.tolist() == [0.0, 1.0] and norm.tolist() == [2.0]
-
-
-def test_row_dots_equal_per_row_dot():
-    rng = np.random.default_rng(5)
-    matrix = rng.standard_normal((300, 64))
-    vec = rng.standard_normal(64)
-    assert np.array_equal(row_dots(matrix, vec), np.array([row @ vec for row in matrix]))
 
 
 # --- eval_retrieval ---
@@ -150,3 +147,51 @@ def test_select_examples_caches_question_matrix_per_provider():
     select_examples(probe, ds, 3, EmbeddingProvider(dim=32))
     assert sorted(ds.question_vectors) == ["hash:16:hash", "hash:32:hash"]
     assert ds == Dataset(records=ds.records)  # the cache takes no part in equality
+
+
+@st.composite
+def tie_heavy_records(draw):
+    """Question texts over a three-word vocabulary with repeated tokens and
+    varied lengths: many share a token bag up to scale, so their cosines to
+    any query tie exactly. Some texts have no token at all."""
+    words = st.sampled_from(["red", "green", "blue", "!"])
+    texts = draw(
+        st.lists(st.lists(words, min_size=1, max_size=8).map(" ".join), min_size=2, max_size=40)
+    )
+    ids = draw(st.permutations([f"q{i:02d}" for i in range(len(texts))]))
+    records = tuple(
+        ExampleTriplet(
+            query=Query(id=qid, text=text, db_id="db"), schema_ref="db", knowledge="fact"
+        )
+        for qid, text in zip(ids, texts)
+    )
+    return records, draw(st.permutations(range(len(records))))
+
+
+def _exact_ranking(query: Query, records, provider: EmbeddingProvider) -> list[str]:
+    """Record ids by exact cosine to the query (as the signed squared cosine,
+    a Fraction of the integer token counts; 0 for an all-zero row), descending,
+    then id ascending."""
+    q = [int(c) for c in provider.raw(query.text)]
+    qq = sum(c * c for c in q)
+
+    def key(rec):
+        row = [int(c) for c in provider.raw(rec.query.text)]
+        d, rr = sum(a * b for a, b in zip(row, q)), sum(c * c for c in row)
+        return (-Fraction(d * abs(d), rr * qq) if rr and qq else Fraction(0), rec.query.id)
+
+    return [r.query.id for r in sorted((r for r in records if r.query.id != query.id), key=key)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_records(), st.integers(min_value=1, max_value=45))
+def test_select_examples_equals_exact_ranking(case, k):
+    records, perm = case
+    provider = EmbeddingProvider(dim=8)
+    ds = Dataset(records=records)
+    shuffled = Dataset(records=tuple(records[i] for i in perm))
+    for query in (records[0].query, Query(id="probe", text="red red blue", db_id="db")):
+        want = _exact_ranking(query, records, provider)[:k]
+        for dataset in (ds, shuffled):
+            got = select_examples(query, dataset, k, provider)
+            assert [r.query.id for r in got] == want

@@ -71,6 +71,21 @@ def test_hash_embed_token_counts():
     assert not np.allclose(one, two)
 
 
+def test_hash_raw_rows_are_token_counts():
+    prov = EmbeddingProvider(dim=256)
+    bucket = {
+        t: int.from_bytes(hashlib.sha256(t.encode()).digest()[:8], "big") % 256
+        for t in ("alpha", "beta")
+    }
+    expected = np.zeros(256)
+    expected[bucket["alpha"]] += 2.0
+    expected[bucket["beta"]] += 1.0
+    text = "Alpha alpha, beta!"
+    assert prov.raw(text).tolist() == expected.tolist()
+    assert prov.raw_many([text, "!!!"]).tolist() == [expected.tolist(), [0.0] * 256]
+    assert np.array_equal(prov.embed(text), expected / np.linalg.norm(expected))
+
+
 def test_disjoint_tokens_orthogonal():
     prov = EmbeddingProvider(dim=256)
 
@@ -201,16 +216,19 @@ KB_SIZES = [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3]
 
 @pytest.mark.parametrize("n", KB_SIZES)
 @pytest.mark.parametrize("head_dim", [None, 32])
-def test_build_index_probes_leave_matrix_unchanged(provider, tie_heavy_texts, n, head_dim):
+def test_build_index_probes_leave_matrix_unchanged(
+    provider, tie_heavy_texts, count_best_cosines, n, head_dim
+):
     kb = make_kb(tie_heavy_texts(n))
     head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
-    probes = provider.embed_many(tie_heavy_texts(5, seed=9))
+    probe_texts = tie_heavy_texts(5, seed=9)
+    probes = provider.raw_many(probe_texts)
     plain = build_index(kb, provider, head)
     probed = build_index(kb, provider, head, probes)
     assert np.array_equal(probed.matrix, plain.matrix)
     assert plain.probe_best is None
-    full = provider.embed_many([e.text for e in kb.sorted_entries()])
-    assert probed.probe_best.tolist() == [float(np.max(full @ p)) for p in probes]
+    texts = [e.text for e in kb.sorted_entries()]
+    assert probed.probe_best.tolist() == count_best_cosines(provider, texts, probe_texts)
 
 
 def test_index_requires_entries_in_id_order(provider):
