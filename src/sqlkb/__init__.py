@@ -40,6 +40,7 @@ from .retriever import (
     embed,
     eval_retrieval,
     info_nce_loss,
+    load_or_build_index,
     retrieve,
     train_head,
 )

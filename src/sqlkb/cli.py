@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 
 KB_FILE = "kb.jsonl"
 HEAD_FILE = "head.json"
+INDEX_FILE = "kb_index.npz"
 OUTPUTS_FILE = "outputs.jsonl"
 REPORT_JSON = "report.json"
 REPORT_TXT = "report.txt"
@@ -197,7 +198,7 @@ def cmd_retrieve(cfg: RunConfig, args: argparse.Namespace) -> int:
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
     head = _load_head(cfg)
-    index = retriever.build_index(kb, provider, head)
+    index = retriever.load_or_build_index(cfg.workdir / INDEX_FILE, kb, provider, head)
     results = retriever.retrieve(
         args.query, index, cfg["pipeline"]["top_j"], provider, head
     )
@@ -215,7 +216,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     index = None
     if pipe_cfg.top_j > 0:
         if len(kb):
-            index = retriever.build_index(kb, provider, head)
+            index = retriever.load_or_build_index(cfg.workdir / INDEX_FILE, kb, provider, head)
         else:
             logger.warning("the knowledge base has no entries; no knowledge is retrieved")
     client = _llm_client(cfg)
@@ -244,11 +245,16 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 
-    # The gold texts ride along as probes, so the KB is embedded only once.
+    # The gold texts ride along as probes: they are scored in the pass that
+    # builds the index, or against the raw rows stored with it.
     # An empty KB gets no index: EX, VES, EM and SS need none.
     gold_knowledge = [r.knowledge for r in test.records if r.knowledge is not None]
     probes = np.array([provider.raw(g) for g in gold_knowledge]) if gold_knowledge else None
-    index = retriever.build_index(kb, provider, head, probes) if len(kb) else None
+    index = None
+    if len(kb):
+        index = retriever.load_or_build_index(
+            cfg.workdir / INDEX_FILE, kb, provider, head, probes
+        )
     if gold_knowledge:
         best = index.probe_best if index is not None else None
         coverage = evaluation.kb_coverage(kb, gold_knowledge, provider, best)

@@ -350,6 +350,14 @@ def load_kb(path: Path | str) -> KnowledgeBase:
     return kb
 
 
+def kb_digest(kb: KnowledgeBase) -> str:
+    """sha256 over the KB's (id, text) pairs in id order, each written as
+    `<len(id)>:<id><len(text)>:<text>` so no two lists of pairs share an
+    encoding. The other entry fields change no embedding and are left out."""
+    body = "".join(f"{len(e.id)}:{e.id}{len(e.text)}:{e.text}" for e in kb.sorted_entries())
+    return hashlib.sha256(body.encode("utf-8", "surrogatepass")).hexdigest()
+
+
 def kb_header(path: Path | str) -> dict:
     """Read only the header line of a persisted KB file ({} for an empty file)."""
     return next(read_jsonl(path, header=True), (0, {}))[1]

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import re
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from .errors import (
     ConfigError,
@@ -19,10 +24,13 @@ from .errors import (
     ProviderError,
     UnknownEntryError,
 )
+from .knowledge_base import kb_digest
 from .ranking import cosine_key, normalize_rows, rank_of, top_j
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase, KnowledgeEntry
+
+logger = logging.getLogger(__name__)
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -31,6 +39,10 @@ HTTP_BATCH = 64
 # Rows normalized, or embedded, scored and projected, together: bounds the
 # temporaries of large batches. No bit of a result depends on the chunking.
 ROW_CHUNK = 256
+
+# The index file: a zip of .npy members (an .npz) plus this JSON member.
+INDEX_FORMAT = "sqlkb/index/v1"
+INDEX_META = "index.json"
 
 
 @dataclass
@@ -156,6 +168,8 @@ class ProjectionHead:
             raise ValueError("head weights must be finite")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.holdout_mrr is not None and not 0 <= self.holdout_mrr <= 1:
+            raise ValueError("holdout_mrr must be in [0, 1]")
 
     @property
     def dim_in(self) -> int:
@@ -197,6 +211,8 @@ class ProjectionHead:
             "provider_fingerprint": provider_fingerprint,
             "weights": self.weights.tolist(),
         }
+        if self.holdout_mrr is not None:
+            obj["holdout_mrr"] = self.holdout_mrr
         if config_hash is not None:
             obj["config_hash"] = config_hash
         Path(path).write_text(json.dumps(obj) + "\n")
@@ -205,7 +221,11 @@ class ProjectionHead:
     def load(cls, path: Path | str) -> tuple["ProjectionHead", dict]:
         try:
             obj = json.loads(Path(path).read_text())
-            head = cls(weights=np.asarray(obj["weights"], dtype=np.float64), tau=obj["tau"])
+            head = cls(
+                weights=np.asarray(obj["weights"], dtype=np.float64),
+                tau=obj["tau"],
+                holdout_mrr=obj.get("holdout_mrr"),
+            )
         except KeyError as exc:
             raise ParseError(f"{path}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -259,32 +279,55 @@ class KnowledgeIndex:
         return [e.id for e in self.entries]
 
 
+def score_blocks(
+    blocks: Iterable[np.ndarray],
+    probes: np.ndarray,
+    on_block: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> np.ndarray:
+    """Each probe's best cosine similarity over the rows of raw row blocks.
+
+    `probes` holds raw provider rows, one per probe. Each block is scored
+    against all probes with one product and ranked by `cosine_key`; the best
+    key k of a probe p is returned as the cosine sign(k)·sqrt(|k|) / ‖p‖, 0
+    for an all-zero probe. With the hash backend the keys are exact, so the
+    result does not depend on the blocking. `on_block(start, rows)` then
+    receives the block's normalized rows. The result is -inf for a probe
+    with tokens when there are no rows.
+    """
+    best = np.full(len(probes), -np.inf)
+    start = 0
+    for rows in blocks:
+        keys = cosine_key(probes @ rows.T, np.einsum("ij,ij->i", rows, rows))
+        np.maximum(best, keys.max(axis=1), out=best)
+        if on_block is not None:
+            on_block(start, normalize_rows(rows, out=rows)[0])
+        start += len(rows)
+    probe_norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
+    root = np.sign(best) * np.sqrt(np.abs(best))
+    return np.divide(root, probe_norms, out=np.zeros_like(best), where=probe_norms > 0)
+
+
 def embed_blocks(
     texts: Sequence[str],
     provider: EmbeddingProvider,
     probes: np.ndarray,
     on_block: Optional[Callable[[int, np.ndarray], None]] = None,
+    on_raw: Optional[Callable[[np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """Embed texts ROW_CHUNK at a time; return each probe's best cosine similarity.
+    """Embed texts ROW_CHUNK at a time and score them with `score_blocks`.
 
-    `probes` holds raw provider rows, one per probe. Each block of raw rows
-    is scored against all probes with one product and ranked by
-    `cosine_key`; the best key k of a probe p is returned as the cosine
-    sign(k)·sqrt(|k|) / ‖p‖, 0 for an all-zero probe. With the hash backend
-    the keys are exact, so the result does not depend on ROW_CHUNK.
-    `on_block(start, rows)` then receives the block's normalized rows. The
-    result is -inf for a probe with tokens when there are no texts.
+    `on_raw(rows)`, when given, receives each block's raw rows before they
+    are scored and normalized.
     """
-    best = np.full(len(probes), -np.inf)
-    for start in range(0, len(texts), ROW_CHUNK):
-        rows = provider.raw_many(texts[start : start + ROW_CHUNK])
-        keys = cosine_key(probes @ rows.T, np.einsum("ij,ij->i", rows, rows))
-        np.maximum(best, keys.max(axis=1), out=best)
-        if on_block is not None:
-            on_block(start, normalize_rows(rows, out=rows)[0])
-    probe_norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
-    root = np.sign(best) * np.sqrt(np.abs(best))
-    return np.divide(root, probe_norms, out=np.zeros_like(best), where=probe_norms > 0)
+
+    def blocks() -> Iterator[np.ndarray]:
+        for start in range(0, len(texts), ROW_CHUNK):
+            rows = provider.raw_many(texts[start : start + ROW_CHUNK])
+            if on_raw is not None:
+                on_raw(rows)
+            yield rows
+
+    return score_blocks(blocks(), probes, on_block)
 
 
 def build_index(
@@ -292,12 +335,14 @@ def build_index(
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
     probes: Optional[np.ndarray] = None,
+    on_raw: Optional[Callable[[np.ndarray], None]] = None,
 ) -> KnowledgeIndex:
     """Embed and index every KB entry in one pass.
 
     With `probes` (raw provider rows, one per probe), the same pass also
     records each probe's best cosine similarity to the entries as
-    `probe_best` (see `embed_blocks`).
+    `probe_best` (see `score_blocks`). `on_raw` receives the entries' raw
+    rows block by block, in id order (see `embed_blocks`).
     """
     entries = tuple(kb.sorted_entries())
     if not entries:
@@ -312,6 +357,7 @@ def build_index(
         provider,
         probes if probes is not None else np.empty((0, provider.dim)),
         store,
+        on_raw,
     )
     return KnowledgeIndex(
         entries=entries,
@@ -320,6 +366,145 @@ def build_index(
         head_fingerprint=head.fingerprint if head is not None else None,
         probe_best=best if probes is not None else None,
     )
+
+
+def load_or_build_index(
+    path: Path | str,
+    kb: "KnowledgeBase",
+    provider: EmbeddingProvider,
+    head: Optional[ProjectionHead] = None,
+    probes: Optional[np.ndarray] = None,
+) -> KnowledgeIndex:
+    """`build_index`, kept in the index file at `path` for later calls.
+
+    The file is loaded when it was built for the same key: the KB's (id,
+    text) pairs, the provider and its endpoint, and the head. Otherwise, or
+    when it is missing, truncated or corrupt, the index is built and the
+    file replaced; a stale or unreadable file is reported with a warning.
+    A loaded index equals a built one bit for bit, `probe_best` included:
+    the probes are scored against the stored raw rows, one block at a time.
+    """
+    path = Path(path)
+    key = {
+        "kb": kb_digest(kb),
+        "provider": provider.fingerprint,
+        "endpoint": provider.endpoint,
+        "head": head.fingerprint if head is not None else None,
+    }
+    if path.exists():
+        try:
+            index = _load_index(path, key, kb, provider, head, probes)
+        # Only a cache: whatever a damaged file raises (zipfile, numpy's header
+        # parser and json each have their own errors), it is rebuilt.
+        except Exception as exc:
+            logger.warning(
+                "index file %s is unreadable (%s: %s); rebuilding it", path, type(exc).__name__, exc
+            )
+        else:
+            if index is not None:
+                return index
+            logger.warning(
+                "index file %s was built for another KB, provider or head; rebuilding it", path
+            )
+    return _build_index_file(path, key, kb, provider, head, probes)
+
+
+def _build_index_file(
+    path: Path,
+    key: dict,
+    kb: "KnowledgeBase",
+    provider: EmbeddingProvider,
+    head: Optional[ProjectionHead],
+    probes: Optional[np.ndarray],
+) -> KnowledgeIndex:
+    """Build the index while streaming its raw rows into a temporary file,
+    then put the file in place at once, so no reader pairs the key with
+    another build's arrays."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as file, zipfile.ZipFile(file, "w") as zf:
+            raw_names: list[str] = []
+
+            def write_raw(rows: np.ndarray) -> None:
+                raw_names.append(f"raw/{len(raw_names)}.npy")
+                if provider.backend == "hash":  # token counts, held exactly
+                    rows = rows.astype(np.min_scalar_type(int(rows.max())))
+                _write_array(zf, raw_names[-1], rows)
+
+            index = build_index(kb, provider, head, probes, write_raw)
+            _write_array(zf, "matrix.npy", index.matrix)
+            meta = {"format": INDEX_FORMAT, "key": key, "raw": raw_names}
+            zf.writestr(INDEX_META, json.dumps(meta))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+    return index
+
+
+def _load_index(
+    path: Path,
+    key: dict,
+    kb: "KnowledgeBase",
+    provider: EmbeddingProvider,
+    head: Optional[ProjectionHead],
+    probes: Optional[np.ndarray],
+) -> Optional[KnowledgeIndex]:
+    """The index stored at `path`, or None when it was built for another key."""
+    with zipfile.ZipFile(path) as zf:
+        meta = json.loads(zf.read(INDEX_META))
+        if meta["format"] != INDEX_FORMAT or meta["key"] != key:
+            return None
+        entries = tuple(kb.sorted_entries())
+        matrix = _read_array(zf, "matrix.npy")
+        dim_out = head.dim_out if head is not None else provider.dim
+        if matrix.dtype != np.float64 or matrix.shape != (len(entries), dim_out):
+            raise ValueError(f"matrix is {matrix.dtype} {matrix.shape}")
+        best = None
+        if probes is not None:
+            blocks = _stored_rows(zf, meta["raw"], (len(entries), provider.dim))
+            best = score_blocks(blocks, probes)
+    return KnowledgeIndex(
+        entries=entries,
+        matrix=matrix,
+        provider_fingerprint=key["provider"],
+        head_fingerprint=key["head"],
+        probe_best=best,
+    )
+
+
+def _stored_rows(
+    zf: zipfile.ZipFile, names: list[str], shape: tuple[int, int]
+) -> Iterator[np.ndarray]:
+    """The stored raw row blocks as float64, one at a time, checked to add
+    up to `shape`."""
+    seen = 0
+    for name in names:
+        rows = _read_array(zf, name)
+        seen += len(rows)
+        if rows.ndim != 2 or rows.shape[1] != shape[1] or seen > shape[0]:
+            raise ValueError(f"{name} does not fit {shape} raw rows")
+        yield rows.astype(np.float64)
+    if seen != shape[0]:
+        raise ValueError(f"{seen} raw rows stored for {shape[0]} entries")
+
+
+def _write_array(zf: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    """Write `array` as an .npy member, ROW_CHUNK rows at a time: numpy's
+    `write_array` would copy up to 16 MB of it at once."""
+    with zf.open(name, "w", force_zip64=True) as f:
+        npformat.write_array_header_1_0(f, npformat.header_data_from_array_1_0(array))
+        for start in range(0, len(array), ROW_CHUNK):
+            f.write(array[start : start + ROW_CHUNK].tobytes())
+
+
+def _read_array(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    """Read an .npy member to its end, so its CRC is checked."""
+    with zf.open(name) as f:
+        array = npformat.read_array(f)
+        if f.read(1):
+            raise ValueError(f"{name} has bytes past its array")
+    return array
 
 
 def _check_fingerprints(

@@ -11,6 +11,7 @@ from sqlkb import cli
 from sqlkb.cli import (
     KB_FILE,
     HEAD_FILE,
+    INDEX_FILE,
     LEDGER_FILE,
     OUTPUTS_FILE,
     REPORT_JSON,
@@ -359,9 +360,14 @@ def test_corrupt_kb_is_clean_error(workdir, capsys, corrupt, where):
     assert err.startswith("error: ParseError") and where in err
 
 
-def test_evaluate_embeds_kb_once(workdir, monkeypatch):
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_evaluate_embeds_kb_once(workdir, monkeypatch, cold):
+    """Cold (no index file): evaluate embeds each KB text once. Warm: it
+    reads the index generate wrote and embeds no KB text."""
     for cmd in ("build-kb", "train-retriever", "generate"):
         assert run_cli(workdir, cmd) == 0, cmd
+    if cold:
+        (workdir / INDEX_FILE).unlink()
     kb_lines = (workdir / KB_FILE).read_text().splitlines()[1:]
     kb_texts = sorted(json.loads(line)["text"] for line in kb_lines)
     # Batches embedded directly; single texts (queries, gold knowledge) go
@@ -384,8 +390,27 @@ def test_evaluate_embeds_kb_once(workdir, monkeypatch):
     monkeypatch.setattr(EmbeddingProvider, "raw", recording_raw)
     monkeypatch.setattr(EmbeddingProvider, "raw_many", recording_raw_many)
     assert run_cli(workdir, "evaluate") == 0
-    assert sorted(t for batch in batches for t in batch) == kb_texts
-    assert max(len(batch) for batch in batches) <= ROW_CHUNK
+    assert sorted(t for batch in batches for t in batch) == (kb_texts if cold else [])
+    assert max(map(len, batches), default=0) <= ROW_CHUNK
+
+
+def test_edited_kb_line_rebuilds_the_index(workdir, capsys, caplog):
+    for cmd in ("build-kb", "train-retriever", "generate"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    query = "which employees rank highest in New York"
+    path = workdir / KB_FILE
+    lines = path.read_text().splitlines()
+    entry = json.loads(lines[1])
+    entry["text"] = query
+    path.write_text("\n".join([lines[0], json.dumps(entry), *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert run_cli(workdir, "retrieve", query) == 0
+    kept = capsys.readouterr().out
+    assert "built for another KB" in caplog.text
+    assert kept.splitlines()[0].endswith(f"{entry['id']}  {query}")
+    (workdir / INDEX_FILE).unlink()
+    assert run_cli(workdir, "retrieve", query) == 0
+    assert capsys.readouterr().out == kept
 
 
 def test_generate_http_embedding_requests(workdir, monkeypatch):
@@ -414,6 +439,29 @@ def test_generate_http_embedding_requests(workdir, monkeypatch):
     batches = lambda n: -(-n // HTTP_BATCH)
     want = sum(map(batches, kb_blocks)) + batches(n_train) + len(test_questions)
     assert len(requests_sent) == want
+
+
+def test_evaluate_after_generate_sends_no_kb_embedding_request(workdir, monkeypatch):
+    """With the http embedding backend, evaluate reads the KB rows from the
+    index file generate wrote: each request carries one text of its own."""
+    import requests
+
+    hashed = EmbeddingProvider(dim=256)
+    requests_sent = []
+
+    def post(url, json, timeout):
+        requests_sent.append(list(json["texts"]))
+        rows = hashed.raw_many(json["texts"]).tolist()
+        return SimpleNamespace(raise_for_status=lambda: None, json=lambda: {"embeddings": rows})
+
+    monkeypatch.setattr(requests, "post", post)
+    http = ("--set", "retriever.backend=http", "--set", "retriever.endpoint=http://embed.invalid")
+    for cmd in ("build-kb", "train-retriever", "generate"):
+        assert run_cli(workdir, cmd, *http) == 0, cmd
+    requests_sent.clear()
+    assert run_cli(workdir, "evaluate", *http) == 0
+    assert requests_sent and all(len(texts) == 1 for texts in requests_sent)
+    assert len({texts[0] for texts in requests_sent}) == len(requests_sent)
 
 
 def test_outputs_line_not_object_is_clean_error(workdir, capsys):
@@ -456,6 +504,7 @@ def test_evaluate_on_empty_kb_reports_zero_coverage(workdir, capsys):
         (lambda text: text[: len(text) // 2], "head.json: "),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "weights"}),
          "head.json: missing key 'weights'"),
+        (lambda text: json.dumps({**json.loads(text), "holdout_mrr": "high"}), "head.json: "),
     ],
 )
 def test_corrupt_head_is_clean_error(workdir, capsys, corrupt, where):

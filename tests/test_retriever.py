@@ -13,6 +13,7 @@ from sqlkb.errors import (
     ProviderError,
     UnknownEntryError,
 )
+from sqlkb import retriever
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry
 from sqlkb.retriever import (
     HTTP_BATCH,
@@ -28,6 +29,7 @@ from sqlkb.retriever import (
     info_nce_batch,
     info_nce_loss,
     init_head,
+    load_or_build_index,
     retrieve,
     train_head,
 )
@@ -231,6 +233,127 @@ def test_build_index_probes_leave_matrix_unchanged(
     assert probed.probe_best.tolist() == count_best_cosines(provider, texts, probe_texts)
 
 
+@pytest.mark.parametrize("n", KB_SIZES)
+@pytest.mark.parametrize("head_dim", [None, 32])
+def test_loaded_index_equals_built_index(tmp_path, provider, tie_heavy_texts, n, head_dim):
+    kb = make_kb(tie_heavy_texts(n))
+    head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
+    probes = provider.raw_many(tie_heavy_texts(5, seed=9))
+    built = build_index(kb, provider, head, probes)
+    path = tmp_path / "kb_index.npz"
+    # written without probes, as by generate; loaded with and without them
+    load_or_build_index(path, kb, provider, head)
+    for loaded in (
+        load_or_build_index(path, kb, provider, head, probes),
+        load_or_build_index(path, kb, provider, head),
+    ):
+        assert loaded.ids == built.ids
+        assert np.array_equal(loaded.matrix, built.matrix)
+        assert (loaded.provider_fingerprint, loaded.head_fingerprint) == (
+            built.provider_fingerprint,
+            built.head_fingerprint,
+        )
+    assert loaded.probe_best is None
+    assert load_or_build_index(path, kb, provider, head, probes).probe_best.tolist() == (
+        built.probe_best.tolist()
+    )
+    with pytest.raises(ConfigError):
+        retrieve("alpha", loaded, 1, provider, init_head(provider.dim, 8, seed=2))
+
+
+def count_builds(monkeypatch) -> list:
+    builds = []
+    build = retriever.build_index
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(retriever, "build_index", counting)
+    return builds
+
+
+def rolled_hash_service(url, json, timeout):
+    """An embedding service whose rows are hash rows rolled by the url's length."""
+    rows = np.roll(EmbeddingProvider(dim=32).raw_many(json["texts"]), len(url), axis=1)
+    return _FakeResponse({"embeddings": rows.tolist()})
+
+
+INDEX_SETUPS = {
+    "hash": lambda: (EmbeddingProvider(dim=32), None),
+    "head": lambda: (EmbeddingProvider(dim=32), init_head(32, 8, seed=1)),
+    "retrained head": lambda: (EmbeddingProvider(dim=32), init_head(32, 8, seed=2)),
+    "other dim": lambda: (EmbeddingProvider(dim=16), None),
+    "http": lambda: (EmbeddingProvider(dim=32, backend="http", endpoint="http://a.invalid"), None),
+    "other endpoint": lambda: (
+        EmbeddingProvider(dim=32, backend="http", endpoint="http://other.invalid"),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "before, after", [("head", "retrained head"), ("hash", "other dim"), ("http", "other endpoint")]
+)
+def test_index_key_change_forces_rebuild(tmp_path, monkeypatch, caplog, before, after):
+    import requests
+
+    monkeypatch.setattr(requests, "post", rolled_hash_service)
+    kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(300)])
+    path = tmp_path / "kb_index.npz"
+    builds = count_builds(monkeypatch)
+    for _ in range(2):
+        load_or_build_index(path, kb, *INDEX_SETUPS[before]())
+    assert len(builds) == 1 and not caplog.text
+    for _ in range(2):
+        index = load_or_build_index(path, kb, *INDEX_SETUPS[after]())
+    assert len(builds) == 2 and "built for another KB, provider or head" in caplog.text
+    fresh = retriever.build_index(kb, *INDEX_SETUPS[after]())
+    assert np.array_equal(index.matrix, fresh.matrix)
+    assert index.head_fingerprint == fresh.head_fingerprint
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+        pytest.param(lambda data: data[:3000] + bytes([data[3000] ^ 1]) + data[3001:], id="flipped"),
+        pytest.param(lambda data: b"", id="empty"),
+    ],
+)
+def test_damaged_index_file_is_rebuilt_with_a_warning(tmp_path, provider, caplog, damage):
+    kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(2 * ROW_CHUNK)])
+    probes = provider.raw_many(["token3 words", "entry 5"])
+    built = build_index(kb, provider, None, probes)
+    path = tmp_path / "kb_index.npz"
+    load_or_build_index(path, kb, provider)
+    path.write_bytes(damage(path.read_bytes()))
+    index = load_or_build_index(path, kb, provider, None, probes)
+    assert "is unreadable" in caplog.text
+    assert np.array_equal(index.matrix, built.matrix)
+    assert index.probe_best.tolist() == built.probe_best.tolist()
+    caplog.clear()
+    load_or_build_index(path, kb, provider, None, probes)
+    assert not caplog.text
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("repeats, dtype", [(255, np.uint8), (256, np.uint16), (70_000, np.uint32)])
+def test_index_file_holds_token_counts_exactly(tmp_path, provider, repeats, dtype):
+    kb = make_kb(["word " * repeats, "word and other words", "no shared tokens"])
+    texts = [e.text for e in kb.sorted_entries()]
+    probes = provider.raw_many(["word", "other words"])
+    built = build_index(kb, provider, None, probes)
+    path = tmp_path / "kb_index.npz"
+    load_or_build_index(path, kb, provider)
+    with np.load(path) as stored_file:
+        stored = stored_file["raw/0"]
+    assert stored.dtype == dtype
+    assert np.array_equal(stored, provider.raw_many(texts))
+    loaded = load_or_build_index(path, kb, provider, None, probes)
+    assert loaded.probe_best.tolist() == built.probe_best.tolist()
+
+
 def test_index_requires_entries_in_id_order(provider):
     idx = build_index(make_kb(["one two three", "four five six"]), provider)
     with pytest.raises(ValueError):
@@ -415,13 +538,18 @@ def test_head_dimension_check():
 
 def test_head_save_load_roundtrip(tmp_path):
     head = init_head(6, 3, seed=5)
+    head.holdout_mrr = 0.8125
     path = tmp_path / "head.json"
     head.save(path, provider_fingerprint="hash:6:hash", config_hash="abc")
     again, meta = ProjectionHead.load(path)
     assert np.array_equal(again.weights, head.weights)
     assert again.tau == head.tau
+    assert again.holdout_mrr == head.holdout_mrr
     assert meta["provider_fingerprint"] == "hash:6:hash"
     assert meta["config_hash"] == "abc"
+    init_head(6, 3, seed=5).save(path)
+    assert "holdout_mrr" not in path.read_text()
+    assert ProjectionHead.load(path)[0].holdout_mrr is None
 
 
 def synthetic_pairs():
