@@ -1,5 +1,8 @@
 """Knowledge-base construction, dense retrieval, and evaluation for LLM text-to-SQL."""
 
+# First, so that modules imported below can read it.
+__version__ = "0.1.0"
+
 from .dataset import (
     Dataset,
     DatabaseSchema,
@@ -57,5 +60,3 @@ from .evaluation import (
     knowledge_exact_match,
     knowledge_semantic_similarity,
 )
-
-__version__ = "0.1.0"

@@ -7,12 +7,13 @@ and replayed so pipeline runs are bit-reproducible in tests.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from .errors import (
     ContextOverflowError,
@@ -22,6 +23,10 @@ from .errors import (
     ReplayDriftError,
 )
 from .jsonl import read_jsonl, write_jsonl
+from .transport import post_json
+
+if TYPE_CHECKING:
+    from email.message import Message
 
 logger = logging.getLogger(__name__)
 
@@ -161,8 +166,9 @@ class LlmClient:
         """Return [fn(client, item) for item in items], in item order.
 
         With the http backend and max_inflight > 1 the calls run on a pool of
-        max_inflight threads, all submitted at once, so a call sleeping
-        through a retry backoff does not hold up the others. Each call
+        max_inflight threads, all submitted at once. A call sleeping through
+        a retry backoff (or a Retry-After) keeps its pool slot: the other
+        max_inflight - 1 threads go on with the later items. Each call
         writes to its own ledger through a twin of this client; those
         ledgers are appended to this client's in item order, so the ledger
         reads exactly as a serial run's. Mock completions take microseconds
@@ -227,15 +233,13 @@ class LlmClient:
             )
 
     def _complete_http(self, prompt: str) -> str:
-        import requests
-
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
+        headers: dict[str, str] = {}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         url = self.config.endpoint.rstrip("/")
@@ -244,28 +248,44 @@ class LlmClient:
         last_error: Exception = LlmError("no attempts made")
         delay = self.config.retry.backoff
         for attempt in range(self.config.retry.attempts):
+            sleep = delay
             try:
-                resp = requests.post(
-                    url, json=payload, headers=headers, timeout=self.config.timeout
-                )
-            except requests.Timeout:
+                status, resp_headers, body = post_json(url, payload, self.config.timeout, headers)
+            except ValueError as exc:  # cannot be sent: retrying cannot help
+                raise LlmError(f"request failed: {exc}") from exc
+            except TimeoutError:
                 last_error = LlmError(f"timeout after {self.config.timeout}s")
-            except requests.RequestException as exc:
+            except OSError as exc:
                 last_error = LlmError(f"request failed: {exc}")
             else:
-                if resp.status_code == 200:
+                if status == 200:
                     try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, ValueError) as exc:
+                        content = json.loads(body)["choices"][0]["message"]["content"]
+                    except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise LlmError(f"malformed response: {exc}") from exc
-                last_error = LlmError(f"http status {resp.status_code}")
-                if resp.status_code not in (429,) and resp.status_code < 500:
+                    if not isinstance(content, str):
+                        raise LlmError(f"malformed response: content is {content!r}")
+                    return content
+                last_error = LlmError(f"http status {status}")
+                if status not in (429,) and status < 500:
                     break  # client errors are not retryable
+                if status in (429, 503):
+                    sleep = _retry_after(resp_headers, self.config.timeout, delay)
             if attempt + 1 < self.config.retry.attempts:
-                logger.warning("llm call failed (%s), retrying in %.1fs", last_error, delay)
-                time.sleep(delay)
+                logger.warning("llm call failed (%s), retrying in %.1fs", last_error, sleep)
+                time.sleep(sleep)
                 delay *= 2
         raise last_error
+
+
+def _retry_after(headers: Message, timeout: float, default: float) -> float:
+    """The wait a 429 or 503 asks for in seconds, at most `timeout`;
+    `default` when Retry-After is absent, an HTTP-date or unparsable."""
+    try:
+        seconds = float(headers.get("Retry-After", ""))
+    except ValueError:
+        return default
+    return min(seconds, timeout) if seconds >= 0 else default
 
 
 def replay_client(config: LlmConfig, fixture_path: Path | str) -> LlmClient:

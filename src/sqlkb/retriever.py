@@ -26,6 +26,7 @@ from .errors import (
 )
 from .knowledge_base import kb_digest
 from .ranking import cosine_key, normalize_rows, rank_of, top_j
+from .transport import post_json
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase, KnowledgeEntry
@@ -56,8 +57,9 @@ class EmbeddingProvider:
     sets are therefore orthogonal.
 
     The "http" backend POSTs {"texts": [...]} to the endpoint, up to
-    HTTP_BATCH texts per request, and expects {"embeddings": [[...], ...]}
-    back, one raw row per text.
+    HTTP_BATCH texts per request, and expects a 200 with
+    {"embeddings": [[...], ...]}, one raw row per text. It does not retry:
+    any failure is a ProviderError.
 
     `raw`/`raw_many` return the raw rows; `embed`/`embed_many` return them
     L2-normalized (an all-zero row is returned as-is).
@@ -73,7 +75,10 @@ class EmbeddingProvider:
 
     @property
     def fingerprint(self) -> str:
-        return f"{self.name}:{self.dim}:{self.backend}"
+        """`name:dim:backend`, and for the http backend `:endpoint` after it:
+        another service embeds into another space."""
+        base = f"{self.name}:{self.dim}:{self.backend}"
+        return f"{base}:{self.endpoint}" if self.backend == "http" else base
 
     def embed(self, text: str) -> np.ndarray:
         """Return an L2-normalized vector of length dim, from the cached raw row."""
@@ -130,20 +135,17 @@ class EmbeddingProvider:
         return counts
 
     def _http_rows(self, texts: Sequence[str]) -> np.ndarray:
-        import requests
-
         if not self.endpoint:
             raise ConfigError("http embedding backend requires an endpoint")
         chunks = []
         for start in range(0, len(texts), HTTP_BATCH):
             chunk = texts[start : start + HTTP_BATCH]
             try:
-                resp = requests.post(
-                    self.endpoint, json={"texts": chunk}, timeout=self.timeout
-                )
-                resp.raise_for_status()
-                rows = np.asarray(resp.json()["embeddings"], dtype=np.float64)
-            except Exception as exc:
+                status, _, body = post_json(self.endpoint, {"texts": chunk}, self.timeout)
+                if status != 200:
+                    raise ValueError(f"http status {status}")
+                rows = np.asarray(json.loads(body)["embeddings"], dtype=np.float64)
+            except (OSError, KeyError, TypeError, ValueError) as exc:
                 raise ProviderError(f"embedding service failed: {exc}") from exc
             if rows.shape != (len(chunk), self.dim):
                 raise ProviderError(
@@ -378,17 +380,17 @@ def load_or_build_index(
     """`build_index`, kept in the index file at `path` for later calls.
 
     The file is loaded when it was built for the same key: the KB's (id,
-    text) pairs, the provider and its endpoint, and the head. Otherwise, or
-    when it is missing, truncated or corrupt, the index is built and the
-    file replaced; a stale or unreadable file is reported with a warning.
-    A loaded index equals a built one bit for bit, `probe_best` included:
-    the probes are scored against the stored raw rows, one block at a time.
+    text) pairs, the provider (its endpoint included) and the head.
+    Otherwise, or when it is missing, truncated or corrupt, the index is
+    built and the file replaced; a stale or unreadable file is reported
+    with a warning. A loaded index equals a built one bit for bit,
+    `probe_best` included: the probes are scored against the stored raw
+    rows, one block at a time.
     """
     path = Path(path)
     key = {
         "kb": kb_digest(kb),
         "provider": provider.fingerprint,
-        "endpoint": provider.endpoint,
         "head": head.fingerprint if head is not None else None,
     }
     if path.exists():

@@ -1,11 +1,13 @@
 import json
 import math
+import socket
 import threading
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import pytest
@@ -88,6 +90,58 @@ def count_best_cosines() -> Callable[[EmbeddingProvider, list[str], list[str]], 
     return best
 
 
+@pytest.fixture()
+def refused_url() -> str:
+    """A localhost URL nothing listens on: connecting to it is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
+
+
+@contextmanager
+def serving(handle: Callable[[str, dict], tuple[int, dict]]) -> Iterator[str]:
+    """Serve `handle` on a threaded localhost server and yield its base URL.
+
+    Each POST's path and JSON body go to `handle(path, body)`, which returns
+    the answer's status and JSON payload. On exit the server shuts down and
+    joins its request threads, failing the test if that takes over
+    STUB_TIMEOUT.
+    """
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self) -> None:
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            status, payload = handle(self.path, body)
+            data = json.dumps(payload).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args) -> None:
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # server_close() joins the request threads
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+
+        def stop() -> None:
+            server.shutdown()
+            server.server_close()
+
+        stopping = threading.Thread(target=stop, daemon=True)
+        stopping.start()
+        stopping.join(timeout=STUB_TIMEOUT)
+        assert not stopping.is_alive(), "stub server did not shut down"
+
+
 class ChatStub:
     """Threaded localhost chat-completions endpoint answering `synthetic_completer`.
 
@@ -106,7 +160,8 @@ class ChatStub:
         self.inflight_max = 0
         self._lock = threading.Lock()
 
-    def handle(self, prompt: str) -> tuple[int, dict]:
+    def handle(self, path: str, body: dict) -> tuple[int, dict]:
+        prompt = body["messages"][0]["content"]
         with self._lock:
             self.seen.append(prompt)
             self.inflight += 1
@@ -153,35 +208,40 @@ class ChatStub:
 @pytest.fixture()
 def chat_stub():
     stub = ChatStub()
+    with serving(stub.handle) as url:
+        stub.url = f"{url}/v1"
+        yield stub
 
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self) -> None:
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            status, payload = stub.handle(body["messages"][0]["content"])
-            data = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
 
-        def log_message(self, *args) -> None:
-            pass
+class EmbedStub:
+    """Threaded localhost embedding endpoint.
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    server.daemon_threads = False  # server_close() joins the request threads
-    serving = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    serving.start()
-    stub.url = f"http://127.0.0.1:{server.server_address[1]}/v1"
-    yield stub
+    Answers {"texts": [...]} with `status` and {"embeddings": rows(path,
+    texts)}; by default the texts' hash rows at dim 256. Records each
+    request's texts, in arrival order, in `batches`.
+    """
 
-    def stop() -> None:
-        server.shutdown()
-        server.server_close()
+    def __init__(self) -> None:
+        self.url = ""
+        self.status = 200
+        hashed = EmbeddingProvider(dim=256)
+        self.rows: Callable[[str, list[str]], list] = (
+            lambda path, texts: hashed.raw_many(texts).tolist()
+        )
+        self.batches: list[list[str]] = []
+        self._lock = threading.Lock()
 
-    stopping = threading.Thread(target=stop, daemon=True)
-    stopping.start()
-    stopping.join(timeout=STUB_TIMEOUT)
-    assert not stopping.is_alive(), "stub server did not shut down"
+    def handle(self, path: str, body: dict) -> tuple[int, dict]:
+        with self._lock:
+            self.batches.append(body["texts"])
+        if self.status != 200:
+            return self.status, {"error": "stub refused"}
+        return 200, {"embeddings": self.rows(path, body["texts"])}
+
+
+@pytest.fixture()
+def embed_stub():
+    stub = EmbedStub()
+    with serving(stub.handle) as url:
+        stub.url = f"{url}/embed"
+        yield stub

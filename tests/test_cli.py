@@ -3,7 +3,6 @@ import dataclasses
 import json
 import re
 import shutil
-from types import SimpleNamespace
 
 import pytest
 
@@ -413,22 +412,12 @@ def test_edited_kb_line_rebuilds_the_index(workdir, capsys, caplog):
     assert capsys.readouterr().out == kept
 
 
-def test_generate_http_embedding_requests(workdir, monkeypatch):
+def test_generate_http_embedding_requests(workdir, embed_stub):
     """With the http embedding backend, generate sends one request per
     HTTP_BATCH texts of each KB block and of the train questions, and one
     per test question (its raw row and its unit vector share a cache)."""
-    import requests
-
-    hashed = EmbeddingProvider(dim=256)
-    requests_sent = []
-
-    def post(url, json, timeout):
-        requests_sent.append(list(json["texts"]))
-        rows = hashed.raw_many(json["texts"]).tolist()
-        return SimpleNamespace(raise_for_status=lambda: None, json=lambda: {"embeddings": rows})
-
-    monkeypatch.setattr(requests, "post", post)
-    http = ("--set", "retriever.backend=http", "--set", "retriever.endpoint=http://embed.invalid")
+    requests_sent = embed_stub.batches
+    http = ("--set", "retriever.backend=http", "--set", f"retriever.endpoint={embed_stub.url}")
     assert run_cli(workdir, "build-kb", *http) == 0
     requests_sent.clear()
     assert run_cli(workdir, "generate", *http) == 0
@@ -441,27 +430,31 @@ def test_generate_http_embedding_requests(workdir, monkeypatch):
     assert len(requests_sent) == want
 
 
-def test_evaluate_after_generate_sends_no_kb_embedding_request(workdir, monkeypatch):
+def test_evaluate_after_generate_sends_no_kb_embedding_request(workdir, embed_stub):
     """With the http embedding backend, evaluate reads the KB rows from the
     index file generate wrote: each request carries one text of its own."""
-    import requests
-
-    hashed = EmbeddingProvider(dim=256)
-    requests_sent = []
-
-    def post(url, json, timeout):
-        requests_sent.append(list(json["texts"]))
-        rows = hashed.raw_many(json["texts"]).tolist()
-        return SimpleNamespace(raise_for_status=lambda: None, json=lambda: {"embeddings": rows})
-
-    monkeypatch.setattr(requests, "post", post)
-    http = ("--set", "retriever.backend=http", "--set", "retriever.endpoint=http://embed.invalid")
+    requests_sent = embed_stub.batches
+    http = ("--set", "retriever.backend=http", "--set", f"retriever.endpoint={embed_stub.url}")
     for cmd in ("build-kb", "train-retriever", "generate"):
         assert run_cli(workdir, cmd, *http) == 0, cmd
     requests_sent.clear()
     assert run_cli(workdir, "evaluate", *http) == 0
     assert requests_sent and all(len(texts) == 1 for texts in requests_sent)
     assert len({texts[0] for texts in requests_sent}) == len(requests_sent)
+
+
+def test_head_for_other_embedding_service_rejected(workdir, embed_stub, capsys):
+    """The http provider fingerprint names the endpoint: a head trained
+    against one embedding service is refused for another, under --force too."""
+    service = lambda name: ("--set", "retriever.backend=http",
+                            "--set", f"retriever.endpoint={embed_stub.url}/{name}")
+    for cmd in ("build-kb", "train-retriever"):
+        assert run_cli(workdir, cmd, *service("a")) == 0, cmd
+    capsys.readouterr()
+    assert run_cli(workdir, "generate", "--force", *service("b")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError")
+    assert f"http:256:http:{embed_stub.url}/a" in err and f"http:256:http:{embed_stub.url}/b" in err
 
 
 def test_outputs_line_not_object_is_clean_error(workdir, capsys):

@@ -1,11 +1,18 @@
+import dataclasses
 import hashlib
 import json
+import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import sqlkb
+from sqlkb import llm
 from sqlkb.errors import (
     ContextOverflowError,
     LlmError,
@@ -24,6 +31,7 @@ from sqlkb.llm import (
     replay_client,
     synthetic_completer,
 )
+from sqlkb.transport import post_json
 
 
 def test_prompt_sha256_is_plain_sha256():
@@ -224,19 +232,22 @@ def test_fixture_skips_failed_records(tmp_path):
 # --- http backend (against a local stub server) ---
 
 class _Handler(BaseHTTPRequestHandler):
-    script = []  # list of (status, body_dict) consumed per request
+    script = []  # (status, body_dict) or (status, body_dict, headers), one per request
     seen = []
+    headers_seen = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         _Handler.seen.append(
             (self.path, json.loads(self.rfile.read(length).decode()))
         )
-        status, body = _Handler.script.pop(0)
+        _Handler.headers_seen.append(self.headers)
+        status, body, *extra = _Handler.script.pop(0)
         payload = json.dumps(body).encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        headers = {"Content-Type": "application/json", "Content-Length": str(len(payload))}
+        for name, value in {**headers, **(extra[0] if extra else {})}.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -249,14 +260,18 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     _Handler.script = []
     _Handler.seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    _Handler.headers_seen = []
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1", _Handler
     server.shutdown()
+    server.server_close()
 
 
-def http_config(endpoint):
-    return LlmConfig(
+def http_config(endpoint, **changes):
+    config = LlmConfig(
         backend="http",
         endpoint=endpoint,
         model="test-model",
@@ -264,6 +279,7 @@ def http_config(endpoint):
         retry=RetryPolicy(attempts=3, backoff=0.01),
         timeout=5.0,
     )
+    return dataclasses.replace(config, **changes)
 
 
 def ok_body(text):
@@ -279,6 +295,10 @@ def test_http_success(stub_server):
     assert path == "/v1/chat/completions"
     assert payload["messages"] == [{"role": "user", "content": "hello"}]
     assert payload["temperature"] == 0.0
+    headers = handler.headers_seen[0]
+    assert headers["Authorization"] == "Bearer sk-test"
+    assert headers["User-Agent"] == f"sqlkb/{sqlkb.__version__}"
+    assert headers["Content-Type"] == "application/json"
 
 
 def test_http_retries_on_429_then_succeeds(stub_server):
@@ -287,6 +307,38 @@ def test_http_retries_on_429_then_succeeds(stub_server):
     client = LlmClient(http_config(endpoint))
     assert client.complete("hello") == "finally"
     assert len(handler.seen) == 3
+
+
+def test_http_retry_after_replaces_the_backoff(stub_server):
+    endpoint, handler = stub_server
+    handler.script = [(429, {}, {"Retry-After": "0"}), (200, ok_body("after"))]
+    client = LlmClient(http_config(endpoint, retry=RetryPolicy(attempts=3, backoff=30.0)))
+    started = time.monotonic()
+    assert client.complete("hello") == "after"
+    assert time.monotonic() - started < 1.0
+    assert len(handler.seen) == 2
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, slept",
+    [
+        (503, "2.5", 2.5),
+        (429, "600", 5.0),  # capped at the timeout
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # an HTTP-date: the backoff
+        (503, "soon", 0.25),
+        (429, "-1", 0.25),
+        (429, "nan", 0.25),
+        (500, "0", 0.25),  # only a 429 or a 503 sets the wait
+    ],
+)
+def test_http_retry_after_wait(stub_server, monkeypatch, status, retry_after, slept):
+    endpoint, handler = stub_server
+    handler.script = [(status, {}, {"Retry-After": retry_after}), (200, ok_body("after"))]
+    sleeps = []
+    monkeypatch.setattr(llm, "time", SimpleNamespace(sleep=sleeps.append))
+    client = LlmClient(http_config(endpoint, retry=RetryPolicy(attempts=3, backoff=0.25)))
+    assert client.complete("hello") == "after"
+    assert sleeps == [slept]
 
 
 def test_http_gives_up_after_attempts(stub_server):
@@ -298,6 +350,36 @@ def test_http_gives_up_after_attempts(stub_server):
     assert len(handler.seen) == 3
 
 
+def test_http_retries_a_truncated_answer(stub_server):
+    endpoint, handler = stub_server
+    handler.script = [(200, ok_body("cut"), {"Content-Length": "1000"}), (200, ok_body("whole"))]
+    client = LlmClient(http_config(endpoint))
+    assert client.complete("hello") == "whole"
+    assert len(handler.seen) == 2
+
+
+def test_http_refused_connection_tried_attempts_times(refused_url, monkeypatch):
+    calls = []
+
+    def counting_post(*args):
+        calls.append(args[0])
+        return post_json(*args)
+
+    monkeypatch.setattr(llm, "post_json", counting_post)
+    client = LlmClient(http_config(refused_url))
+    with pytest.raises(LlmError, match="request failed"):
+        client.complete("hello")
+    assert calls == [f"{refused_url}/chat/completions"] * 3
+
+
+def test_http_timeout(chat_stub):
+    chat_stub.latency = 1.0  # each request sleeps 0.5-1 s
+    client = LlmClient(http_config(chat_stub.url, timeout=0.2))
+    with pytest.raises(LlmError, match=r"timeout after 0.2s"):
+        chat_stub.bounded(client.complete, "hello")
+    assert chat_stub.seen == ["hello"] * 3
+
+
 def test_http_client_error_not_retried(stub_server):
     endpoint, handler = stub_server
     handler.script = [(400, {"error": "bad request"})]
@@ -307,11 +389,27 @@ def test_http_client_error_not_retried(stub_server):
     assert len(handler.seen) == 1
 
 
-def test_http_malformed_body(stub_server):
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"unexpected": "shape"},
+        [],
+        {"choices": []},
+        {"choices": [{"message": {"content": None}}]},
+    ],
+)
+def test_http_malformed_body(stub_server, body):
     endpoint, handler = stub_server
-    handler.script = [(200, {"unexpected": "shape"})]
+    handler.script = [(200, body)]
     client = LlmClient(http_config(endpoint))
-    with pytest.raises(LlmError):
+    with pytest.raises(LlmError, match="malformed response"):
+        client.complete("hello")
+    assert len(handler.seen) == 1
+
+
+def test_http_endpoint_must_be_http(tmp_path):
+    client = LlmClient(http_config(f"file://{tmp_path}"))
+    with pytest.raises(LlmError, match="not an http"):
         client.complete("hello")
 
 
@@ -417,3 +515,25 @@ def test_load_fixture_rejects_non_string_completion(tmp_path):
     path.write_text(json.dumps({"prompt_sha256": prompt_sha256("p"), "completion": 5}) + "\n")
     with pytest.raises(ParseError, match=r"fixture.jsonl:1: completion is not a string"):
         load_fixture(path)
+
+
+def test_http_backends_run_without_requests(chat_stub, embed_stub):
+    """The http LLM and embedding backends need only the standard library."""
+    script = (
+        "import sys\n"
+        "sys.modules['requests'] = None  # any import of it fails\n"
+        "from sqlkb.llm import LlmClient, LlmConfig\n"
+        "from sqlkb.retriever import EmbeddingProvider\n"
+        "chat, embed = sys.argv[1:]\n"
+        "print(LlmClient(LlmConfig(backend='http', endpoint=chat)).complete('hello'))\n"
+        "provider = EmbeddingProvider(dim=256, backend='http', endpoint=embed)\n"
+        "print(provider.raw_many(['hello world']).sum())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, chat_stub.url, embed_stub.url],
+        capture_output=True, text=True, timeout=30, env={"PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [synthetic_completer("hello"), "2.0"]
+    assert chat_stub.seen == ["hello"] and embed_stub.batches == [["hello world"]]

@@ -124,62 +124,59 @@ def test_embed_many_rejects_empty_text(provider):
         provider.embed_many(["fine text", ""])
 
 
-class FakeEmbeddingService:
-    """Stands in for requests.post: records batch sizes, answers per text."""
+def length_rows(dim, rows_delta=0, dim_delta=0):
+    """Embedding-service rows [len(text), 1, 0, ...] per text, with
+    `rows_delta` rows and `dim_delta` columns too many."""
 
-    def __init__(self, dim, rows_delta=0, dim_delta=0):
-        self.dim, self.rows_delta, self.dim_delta = dim, rows_delta, dim_delta
-        self.batches = []
+    def rows(path, texts):
+        return [
+            [float(len(t)), 1.0] + [0.0] * (dim - 2 + dim_delta) for t in texts
+        ] + [[1.0] * dim] * rows_delta
 
-    def post(self, url, json, timeout):
-        texts = json["texts"]
-        self.batches.append(len(texts))
-        rows = [
-            [float(len(t)), 1.0] + [0.0] * (self.dim - 2 + self.dim_delta)
-            for t in texts
-        ] + [[1.0] * self.dim] * self.rows_delta
-        return _FakeResponse({"embeddings": rows})
+    return rows
 
 
-class _FakeResponse:
-    def __init__(self, payload):
-        self.payload = payload
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self.payload
-
-
-def test_http_embed_many_sends_one_request_per_batch(monkeypatch):
-    import requests
-
-    service = FakeEmbeddingService(dim=8)
-    monkeypatch.setattr(requests, "post", service.post)
-    prov = EmbeddingProvider(dim=8, backend="http", endpoint="http://embed.invalid")
+def test_http_embed_many_sends_one_request_per_batch(embed_stub):
+    embed_stub.rows = length_rows(8)
+    prov = EmbeddingProvider(dim=8, backend="http", endpoint=embed_stub.url)
     texts = [f"text number {i}" for i in range(2 * HTTP_BATCH + 5)]
     rows = prov.embed_many(texts)
-    assert service.batches == [HTTP_BATCH, HTTP_BATCH, 5]
+    assert embed_stub.batches == [texts[:HTTP_BATCH], texts[HTTP_BATCH:-5], texts[-5:]]
     assert rows.shape == (len(texts), 8)
     expected = np.array([len(texts[10]), 1.0]) / math.hypot(len(texts[10]), 1.0)
     assert np.allclose(rows[10, :2], expected)
     assert np.array_equal(prov.embed(texts[10]), rows[10])
     prov.embed(texts[10])  # cached: no new request
-    assert service.batches == [HTTP_BATCH, HTTP_BATCH, 5, 1]
+    assert list(map(len, embed_stub.batches)) == [HTTP_BATCH, HTTP_BATCH, 5, 1]
 
 
 @pytest.mark.parametrize("rows_delta, dim_delta", [(1, 0), (0, 1), (0, -1)])
-def test_http_embed_many_rejects_wrong_shape(monkeypatch, rows_delta, dim_delta):
-    import requests
-
-    service = FakeEmbeddingService(dim=8, rows_delta=rows_delta, dim_delta=dim_delta)
-    monkeypatch.setattr(requests, "post", service.post)
-    prov = EmbeddingProvider(dim=8, backend="http", endpoint="http://embed.invalid")
+def test_http_embed_many_rejects_wrong_shape(embed_stub, rows_delta, dim_delta):
+    embed_stub.rows = length_rows(8, rows_delta=rows_delta, dim_delta=dim_delta)
+    prov = EmbeddingProvider(dim=8, backend="http", endpoint=embed_stub.url)
     with pytest.raises(ProviderError):
         prov.embed_many(["one text", "another text"])
     with pytest.raises(ProviderError):
         prov.embed("a single text")
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        ("status", "http status 503"),
+        ("body", "embedding service failed"),
+        ("refused", "embedding service failed"),
+    ],
+)
+def test_http_embed_failure_is_provider_error(embed_stub, refused_url, failure, message):
+    endpoint = refused_url if failure == "refused" else embed_stub.url
+    if failure == "status":
+        embed_stub.status = 503
+    if failure == "body":
+        embed_stub.rows = lambda path, texts: {"not": "rows"}
+    prov = EmbeddingProvider(dim=8, backend="http", endpoint=endpoint)
+    with pytest.raises(ProviderError, match=message):
+        prov.embed_many(["one text"])
 
 
 # --- index / retrieve ---
@@ -273,20 +270,19 @@ def count_builds(monkeypatch) -> list:
     return builds
 
 
-def rolled_hash_service(url, json, timeout):
-    """An embedding service whose rows are hash rows rolled by the url's length."""
-    rows = np.roll(EmbeddingProvider(dim=32).raw_many(json["texts"]), len(url), axis=1)
-    return _FakeResponse({"embeddings": rows.tolist()})
+def rolled_hash_rows(path, texts):
+    """Embedding-service rows: hash rows rolled by the url path's length."""
+    return np.roll(EmbeddingProvider(dim=32).raw_many(texts), len(path), axis=1).tolist()
 
 
 INDEX_SETUPS = {
-    "hash": lambda: (EmbeddingProvider(dim=32), None),
-    "head": lambda: (EmbeddingProvider(dim=32), init_head(32, 8, seed=1)),
-    "retrained head": lambda: (EmbeddingProvider(dim=32), init_head(32, 8, seed=2)),
-    "other dim": lambda: (EmbeddingProvider(dim=16), None),
-    "http": lambda: (EmbeddingProvider(dim=32, backend="http", endpoint="http://a.invalid"), None),
-    "other endpoint": lambda: (
-        EmbeddingProvider(dim=32, backend="http", endpoint="http://other.invalid"),
+    "hash": lambda url: (EmbeddingProvider(dim=32), None),
+    "head": lambda url: (EmbeddingProvider(dim=32), init_head(32, 8, seed=1)),
+    "retrained head": lambda url: (EmbeddingProvider(dim=32), init_head(32, 8, seed=2)),
+    "other dim": lambda url: (EmbeddingProvider(dim=16), None),
+    "http": lambda url: (EmbeddingProvider(dim=32, backend="http", endpoint=f"{url}/a"), None),
+    "other endpoint": lambda url: (
+        EmbeddingProvider(dim=32, backend="http", endpoint=f"{url}/other"),
         None,
     ),
 }
@@ -295,20 +291,21 @@ INDEX_SETUPS = {
 @pytest.mark.parametrize(
     "before, after", [("head", "retrained head"), ("hash", "other dim"), ("http", "other endpoint")]
 )
-def test_index_key_change_forces_rebuild(tmp_path, monkeypatch, caplog, before, after):
-    import requests
-
-    monkeypatch.setattr(requests, "post", rolled_hash_service)
+def test_index_key_change_forces_rebuild(
+    tmp_path, monkeypatch, caplog, embed_stub, before, after
+):
+    embed_stub.rows = rolled_hash_rows
+    url = embed_stub.url
     kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(300)])
     path = tmp_path / "kb_index.npz"
     builds = count_builds(monkeypatch)
     for _ in range(2):
-        load_or_build_index(path, kb, *INDEX_SETUPS[before]())
+        load_or_build_index(path, kb, *INDEX_SETUPS[before](url))
     assert len(builds) == 1 and not caplog.text
     for _ in range(2):
-        index = load_or_build_index(path, kb, *INDEX_SETUPS[after]())
+        index = load_or_build_index(path, kb, *INDEX_SETUPS[after](url))
     assert len(builds) == 2 and "built for another KB, provider or head" in caplog.text
-    fresh = retriever.build_index(kb, *INDEX_SETUPS[after]())
+    fresh = retriever.build_index(kb, *INDEX_SETUPS[after](url))
     assert np.array_equal(index.matrix, fresh.matrix)
     assert index.head_fingerprint == fresh.head_fingerprint
 
