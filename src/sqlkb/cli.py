@@ -55,11 +55,14 @@ def _llm_config(cfg: RunConfig) -> LlmConfig:
             "[llm] fixture: replay needs backend = mock; a fixture is looked up "
             "by prompt hash alone, so it could answer for another model"
         )
+    endpoint = lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, "")
+    if lc["backend"] == "http" and not endpoint:
+        raise ConfigError(
+            f"[llm] backend = http needs an endpoint: set [llm] endpoint "
+            f"or the {llm.ENDPOINT_ENV} environment variable"
+        )
     return cfg.stage(
-        LlmConfig,
-        "llm",
-        endpoint=lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, ""),
-        api_key=os.environ.get(llm.API_KEY_ENV, ""),
+        LlmConfig, "llm", endpoint=endpoint, api_key=os.environ.get(llm.API_KEY_ENV, "")
     )
 
 

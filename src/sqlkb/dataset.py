@@ -72,7 +72,7 @@ class Dataset:
     schemas: dict[str, DatabaseSchema] = field(default_factory=dict)
     split: str = "train"
     # Derived per-record arrays, keyed by embedding provider fingerprint;
-    # filled by knowledge_base.select_examples.
+    # filled on first use by knowledge_base._question_matrix.
     question_vectors: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -163,9 +163,9 @@ def compute_ves(
     The ratio is clipped to [0, clip_max] to bound timer noise. Per-query
     times are expected to be medians over repeated runs of the statement
     alone (see time_query), the EX run being the first. Unmatched queries
-    score 0 whatever their times, so `evaluate_run` does not time them; an
-    identical gold and predicted statement is timed once, and its term is
-    exactly 1.
+    score 0 whatever their times, so `evaluate_run` does not time them; a
+    prediction identical to the gold SQL runs once, for EX, and its term is
+    exactly 1 without timing.
     """
     if not per_query:
         raise EmptySetError("no queries to score")
@@ -370,15 +370,17 @@ def evaluate_run(
             match = execution_match(pred_res, gold_res)
             entry["pred_status"] = pred_res.status
         entry["ex"] = int(match)
-        if config.deterministic_timing:
-            t_gold = t_pred = 1.0
-        elif not match:  # the term is 0 whatever the times
+        if not match:  # the term is 0 whatever the times
             t_gold = t_pred = 0.0
+        elif config.deterministic_timing or pred_res is gold_res:
+            # every time is 1, or the prediction is the gold statement itself:
+            # the term is 1 without a rerun
+            t_gold = t_pred = 1.0
         else:
             t_gold = time_query(
                 db_file, rec.gold_sql, config.timing_runs, config.timeout, gold_res.elapsed
             )
-            t_pred = t_gold if pred_res is gold_res else time_query(
+            t_pred = time_query(
                 db_file, out.sql, config.timing_runs, config.timeout, pred_res.elapsed
             )
         # a match whose timing re-run failed (time 0) scores 0

@@ -13,7 +13,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -141,6 +141,10 @@ def init_kb(dataset: Dataset, config: Optional[KbBuildConfig] = None) -> Knowled
     return kb
 
 
+# Query rows scored per count product: bounds the (block, records) temporaries.
+EXAMPLE_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class _QuestionMatrix:
     """Raw question rows, their squared norms and filter masks of a dataset's
@@ -148,7 +152,7 @@ class _QuestionMatrix:
 
     rows: np.ndarray
     sq_norms: np.ndarray
-    ids: np.ndarray
+    positions: dict[str, list[int]]  # record id -> positions of its records
     id_rank: np.ndarray  # position of each record id in ascending id order
     has_knowledge: np.ndarray
     has_sql: np.ndarray
@@ -160,19 +164,73 @@ def _question_matrix(dataset: Dataset, embedder: "EmbeddingProvider") -> _Questi
         return cached
     records = dataset.records
     ids = [rec.query.id for rec in records]
+    positions: dict[str, list[int]] = {}
+    for i, qid in enumerate(ids):
+        positions.setdefault(qid, []).append(i)
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     rows = embedder.raw_many([rec.query.text for rec in records])
     matrix = _QuestionMatrix(
         rows=rows,
         sq_norms=np.einsum("ij,ij->i", rows, rows),
-        ids=np.array(ids, dtype=str),
+        positions=positions,
         id_rank=id_rank,
         has_knowledge=np.array([rec.knowledge is not None for rec in records], dtype=bool),
         has_sql=np.array([rec.gold_sql is not None for rec in records], dtype=bool),
     )
     dataset.question_vectors[embedder.fingerprint] = matrix
     return matrix
+
+
+def _rank_examples(
+    questions: _QuestionMatrix,
+    query_rows: np.ndarray,
+    query_ids: Sequence[str],
+    k: int,
+    require_knowledge: bool = True,
+    require_sql: bool = False,
+) -> list[np.ndarray]:
+    """Record positions of each query's k best examples, best first.
+
+    Query rows are scored EXAMPLE_BLOCK at a time, by one product with every
+    question row and `cosine_key`. Records without knowledge (or SQL, when
+    required) and those sharing the query's id score -inf, so they sort
+    after every real key and are cut off. With integer rows (hash token
+    counts) every dot product is exact, so the result does not depend on the
+    blocking.
+    """
+    drop = np.zeros(len(questions.id_rank), dtype=bool)
+    if require_knowledge:
+        drop |= ~questions.has_knowledge
+    if require_sql:
+        drop |= ~questions.has_sql
+    dropped = np.flatnonzero(drop)
+    available = len(drop) - len(dropped)
+    pools = []
+    for start in range(0, len(query_ids), EXAMPLE_BLOCK):
+        keys = cosine_key(
+            query_rows[start : start + EXAMPLE_BLOCK] @ questions.rows.T, questions.sq_norms
+        )
+        keys[:, dropped] = -np.inf
+        for key, qid in zip(keys, query_ids[start : start + EXAMPLE_BLOCK]):
+            own = [i for i in questions.positions.get(qid, ()) if not drop[i]]
+            key[own] = -np.inf
+            pools.append(top_j(key, min(k, available - len(own)), questions.id_rank))
+    return pools
+
+
+def example_pools(
+    dataset: Dataset, k: int, embedder: "EmbeddingProvider"
+) -> list[list["ExampleTriplet"]]:
+    """`select_examples(rec.query, dataset, k, embedder)` for every record, in
+    record order, as one blocked pass over the dataset's question matrix; a
+    record with no candidate gets an empty list."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    questions = _question_matrix(dataset, embedder)
+    ids = [rec.query.id for rec in dataset.records]
+    pools = _rank_examples(questions, questions.rows, ids, k)
+    return [[dataset.records[i] for i in best] for best in pools]
 
 
 def select_examples(
@@ -189,22 +247,17 @@ def select_examples(
     ascending. Returns at most k records, never padded. The dataset's
     question matrix is embedded once per provider fingerprint and reused.
     Candidates are ranked by `cosine_key` of the raw rows, which is exact for
-    the hash backend, so the id rule decides every exact tie.
+    the hash backend, so the id rule decides every exact tie. This is the
+    one-query case of the pass `example_pools` makes over every record.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     questions = _question_matrix(dataset, embedder)
-    keep = questions.ids != query.id
-    if require_knowledge:
-        keep &= questions.has_knowledge
-    if require_sql:
-        keep &= questions.has_sql
-    candidates = np.flatnonzero(keep)
-    if not len(candidates):
+    (best,) = _rank_examples(
+        questions, embedder.raw(query.text)[None], [query.id], k, require_knowledge, require_sql
+    )
+    if not len(best):
         raise InsufficientExamplesError("no candidate examples available")
-    dots = questions.rows @ embedder.raw(query.text)
-    keys = cosine_key(dots, questions.sq_norms)[candidates]
-    best = candidates[top_j(keys, k, questions.id_rank[candidates])]
     return [dataset.records[i] for i in best]
 
 
@@ -239,7 +292,8 @@ def expand_kb(
 
     For every record and each of the configured iterations, a fresh sample
     of few-shot examples is drawn (uniformly without replacement from the
-    top-2k most similar candidates) and shuffled, both under a seeded RNG
+    top-2k most similar candidates, ranked for all records in one blocked
+    pass by `example_pools`) and shuffled, both under a seeded RNG
     keyed by (seed, record id, iteration), so results do not depend on
     processing order. The prompts are built in (record, iteration) order,
     completed through `llm.fan_out`, and parsed in that same order, so
@@ -255,13 +309,10 @@ def expand_kb(
         expansion_failures=kb.expansion_failures,
     )
     tasks = []  # (record, iteration, prompt)
-    for rec in dataset.records:
+    pools = example_pools(dataset, 2 * config.few_shot_k, embedder)
+    for rec, pool in zip(dataset.records, pools):
         schema = dataset.schema_for(rec.schema_ref)
-        try:
-            pool = select_examples(
-                rec.query, dataset, 2 * config.few_shot_k, embedder
-            )
-        except InsufficientExamplesError:
+        if not pool:
             continue
         for i in range(1, config.iterations + 1):
             rng = random.Random(f"{config.seed}:{rec.query.id}:{i}")

@@ -430,6 +430,16 @@ def test_generate_http_embedding_requests(workdir, embed_stub):
     assert len(requests_sent) == want
 
 
+def test_build_kb_embeds_the_train_questions_in_batches(workdir, embed_stub):
+    """With the http embedding backend, build-kb embeds each train question
+    once, HTTP_BATCH texts per request, for its one example-selection pass."""
+    http = ("--set", "retriever.backend=http", "--set", f"retriever.endpoint={embed_stub.url}")
+    assert run_cli(workdir, "build-kb", *http) == 0
+    questions = [r["question"] for r in json.loads((workdir / "train.json").read_text())]
+    assert len(embed_stub.batches) == -(-len(questions) // HTTP_BATCH)
+    assert [text for texts in embed_stub.batches for text in texts] == questions
+
+
 def test_evaluate_after_generate_sends_no_kb_embedding_request(workdir, embed_stub):
     """With the http embedding backend, evaluate reads the KB rows from the
     index file generate wrote: each request carries one text of its own."""
@@ -667,6 +677,15 @@ def test_replay_fixture_needs_the_mock_backend(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError: ") and "[llm] fixture" in err
     assert not (workdir / OUTPUTS_FILE).exists()
+
+
+def test_http_llm_backend_needs_an_endpoint(workdir, monkeypatch, capsys):
+    monkeypatch.delenv(llm.ENDPOINT_ENV, raising=False)
+    assert run_cli(workdir, "build-kb", "--set", "llm.backend=http") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ")
+    assert "[llm] endpoint" in err and llm.ENDPOINT_ENV in err
+    assert not (workdir / KB_FILE).exists()
 
 
 @pytest.mark.parametrize("command, fixture_records", [("build-kb", 0), ("generate", 20)])

@@ -399,7 +399,7 @@ def test_evaluate_run_caps_predicted_rows(test_ds):
 
 @pytest.mark.parametrize(
     "timing_runs, deterministic, per_query",
-    [(3, False, 3), (1, False, 1), (3, True, 1)],
+    [(3, False, 1), (1, False, 1), (3, True, 1)],
 )
 def test_evaluate_run_runs_gold_predictions_once_per_sample(
     test_ds, monkeypatch, timing_runs, deterministic, per_query

@@ -1,6 +1,7 @@
 """The shared ranking core against full-sort oracles, on tie-heavy inputs."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlkb.dataset import Dataset, ExampleTriplet, Query
-from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, select_examples
+from sqlkb import knowledge_base
+from sqlkb.errors import InsufficientExamplesError
+from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, example_pools, select_examples
 from sqlkb.ranking import normalize_rows, rank_of, top_j
 from sqlkb.retriever import EmbeddingProvider, build_index, embed, eval_retrieval
 
@@ -153,25 +156,28 @@ def test_select_examples_caches_question_matrix_per_provider():
 def tie_heavy_records(draw):
     """Question texts over a three-word vocabulary with repeated tokens and
     varied lengths: many share a token bag up to scale, so their cosines to
-    any query tie exactly. Some texts have no token at all."""
+    any query tie exactly. Some texts have no token at all, some records no
+    knowledge, and sometimes two records share an id."""
     words = st.sampled_from(["red", "green", "blue", "!"])
     texts = draw(
         st.lists(st.lists(words, min_size=1, max_size=8).map(" ".join), min_size=2, max_size=40)
     )
     ids = draw(st.permutations([f"q{i:02d}" for i in range(len(texts))]))
+    if draw(st.booleans()):
+        ids[-1] = ids[0]
+    knowledge = draw(st.lists(st.sampled_from(["fact", "fact", None]),
+                              min_size=len(texts), max_size=len(texts)))
     records = tuple(
-        ExampleTriplet(
-            query=Query(id=qid, text=text, db_id="db"), schema_ref="db", knowledge="fact"
-        )
-        for qid, text in zip(ids, texts)
+        ExampleTriplet(query=Query(id=qid, text=text, db_id="db"), schema_ref="db", knowledge=kn)
+        for qid, text, kn in zip(ids, texts, knowledge)
     )
     return records, draw(st.permutations(range(len(records))))
 
 
 def _exact_ranking(query: Query, records, provider: EmbeddingProvider) -> list[str]:
-    """Record ids by exact cosine to the query (as the signed squared cosine,
-    a Fraction of the integer token counts; 0 for an all-zero row), descending,
-    then id ascending."""
+    """Ids of the records with knowledge by exact cosine to the query (as the
+    signed squared cosine, a Fraction of the integer token counts; 0 for an
+    all-zero row), descending, then id ascending."""
     q = [int(c) for c in provider.raw(query.text)]
     qq = sum(c * c for c in q)
 
@@ -180,7 +186,8 @@ def _exact_ranking(query: Query, records, provider: EmbeddingProvider) -> list[s
         d, rr = sum(a * b for a, b in zip(row, q)), sum(c * c for c in row)
         return (-Fraction(d * abs(d), rr * qq) if rr and qq else Fraction(0), rec.query.id)
 
-    return [r.query.id for r in sorted((r for r in records if r.query.id != query.id), key=key)]
+    pool = (r for r in records if r.query.id != query.id and r.knowledge is not None)
+    return [r.query.id for r in sorted(pool, key=key)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,5 +200,17 @@ def test_select_examples_equals_exact_ranking(case, k):
     for query in (records[0].query, Query(id="probe", text="red red blue", db_id="db")):
         want = _exact_ranking(query, records, provider)[:k]
         for dataset in (ds, shuffled):
+            if not want:
+                with pytest.raises(InsufficientExamplesError):
+                    select_examples(query, dataset, k, provider)
+                continue
             got = select_examples(query, dataset, k, provider)
             assert [r.query.id for r in got] == want
+    # the blocked pass: every record's pool, under any record order and block size
+    for block in (1, 3, knowledge_base.EXAMPLE_BLOCK):
+        with mock.patch.object(knowledge_base, "EXAMPLE_BLOCK", block):
+            for dataset in (ds, shuffled):
+                pools = example_pools(dataset, k, provider)
+                assert [[r.query.id for r in pool] for pool in pools] == [
+                    _exact_ranking(rec.query, records, provider)[:k] for rec in dataset.records
+                ]
