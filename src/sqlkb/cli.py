@@ -32,38 +32,30 @@ LEDGER_FILE = "llm_ledger.jsonl"
 
 def _provider(cfg: RunConfig) -> EmbeddingProvider:
     rc = cfg["retriever"]
-    if rc["backend"] not in ("hash", "http"):
-        raise ConfigError(
-            f"[retriever] backend: expected hash or http, got {rc['backend']!r}"
-        )
-    if rc["dim"] < 1:
-        raise ConfigError(f"[retriever] dim must be >= 1, got {rc['dim']}")
-    return EmbeddingProvider(
-        name=rc["backend"],
-        dim=rc["dim"],
-        backend=rc["backend"],
-        endpoint=rc["endpoint"] or None,
+    return cfg.stage(
+        EmbeddingProvider, "retriever", name=rc["backend"], endpoint=rc["endpoint"] or None
     )
 
 
 def _llm_config(cfg: RunConfig) -> LlmConfig:
     lc = cfg["llm"]
-    if lc["backend"] not in ("http", "mock"):
-        raise ConfigError(f"[llm] backend: expected http or mock, got {lc['backend']!r}")
-    if lc["fixture"] and lc["backend"] != "mock":
+    config = cfg.stage(
+        LlmConfig,
+        "llm",
+        endpoint=lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, ""),
+        api_key=os.environ.get(llm.API_KEY_ENV, ""),
+    )
+    if lc["fixture"] and config.backend != "mock":
         raise ConfigError(
             "[llm] fixture: replay needs backend = mock; a fixture is looked up "
             "by prompt hash alone, so it could answer for another model"
         )
-    endpoint = lc["endpoint"] or os.environ.get(llm.ENDPOINT_ENV, "")
-    if lc["backend"] == "http" and not endpoint:
+    if config.backend == "http" and not config.endpoint:
         raise ConfigError(
             f"[llm] backend = http needs an endpoint: set [llm] endpoint "
             f"or the {llm.ENDPOINT_ENV} environment variable"
         )
-    return cfg.stage(
-        LlmConfig, "llm", endpoint=endpoint, api_key=os.environ.get(llm.API_KEY_ENV, "")
-    )
+    return config
 
 
 def _llm_client(cfg: RunConfig) -> LlmClient:
@@ -76,25 +68,7 @@ def _llm_client(cfg: RunConfig) -> LlmClient:
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    # TrainConfig leaves batch_size to train_head, which needs two pairs per batch.
-    if cfg["retriever"]["batch_size"] < 2:
-        raise ConfigError(
-            f"[retriever] batch_size must be >= 2 for in-batch negatives, "
-            f"got {cfg['retriever']['batch_size']}"
-        )
     return cfg.stage(TrainConfig, "retriever", dim_out=cfg["retriever"]["head_dim"] or None)
-
-
-# Stage configs built from their section alone; _check_config builds each.
-STAGE_CONFIGS = {
-    "kb": KbBuildConfig,
-    "pipeline": pipeline.PipelineConfig,
-    "eval": evaluation.EvalConfig,
-}
-
-
-def _stage(cfg: RunConfig, section: str):
-    return cfg.stage(STAGE_CONFIGS[section], section)
 
 
 def _check_config(cfg: RunConfig) -> None:
@@ -102,8 +76,9 @@ def _check_config(cfg: RunConfig) -> None:
     _provider(cfg)
     _llm_config(cfg)
     _train_config(cfg)
-    for section in STAGE_CONFIGS:
-        _stage(cfg, section)
+    cfg.stage(KbBuildConfig, "kb")
+    cfg.stage(pipeline.PipelineConfig, "pipeline")
+    cfg.stage(evaluation.EvalConfig, "eval")
 
 
 def _train_dataset(cfg: RunConfig) -> Dataset:
@@ -153,7 +128,7 @@ def _check_lineage(cfg: RunConfig, artifact_hash: Optional[str], what: str, forc
 
 def cmd_build_kb(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _train_dataset(cfg)
-    kb_cfg = _stage(cfg, "kb")
+    kb_cfg = cfg.stage(KbBuildConfig, "kb")
     kb = knowledge_base.init_kb(dataset, kb_cfg)
     print(f"seeded {len(kb)} entries from dataset evidence")
     ledger = llm.CallLedger()
@@ -214,7 +189,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
     head = _load_head(cfg)
-    pipe_cfg = _stage(cfg, "pipeline")
+    pipe_cfg = cfg.stage(pipeline.PipelineConfig, "pipeline")
     # Nothing to retrieve with top_j = 0 or from an empty KB: build no index.
     index = None
     if pipe_cfg.top_j > 0:
@@ -244,7 +219,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     provider = _provider(cfg)
     head = _load_head(cfg)
     test = _test_dataset(cfg)
-    eval_cfg = _stage(cfg, "eval")
+    eval_cfg = cfg.stage(evaluation.EvalConfig, "eval")
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 

@@ -135,6 +135,8 @@ def load_config(
     data = copy.deepcopy(DEFAULTS)
     for section, key, raw in values:
         data[section][key] = _coerce(section, key, raw)
+    if data["run"]["seed"] < 0:
+        raise ConfigError("[run] seed must be >= 0")
     if workdir is None:
         workdir = Path(config_file).parent if config_file else Path.cwd()
     return RunConfig(data, Path(workdir))

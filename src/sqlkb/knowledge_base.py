@@ -187,7 +187,6 @@ def _rank_examples(
     query_rows: np.ndarray,
     query_ids: Sequence[str],
     k: int,
-    require_knowledge: bool = True,
     require_sql: bool = False,
 ) -> list[np.ndarray]:
     """Record positions of each query's k best examples, best first.
@@ -199,9 +198,7 @@ def _rank_examples(
     counts) every dot product is exact, so the result does not depend on the
     blocking.
     """
-    drop = np.zeros(len(questions.id_rank), dtype=bool)
-    if require_knowledge:
-        drop |= ~questions.has_knowledge
+    drop = ~questions.has_knowledge
     if require_sql:
         drop |= ~questions.has_sql
     dropped = np.flatnonzero(drop)
@@ -238,7 +235,6 @@ def select_examples(
     dataset: Dataset,
     k: int,
     embedder: "EmbeddingProvider",
-    require_knowledge: bool = True,
     require_sql: bool = False,
 ) -> list["ExampleTriplet"]:
     """Rank dataset records by cosine similarity of their questions to the query.
@@ -253,9 +249,7 @@ def select_examples(
     if k < 1:
         raise ValueError("k must be >= 1")
     questions = _question_matrix(dataset, embedder)
-    (best,) = _rank_examples(
-        questions, embedder.raw(query.text)[None], [query.id], k, require_knowledge, require_sql
-    )
+    (best,) = _rank_examples(questions, embedder.raw(query.text)[None], [query.id], k, require_sql)
     if not len(best):
         raise InsufficientExamplesError("no candidate examples available")
     return [dataset.records[i] for i in best]

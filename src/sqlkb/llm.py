@@ -61,8 +61,14 @@ class LlmConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
+        if self.backend not in ("http", "mock"):
+            raise ValueError(f"backend: expected http or mock, got {self.backend!r}")
+        if not self.temperature >= 0:  # also rejects NaN
             raise ValueError("temperature must be >= 0")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if not 0 < self.timeout < float("inf"):
+            raise ValueError("timeout must be > 0 and finite")
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
 
@@ -208,8 +214,6 @@ class LlmClient:
         digest = prompt_sha256(prompt)
         completion: Optional[str] = None
         try:
-            if self.config.backend not in ("http", "mock"):
-                raise LlmError(f"unknown backend {self.config.backend!r}")
             if digest in self.responses:
                 completion = self.responses[digest]
                 if completion is None:

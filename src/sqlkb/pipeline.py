@@ -47,7 +47,6 @@ class PipelineConfig:
     budget: int = DEFAULT_BUDGET
     use_refinement: bool = True
     few_shot_k: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.top_j < 0:

@@ -73,6 +73,14 @@ class EmbeddingProvider:
     _cache: dict = field(default_factory=dict, repr=False)  # text -> raw row
     _buckets: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.backend not in ("hash", "http"):
+            raise ValueError(f"backend: expected hash or http, got {self.backend!r}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.backend == "http" and not self.endpoint:
+            raise ValueError("backend = http needs an endpoint")
+
     @property
     def fingerprint(self) -> str:
         """`name:dim:backend`, and for the http backend `:endpoint` after it:
@@ -113,9 +121,7 @@ class EmbeddingProvider:
             return np.empty((0, self.dim))
         if self.backend == "hash":
             return self._hash_rows(texts)
-        if self.backend == "http":
-            return self._http_rows(texts)
-        raise ConfigError(f"unknown embedding backend {self.backend!r}")
+        return self._http_rows(texts)
 
     def _hash_rows(self, texts: Sequence[str]) -> np.ndarray:
         lengths, buckets = [], []
@@ -135,8 +141,6 @@ class EmbeddingProvider:
         return counts
 
     def _http_rows(self, texts: Sequence[str]) -> np.ndarray:
-        if not self.endpoint:
-            raise ConfigError("http embedding backend requires an endpoint")
         chunks = []
         for start in range(0, len(texts), HTTP_BATCH):
             chunk = texts[start : start + HTTP_BATCH]
@@ -630,8 +634,11 @@ class TrainConfig:
     dim_out: Optional[int] = None  # defaults to provider dim
     holdout_fraction: float = 0.25
 
-    # batch_size is checked by train_head, which needs two pairs per batch.
     def __post_init__(self) -> None:
+        if self.batch_size < 2:
+            raise ValueError(
+                f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}"
+            )
         if not self.tau > 0:  # also rejects NaN
             raise ValueError("tau must be > 0")
         if not 0 <= self.lr < np.inf:
@@ -670,8 +677,6 @@ def train_head(
     the best-scoring weights are returned.
     """
     config = config or TrainConfig()
-    if config.batch_size < 2:
-        raise ConfigError("batch_size must be >= 2 for in-batch negatives")
     if len(pairs) < 2:
         raise ConfigError("need at least 2 training pairs")
 

@@ -614,6 +614,13 @@ ARTIFACTS_BEFORE = {
          "[retriever] holdout_fraction must be >= 0 and < 1"),
         ("train-retriever", "retriever.head_dim=-5", "[retriever] dim_out must be >= 1, got -5"),
         ("train-retriever", "retriever.dim=0", "[retriever] dim must be >= 1, got 0"),
+        ("train-retriever", "retriever.backend=http",
+         "[retriever] backend = http needs an endpoint"),
+        ("train-retriever", "run.seed=-1", "[run] seed must be >= 0"),
+        ("build-kb", "llm.timeout=0", "[llm] timeout must be > 0 and finite"),
+        ("generate", "llm.timeout=nan", "[llm] timeout must be > 0 and finite"),
+        ("generate", "llm.temperature=nan", "[llm] temperature must be >= 0"),
+        ("build-kb", "llm.max_tokens=0", "[llm] max_tokens must be >= 1, got 0"),
         ("generate", "pipeline.few_shot_k=0", "[pipeline] few_shot_k must be >= 1"),
         ("generate", "pipeline.top_j=-2", "[pipeline] top_j must be >= 0"),
         ("generate", "pipeline.budget=-1", "[pipeline] budget must be >= 0"),

@@ -88,9 +88,8 @@ def test_context_overflow_checked_before_backend():
 
 
 def test_unknown_backend():
-    client = LlmClient(LlmConfig(backend="carrier-pigeon"))
-    with pytest.raises(LlmError):
-        client.complete("hello")
+    with pytest.raises(ValueError, match="expected http or mock, got 'carrier-pigeon'"):
+        LlmConfig(backend="carrier-pigeon")
 
 
 def test_synthetic_completer_deterministic():

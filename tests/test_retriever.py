@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,22 @@ def test_disjoint_tokens_orthogonal():
 def test_embed_empty_text_rejected(provider):
     with pytest.raises(ValueError):
         provider.embed("")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"backend": "hsah"}, "backend: expected hash or http, got 'hsah'"),
+        ({"dim": 0}, "dim must be >= 1, got 0"),
+        ({"backend": "http"}, "backend = http needs an endpoint"),
+        ({"backend": "http", "endpoint": ""}, "backend = http needs an endpoint"),
+    ],
+)
+def test_provider_refuses_bad_settings_at_construction(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EmbeddingProvider(**fields)
+    # the settings it accepts build a usable provider
+    assert EmbeddingProvider(dim=1).raw("a b").tolist() == [2.0]
 
 
 def test_embed_many_bit_identical_to_embed():
@@ -581,9 +598,8 @@ def test_train_head_single_step_descends():
 
 
 def test_train_head_batch_size_validation():
-    prov = EmbeddingProvider(dim=16)
-    with pytest.raises(ConfigError):
-        train_head(synthetic_pairs(), prov, TrainConfig(batch_size=1))
+    with pytest.raises(ValueError, match="batch_size must be >= 2"):
+        TrainConfig(batch_size=1)
 
 
 def test_train_head_too_few_pairs():
