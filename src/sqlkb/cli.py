@@ -220,13 +220,27 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     head = _load_head(cfg)
     test = _test_dataset(cfg)
     eval_cfg = cfg.stage(evaluation.EvalConfig, "eval")
+    gold = [r for r in test.records if r.knowledge is not None]
+    gold_knowledge = [r.knowledge for r in gold]
+    labeled = [
+        (r.query.text, [eid])
+        for r in gold
+        if (eid := knowledge_base.entry_id(r.knowledge)) in kb.entries
+    ]
+    # Each text embedded one at a time below (an output's knowledge for SS,
+    # a gold text, a labeled question) is embedded in one batch first.
+    answered = {o.query_id: o.knowledge for o in outputs}
+    provider.cache_raw(
+        [answered[r.query.id] for r in gold if answered.get(r.query.id)]
+        + gold_knowledge
+        + [q for q, _ in labeled]
+    )
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 
     # The gold texts ride along as probes: they are scored in the pass that
     # builds the index, or against the raw rows stored with it.
     # An empty KB gets no index: EX, VES, EM and SS need none.
-    gold_knowledge = [r.knowledge for r in test.records if r.knowledge is not None]
     probes = np.array([provider.raw(g) for g in gold_knowledge]) if gold_knowledge else None
     index = None
     if len(kb):
@@ -241,13 +255,6 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
             "mean_best_similarity": coverage.mean_best_similarity,
         }
 
-    labeled = []
-    for rec in test.records:
-        if rec.knowledge is None:
-            continue
-        eid = knowledge_base.entry_id(rec.knowledge)
-        if eid in kb.entries:
-            labeled.append((rec.query.text, [eid]))
     if labeled:
         metrics = retriever.eval_retrieval(index, labeled, provider, head)
         report.retrieval = {"mrr": metrics.mrr, "top_at": metrics.top_at}

@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .errors import (
     ContextOverflowError,
@@ -23,12 +21,7 @@ from .errors import (
     ReplayDriftError,
 )
 from .jsonl import read_jsonl, write_jsonl
-from .transport import post_json
-
-if TYPE_CHECKING:
-    from email.message import Message
-
-logger = logging.getLogger(__name__)
+from .transport import RetryPolicy, request_json
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -39,12 +32,6 @@ ENDPOINT_ENV = "SQLKB_LLM_ENDPOINT"
 
 def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class RetryPolicy:
-    attempts: int = 3
-    backoff: float = 1.0  # seconds, doubled per retry
 
 
 @dataclass
@@ -65,10 +52,14 @@ class LlmConfig:
             raise ValueError(f"backend: expected http or mock, got {self.backend!r}")
         if not self.temperature >= 0:  # also rejects NaN
             raise ValueError("temperature must be >= 0")
+        if self.temperature == float("inf"):
+            raise ValueError("temperature must be finite")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if not 0 < self.timeout < float("inf"):
             raise ValueError("timeout must be > 0 and finite")
+        if self.timeout > threading.TIMEOUT_MAX:  # the most a socket can wait
+            raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX:.0f}s")
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
 
@@ -249,47 +240,19 @@ class LlmClient:
         url = self.config.endpoint.rstrip("/")
         if not url.endswith("/chat/completions"):
             url += "/chat/completions"
-        last_error: Exception = LlmError("no attempts made")
-        delay = self.config.retry.backoff
-        for attempt in range(self.config.retry.attempts):
-            sleep = delay
-            try:
-                status, resp_headers, body = post_json(url, payload, self.config.timeout, headers)
-            except ValueError as exc:  # cannot be sent: retrying cannot help
-                raise LlmError(f"request failed: {exc}") from exc
-            except TimeoutError:
-                last_error = LlmError(f"timeout after {self.config.timeout}s")
-            except OSError as exc:
-                last_error = LlmError(f"request failed: {exc}")
-            else:
-                if status == 200:
-                    try:
-                        content = json.loads(body)["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, TypeError, ValueError) as exc:
-                        raise LlmError(f"malformed response: {exc}") from exc
-                    if not isinstance(content, str):
-                        raise LlmError(f"malformed response: content is {content!r}")
-                    return content
-                last_error = LlmError(f"http status {status}")
-                if status not in (429,) and status < 500:
-                    break  # client errors are not retryable
-                if status in (429, 503):
-                    sleep = _retry_after(resp_headers, self.config.timeout, delay)
-            if attempt + 1 < self.config.retry.attempts:
-                logger.warning("llm call failed (%s), retrying in %.1fs", last_error, sleep)
-                time.sleep(sleep)
-                delay *= 2
-        raise last_error
-
-
-def _retry_after(headers: Message, timeout: float, default: float) -> float:
-    """The wait a 429 or 503 asks for in seconds, at most `timeout`;
-    `default` when Retry-After is absent, an HTTP-date or unparsable."""
-    try:
-        seconds = float(headers.get("Retry-After", ""))
-    except ValueError:
-        return default
-    return min(seconds, timeout) if seconds >= 0 else default
+        try:
+            body = request_json(url, payload, self.config.timeout, self.config.retry, headers)
+        except ValueError as exc:
+            raise LlmError(f"request failed: {exc}") from exc
+        except OSError as exc:
+            raise LlmError(str(exc)) from exc
+        try:
+            content = json.loads(body)["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise LlmError(f"malformed response: {exc}") from exc
+        if not isinstance(content, str):
+            raise LlmError(f"malformed response: content is {content!r}")
+        return content
 
 
 def replay_client(config: LlmConfig, fixture_path: Path | str) -> LlmClient:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .knowledge_base import kb_digest
 from .ranking import cosine_key, normalize_rows, rank_of, top_j
-from .transport import post_json
+from .transport import RetryPolicy, request_json
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase, KnowledgeEntry
@@ -58,8 +58,9 @@ class EmbeddingProvider:
 
     The "http" backend POSTs {"texts": [...]} to the endpoint, up to
     HTTP_BATCH texts per request, and expects a 200 with
-    {"embeddings": [[...], ...]}, one raw row per text. It does not retry:
-    any failure is a ProviderError.
+    {"embeddings": [[...], ...]}, one raw row per text. It retries as
+    `transport.request_json` does under the default `RetryPolicy`; the last
+    failure, or a malformed answer, is a ProviderError.
 
     `raw`/`raw_many` return the raw rows; `embed`/`embed_many` return them
     L2-normalized (an all-zero row is returned as-is).
@@ -110,6 +111,13 @@ class EmbeddingProvider:
             cached = self._cache[text] = self.raw_many([text])[0]
         return cached
 
+    def cache_raw(self, texts: Iterable[str]) -> None:
+        """Put the raw rows of the texts the per-text cache lacks into it,
+        from one `raw_many` call (HTTP_BATCH texts per http request)."""
+        missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
+        if missing:
+            self._cache.update(zip(missing, self.raw_many(missing)))
+
     def raw_many(self, texts: Sequence[str]) -> np.ndarray:
         """Raw rows of a batch of texts as an (n, dim) array, bypassing the cache.
 
@@ -145,9 +153,7 @@ class EmbeddingProvider:
         for start in range(0, len(texts), HTTP_BATCH):
             chunk = texts[start : start + HTTP_BATCH]
             try:
-                status, _, body = post_json(self.endpoint, {"texts": chunk}, self.timeout)
-                if status != 200:
-                    raise ValueError(f"http status {status}")
+                body = request_json(self.endpoint, {"texts": chunk}, self.timeout, RetryPolicy())
                 rows = np.asarray(json.loads(body)["embeddings"], dtype=np.float64)
             except (OSError, KeyError, TypeError, ValueError) as exc:
                 raise ProviderError(f"embedding service failed: {exc}") from exc
@@ -440,7 +446,9 @@ def _build_index_file(
             index = build_index(kb, provider, head, probes, write_raw)
             _write_array(zf, "matrix.npy", index.matrix)
             meta = {"format": INDEX_FORMAT, "key": key, "raw": raw_names}
-            zf.writestr(INDEX_META, json.dumps(meta))
+            # a ZipInfo dates the member 1980-01-01, as zf.open dates the
+            # arrays: a name alone would stamp the current time
+            zf.writestr(zipfile.ZipInfo(INDEX_META), json.dumps(meta))
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

@@ -7,11 +7,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
 import pytest
 
+from sqlkb import transport
 from sqlkb.dataset import load_dataset
 from sqlkb.llm import LlmClient, LlmConfig, RetryPolicy, prompt_sha256, synthetic_completer
 from sqlkb.retriever import EmbeddingProvider
@@ -91,6 +93,22 @@ def count_best_cosines() -> Callable[[EmbeddingProvider, list[str], list[str]], 
 
 
 @pytest.fixture()
+def sent(monkeypatch) -> SimpleNamespace:
+    """The URLs `transport` posts to (`posts`) and the retry waits it takes
+    (`sleeps`), recorded in place of sleeping."""
+    sent = SimpleNamespace(posts=[], sleeps=[])
+    post_json = transport.post_json
+
+    def counting_post(*args):
+        sent.posts.append(args[0])
+        return post_json(*args)
+
+    monkeypatch.setattr(transport, "post_json", counting_post)
+    monkeypatch.setattr(transport, "time", SimpleNamespace(sleep=sent.sleeps.append))
+    return sent
+
+
+@pytest.fixture()
 def refused_url() -> str:
     """A localhost URL nothing listens on: connecting to it is refused."""
     with socket.socket() as sock:
@@ -99,23 +117,25 @@ def refused_url() -> str:
 
 
 @contextmanager
-def serving(handle: Callable[[str, dict], tuple[int, dict]]) -> Iterator[str]:
+def serving(handle: Callable[[str, dict], tuple]) -> Iterator[str]:
     """Serve `handle` on a threaded localhost server and yield its base URL.
 
     Each POST's path and JSON body go to `handle(path, body)`, which returns
-    the answer's status and JSON payload. On exit the server shuts down and
-    joins its request threads, failing the test if that takes over
-    STUB_TIMEOUT.
+    the answer's status and JSON payload, and optionally a dict of headers
+    to add. On exit the server shuts down and joins its request threads,
+    failing the test if that takes over STUB_TIMEOUT.
     """
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self) -> None:
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            status, payload = handle(self.path, body)
+            status, payload, *headers = handle(self.path, body)
             data = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(data)
 
@@ -216,14 +236,16 @@ def chat_stub():
 class EmbedStub:
     """Threaded localhost embedding endpoint.
 
-    Answers {"texts": [...]} with `status` and {"embeddings": rows(path,
-    texts)}; by default the texts' hash rows at dim 256. Records each
-    request's texts, in arrival order, in `batches`.
+    Answers {"texts": [...]} with `status` and, for a 2xx, {"embeddings":
+    rows(path, texts)}; by default the texts' hash rows at dim 256. The
+    (status, headers) pairs in `script` answer the first requests instead
+    of `status`. Records each request's texts, in arrival order, in `batches`.
     """
 
     def __init__(self) -> None:
         self.url = ""
         self.status = 200
+        self.script: list[tuple[int, dict]] = []
         hashed = EmbeddingProvider(dim=256)
         self.rows: Callable[[str, list[str]], list] = (
             lambda path, texts: hashed.raw_many(texts).tolist()
@@ -231,12 +253,13 @@ class EmbedStub:
         self.batches: list[list[str]] = []
         self._lock = threading.Lock()
 
-    def handle(self, path: str, body: dict) -> tuple[int, dict]:
+    def handle(self, path: str, body: dict) -> tuple[int, dict, dict]:
         with self._lock:
             self.batches.append(body["texts"])
-        if self.status != 200:
-            return self.status, {"error": "stub refused"}
-        return 200, {"embeddings": self.rows(path, body["texts"])}
+            status, headers = self.script.pop(0) if self.script else (self.status, {})
+        if status >= 300:
+            return status, {"error": "stub refused"}, headers
+        return status, {"embeddings": self.rows(path, body["texts"])}, headers
 
 
 @pytest.fixture()

@@ -21,6 +21,7 @@ from sqlkb.cli import (
 from sqlkb.config import DEFAULTS, RunConfig, load_config
 from sqlkb import llm
 from sqlkb.errors import ConfigError, LlmError
+from sqlkb.knowledge_base import entry_id
 from sqlkb.retriever import HTTP_BATCH, ROW_CHUNK, EmbeddingProvider
 from sqlkb.toy import generate_toy
 
@@ -370,23 +371,28 @@ def test_evaluate_embeds_kb_once(workdir, monkeypatch, cold):
     kb_lines = (workdir / KB_FILE).read_text().splitlines()[1:]
     kb_texts = sorted(json.loads(line)["text"] for line in kb_lines)
     # Batches embedded directly; single texts (queries, gold knowledge) go
-    # through the per-text cache of `raw`, which `embed` reads, and are left out.
+    # through the per-text cache of `raw` and `cache_raw`, which `embed`
+    # reads, and are left out.
     batches, in_raw = [], []
-    raw, raw_many = EmbeddingProvider.raw, EmbeddingProvider.raw_many
+    raw_many = EmbeddingProvider.raw_many
 
-    def recording_raw(self, text):
-        in_raw.append(text)
-        try:
-            return raw(self, text)
-        finally:
-            in_raw.pop()
+    def filling_cache(method):
+        def recording(self, texts):
+            in_raw.append(texts)
+            try:
+                return method(self, texts)
+            finally:
+                in_raw.pop()
+
+        return recording
 
     def recording_raw_many(self, texts):
         if not in_raw:
             batches.append(list(texts))
         return raw_many(self, texts)
 
-    monkeypatch.setattr(EmbeddingProvider, "raw", recording_raw)
+    for name in ("raw", "cache_raw"):
+        monkeypatch.setattr(EmbeddingProvider, name, filling_cache(getattr(EmbeddingProvider, name)))
     monkeypatch.setattr(EmbeddingProvider, "raw_many", recording_raw_many)
     assert run_cli(workdir, "evaluate") == 0
     assert sorted(t for batch in batches for t in batch) == (kb_texts if cold else [])
@@ -442,15 +448,26 @@ def test_build_kb_embeds_the_train_questions_in_batches(workdir, embed_stub):
 
 def test_evaluate_after_generate_sends_no_kb_embedding_request(workdir, embed_stub):
     """With the http embedding backend, evaluate reads the KB rows from the
-    index file generate wrote: each request carries one text of its own."""
+    index file generate wrote: its requests carry only the texts it embeds
+    one by one (gold and output knowledge, labeled questions), each once,
+    HTTP_BATCH texts per request."""
     requests_sent = embed_stub.batches
     http = ("--set", "retriever.backend=http", "--set", f"retriever.endpoint={embed_stub.url}")
     for cmd in ("build-kb", "train-retriever", "generate"):
         assert run_cli(workdir, cmd, *http) == 0, cmd
     requests_sent.clear()
     assert run_cli(workdir, "evaluate", *http) == 0
-    assert requests_sent and all(len(texts) == 1 for texts in requests_sent)
-    assert len({texts[0] for texts in requests_sent}) == len(requests_sent)
+    records = json.loads((workdir / "test.json").read_text())
+    assert all(r["evidence"] for r in records)
+    kb_ids = {json.loads(line)["id"] for line in (workdir / KB_FILE).read_text().splitlines()[1:]}
+    outputs = (workdir / OUTPUTS_FILE).read_text().splitlines()[1:]
+    texts = (
+        {r["evidence"] for r in records}
+        | {r["question"] for r in records if entry_id(r["evidence"]) in kb_ids}
+        | {json.loads(line)["knowledge"] for line in outputs} - {None}
+    )
+    assert sorted(t for batch in requests_sent for t in batch) == sorted(texts)
+    assert len(requests_sent) == -(-len(texts) // HTTP_BATCH)
 
 
 def test_head_for_other_embedding_service_rejected(workdir, embed_stub, capsys):
@@ -620,6 +637,8 @@ ARTIFACTS_BEFORE = {
         ("build-kb", "llm.timeout=0", "[llm] timeout must be > 0 and finite"),
         ("generate", "llm.timeout=nan", "[llm] timeout must be > 0 and finite"),
         ("generate", "llm.temperature=nan", "[llm] temperature must be >= 0"),
+        ("generate", "llm.temperature=inf", "[llm] temperature must be finite"),
+        ("build-kb", "llm.timeout=1e10", "[llm] timeout must be <= "),
         ("build-kb", "llm.max_tokens=0", "[llm] max_tokens must be >= 1, got 0"),
         ("generate", "pipeline.few_shot_k=0", "[pipeline] few_shot_k must be >= 1"),
         ("generate", "pipeline.top_j=-2", "[pipeline] top_j must be >= 0"),

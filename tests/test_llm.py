@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import sqlkb
-from sqlkb import llm
+from sqlkb import transport
 from sqlkb.errors import (
     ContextOverflowError,
     LlmError,
@@ -334,7 +334,7 @@ def test_http_retry_after_wait(stub_server, monkeypatch, status, retry_after, sl
     endpoint, handler = stub_server
     handler.script = [(status, {}, {"Retry-After": retry_after}), (200, ok_body("after"))]
     sleeps = []
-    monkeypatch.setattr(llm, "time", SimpleNamespace(sleep=sleeps.append))
+    monkeypatch.setattr(transport, "time", SimpleNamespace(sleep=sleeps.append))
     client = LlmClient(http_config(endpoint, retry=RetryPolicy(attempts=3, backoff=0.25)))
     assert client.complete("hello") == "after"
     assert sleeps == [slept]
@@ -364,7 +364,7 @@ def test_http_refused_connection_tried_attempts_times(refused_url, monkeypatch):
         calls.append(args[0])
         return post_json(*args)
 
-    monkeypatch.setattr(llm, "post_json", counting_post)
+    monkeypatch.setattr(transport, "post_json", counting_post)
     client = LlmClient(http_config(refused_url))
     with pytest.raises(LlmError, match="request failed"):
         client.complete("hello")
@@ -386,6 +386,25 @@ def test_http_client_error_not_retried(stub_server):
     with pytest.raises(LlmError):
         client.complete("hello")
     assert len(handler.seen) == 1
+
+
+@pytest.mark.parametrize("status", [201, 204])
+def test_http_only_a_200_is_an_answer(stub_server, status):
+    endpoint, handler = stub_server
+    handler.script = [(status, ok_body("not an answer"))]
+    client = LlmClient(http_config(endpoint))
+    with pytest.raises(LlmError, match=f"^http status {status}$"):
+        client.complete("hello")
+    assert len(handler.seen) == 1
+
+
+def test_payload_that_is_not_json_is_not_sent(stub_server):
+    endpoint, handler = stub_server
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        post_json(endpoint, {"temperature": float("nan")}, 5.0)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        transport.request_json(endpoint, [float("inf")], 5.0, RetryPolicy(attempts=3))
+    assert handler.seen == []
 
 
 @pytest.mark.parametrize(

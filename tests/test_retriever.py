@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ def test_http_embed_many_rejects_wrong_shape(embed_stub, rows_delta, dim_delta):
         ("refused", "embedding service failed"),
     ],
 )
-def test_http_embed_failure_is_provider_error(embed_stub, refused_url, failure, message):
+def test_http_embed_failure_is_provider_error(embed_stub, refused_url, sent, failure, message):
     endpoint = refused_url if failure == "refused" else embed_stub.url
     if failure == "status":
         embed_stub.status = 503
@@ -194,6 +195,31 @@ def test_http_embed_failure_is_provider_error(embed_stub, refused_url, failure, 
     prov = EmbeddingProvider(dim=8, backend="http", endpoint=endpoint)
     with pytest.raises(ProviderError, match=message):
         prov.embed_many(["one text"])
+    assert len(sent.posts) == {"status": 3, "refused": 3, "body": 1}[failure]
+
+
+@pytest.mark.parametrize("status", [201, 204])
+def test_http_embed_only_a_200_is_an_answer(embed_stub, sent, status):
+    embed_stub.status = status
+    prov = EmbeddingProvider(dim=256, backend="http", endpoint=embed_stub.url)
+    with pytest.raises(ProviderError, match=f"embedding service failed: http status {status}$"):
+        prov.embed_many(["one text"])
+    assert len(sent.posts) == 1
+
+
+@pytest.mark.parametrize(
+    "refusal, slept",
+    [
+        ((503, {}), 1.0),  # the default backoff
+        ((429, {"Retry-After": "2.5"}), 2.5),
+    ],
+)
+def test_http_embed_retries_a_refusal(embed_stub, sent, refusal, slept):
+    embed_stub.script = [refusal]
+    prov = EmbeddingProvider(dim=256, backend="http", endpoint=embed_stub.url)
+    rows = prov.raw_many(["one text"])
+    assert np.array_equal(rows, EmbeddingProvider(dim=256).raw_many(["one text"]))
+    assert len(sent.posts) == 2 and sent.sleeps == [slept]
 
 
 # --- index / retrieve ---
@@ -325,6 +351,14 @@ def test_index_key_change_forces_rebuild(
     fresh = retriever.build_index(kb, *INDEX_SETUPS[after](url))
     assert np.array_equal(index.matrix, fresh.matrix)
     assert index.head_fingerprint == fresh.head_fingerprint
+
+
+def test_index_file_members_carry_a_fixed_date(tmp_path, provider):
+    """Every member is dated 1980-01-01, so a rebuild writes the same bytes."""
+    path = tmp_path / "kb_index.npz"
+    load_or_build_index(path, make_kb(["one two", "three four"]), provider)
+    with zipfile.ZipFile(path) as zf:
+        assert {m.date_time for m in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
 
 @pytest.mark.parametrize(
