@@ -53,6 +53,22 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+# Keys whose stage field is declared output-neutral in its metadata
+# (`[llm] max_inflight`): they change no artifact, so lineage ignores them.
+UNHASHED = frozenset(
+    (section, f.name)
+    for section, cls in (
+        ("kb", KbBuildConfig),
+        ("retriever", TrainConfig),
+        ("llm", LlmConfig),
+        ("pipeline", PipelineConfig),
+        ("eval", EvalConfig),
+    )
+    for f in dataclasses.fields(cls)
+    if f.metadata.get("output_neutral")
+)
+
+
 def _coerce(section: str, key: str, raw: str):
     try:
         default = DEFAULTS[section][key]
@@ -90,7 +106,11 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        canonical = json.dumps(self.data, sort_keys=True)
+        hashed = {
+            section: {k: v for k, v in keys.items() if (section, k) not in UNHASHED}
+            for section, keys in self.data.items()
+        }
+        canonical = json.dumps(hashed, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def stage(self, cls: type[T], section: str, **extra) -> T:

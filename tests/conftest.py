@@ -116,6 +116,12 @@ def refused_url() -> str:
         return f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
 
 
+class StubServer(ThreadingHTTPServer):
+    # socketserver's listen backlog is 5; a connect that overflows it waits
+    # out a 1 s SYN retransmit, so leave room for a full fan_out window
+    request_queue_size = 64
+
+
 @contextmanager
 def serving(handle: Callable[[str, dict], tuple]) -> Iterator[str]:
     """Serve `handle` on a threaded localhost server and yield its base URL.
@@ -142,7 +148,7 @@ def serving(handle: Callable[[str, dict], tuple]) -> Iterator[str]:
         def log_message(self, *args) -> None:
             pass
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server = StubServer(("127.0.0.1", 0), Handler)
     server.daemon_threads = False  # server_close() joins the request threads
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True

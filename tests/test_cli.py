@@ -84,7 +84,8 @@ def test_config_hash_stable_and_sensitive(tmp_path):
     a = load_config(workdir=tmp_path)
     b = load_config(workdir=tmp_path)
     c = load_config(workdir=tmp_path, overrides=["run.seed=1"])
-    assert a.config_hash == b.config_hash
+    neutral = load_config(workdir=tmp_path, overrides=["llm.max_inflight=2"])
+    assert a.config_hash == b.config_hash == neutral.config_hash
     assert a.config_hash != c.config_hash
     assert len(a.config_hash) == 16
 
@@ -195,6 +196,15 @@ def test_lineage_mismatch_refused_then_forced(workdir, capsys):
     assert run_cli(workdir, "stats", "--set", "run.seed=99") == 2
     assert "LineageError" in capsys.readouterr().err
     assert run_cli(workdir, "stats", "--set", "run.seed=99", "--force") == 0
+
+
+def test_output_neutral_override_passes_lineage(workdir, capsys):
+    run_cli(workdir, "build-kb")
+    assert run_cli(workdir, "generate") == 0
+    default = (workdir / OUTPUTS_FILE).read_text().splitlines()
+    assert run_cli(workdir, "generate", "--set", "llm.max_inflight=2") == 0
+    assert (workdir / OUTPUTS_FILE).read_text().splitlines()[1:] == default[1:]
+    assert "LineageError" not in capsys.readouterr().err
 
 
 class _RecordingSection(dict):

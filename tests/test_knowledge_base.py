@@ -312,7 +312,8 @@ def test_expand_kb_concurrent_matches_serial(chat_stub, train_ds, provider, tmp_
     )
     config = KbBuildConfig(few_shot_k=5, iterations=2, seed=0)
     files = {}
-    for max_inflight in (1, 4):
+    # 20 records x 2 iterations: 40 completions, enough to fill the default window
+    for max_inflight in (1, 4, LlmConfig().max_inflight):
         chat_stub.inflight_max = 0
         client = chat_stub.client(max_inflight)
         kb = chat_stub.bounded(expand_kb, init_kb(train_ds), train_ds, client, provider, config)
@@ -324,4 +325,4 @@ def test_expand_kb_concurrent_matches_serial(chat_stub, train_ds, provider, tmp_
         files[max_inflight] = [
             (tmp_path / f"{name}{max_inflight}.jsonl").read_bytes() for name in ("kb", "ledger")
         ]
-    assert files[4] == files[1]
+    assert files[LlmConfig().max_inflight] == files[4] == files[1]

@@ -458,10 +458,10 @@ def test_max_inflight_validation():
 
 # --- fan_out (against the threaded chat_stub in conftest) ---
 
-@pytest.mark.parametrize("max_inflight", [1, 4])
+@pytest.mark.parametrize("max_inflight", [1, 4, LlmConfig().max_inflight])
 def test_fan_out_keeps_item_order(chat_stub, max_inflight):
     chat_stub.latency = 0.1
-    prompts = [f"prompt {i}" for i in range(12)]
+    prompts = [f"prompt {i}" for i in range(16)]
     client = chat_stub.client(max_inflight)
     results = chat_stub.bounded(client.fan_out, LlmClient.complete, prompts)
     assert results == [synthetic_completer(p) for p in prompts]
@@ -512,9 +512,9 @@ def test_fan_out_retry_backoff_does_not_stall_others(chat_stub):
     assert sorted(chat_stub.seen[:-1]) == prompts
 
 
-@pytest.mark.parametrize("max_inflight", [1, 4])
+@pytest.mark.parametrize("max_inflight", [1, 4, LlmConfig().max_inflight])
 def test_fan_out_error_ends_like_a_serial_loop(chat_stub, max_inflight):
-    prompts = [f"prompt {i}" for i in range(8)]
+    prompts = [f"prompt {i}" for i in range(16)]
 
     def complete_then_fail_on_third(client, prompt):
         completion = client.complete(prompt)

@@ -313,24 +313,26 @@ def test_outputs_header_is_first_line(tmp_path):
     assert first["format"] == "sqlkb/outputs/v1"
 
 
-def test_run_pipeline_concurrent_matches_serial(chat_stub, train_ds, test_ds, provider, tmp_path):
+def test_run_pipeline_concurrent_matches_serial(chat_stub, toy_dir, train_ds, provider, tmp_path):
+    # the 20 train questions as the test set: enough records to fill the default window
+    queries = load_dataset(toy_dir / "train.json", toy_dir / "databases", split="test")
     chat_stub.latency = 0.01
-    refused = test_ds.records[1].query.text
+    refused = queries.records[1].query.text
     chat_stub.status = lambda prompt: (
         400 if prompt.endswith(f"Question: {refused}\nEvidence: ") else 200
     )
     index = build_index(init_kb(train_ds), provider)
     config = PipelineConfig(top_j=3, few_shot_k=5)
     files = {}
-    for max_inflight in (1, 4):
+    for max_inflight in (1, 4, LlmConfig().max_inflight):
         chat_stub.inflight_max = 0
         client = chat_stub.client(max_inflight)
         outputs = chat_stub.bounded(
-            run_pipeline, test_ds, train_ds, index, client, provider, config
+            run_pipeline, queries, train_ds, index, client, provider, config
         )
         assert 1 <= chat_stub.inflight_max <= max_inflight
         assert (chat_stub.inflight_max > 1) == (max_inflight > 1)  # it did overlap
-        assert [o.query_id for o in outputs] == [r.query.id for r in test_ds.records]
+        assert [o.query_id for o in outputs] == [r.query.id for r in queries.records]
         assert outputs[1].error == "http status 400"
         assert sum(o.error is not None for o in outputs) == 1
         save_outputs(outputs, tmp_path / f"outputs{max_inflight}.jsonl")
@@ -339,7 +341,7 @@ def test_run_pipeline_concurrent_matches_serial(chat_stub, train_ds, test_ds, pr
             (tmp_path / f"{name}{max_inflight}.jsonl").read_bytes()
             for name in ("outputs", "ledger")
         ]
-    assert files[4] == files[1]
+    assert files[LlmConfig().max_inflight] == files[4] == files[1]
 
 
 def test_run_pipeline_embeds_train_questions_once(chat_stub, toy_dir, test_ds, provider):
