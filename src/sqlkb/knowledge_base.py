@@ -10,7 +10,7 @@ import hashlib
 import logging
 import random
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -45,8 +45,10 @@ def entry_id(text: str) -> str:
     return hashlib.sha256(normalize_text(text).encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeEntry:
+    """One KB fact. Slotted: a 50k-entry KB keeps no per-entry `__dict__`."""
+
     id: str
     text: str
     source: str  # "dataset" | "generated"
@@ -344,6 +346,9 @@ def expand_kb(
     return result
 
 
+_ENTRY_KEYS = tuple(f.name for f in fields(KnowledgeEntry))
+
+
 def save_kb(kb: KnowledgeBase, path: Path | str, config_hash: Optional[str] = None) -> None:
     """Write a line-delimited KB file: one header line, then entries sorted by
     id, each without its unset optional fields."""
@@ -354,7 +359,9 @@ def save_kb(kb: KnowledgeBase, path: Path | str, config_hash: Optional[str] = No
     }
     if config_hash is not None:
         header["config_hash"] = config_hash
-    entries = ({k: v for k, v in vars(e).items() if v is not None} for e in kb.sorted_entries())
+    entries = (
+        {k: v for k in _ENTRY_KEYS if (v := getattr(e, k)) is not None} for e in kb.sorted_entries()
+    )
     write_jsonl(path, chain([header], entries))
 
 
@@ -373,25 +380,31 @@ def load_kb(path: Path | str) -> KnowledgeBase:
         build_config=build_config,
         expansion_failures=header.get("expansion_failures", 0),
     )
+    entries = kb.entries
+    # One string object per distinct source, db_id and origin_query_id value:
+    # a KB repeats few of them across many entries.
+    shared: dict[str, str] = {}
     for n, obj in lines:
         try:
-            entry = KnowledgeEntry(
-                id=obj["id"],
-                text=obj["text"],
-                source=obj["source"],
-                db_id=obj["db_id"],
-                origin_query_id=obj.get("origin_query_id"),
-                iteration=obj.get("iteration"),
-            )
-            if not isinstance(entry.text, str):
-                raise ParseError(f"{path}:{n}: text is not a string")
-            if entry.id in kb.entries:
-                raise ParseError(f"{path}:{n}: duplicate entry id {entry.id}")
+            eid, text, source, db_id = obj["id"], obj["text"], obj["source"], obj["db_id"]
         except KeyError as exc:
             raise ParseError(f"{path}:{n}: missing key {exc}") from exc
-        except TypeError as exc:  # an unhashable id
-            raise ParseError(f"{path}:{n}: {exc}") from exc
-        kb.entries[entry.id] = entry
+        origin, iteration = obj.get("origin_query_id"), obj.get("iteration")
+        if not (isinstance(eid, str) and isinstance(text, str)
+                and isinstance(source, str) and isinstance(db_id, str)):
+            key = next(k for k in ("id", "text", "source", "db_id") if not isinstance(obj[k], str))
+            raise ParseError(f"{path}:{n}: {key} is not a string")
+        if origin is not None and not isinstance(origin, str):
+            raise ParseError(f"{path}:{n}: origin_query_id is not a string or null")
+        if iteration is not None and type(iteration) is not int:  # a bool is refused too
+            raise ParseError(f"{path}:{n}: iteration is not an int or null")
+        if eid in entries:
+            raise ParseError(f"{path}:{n}: duplicate entry id {eid}")
+        source = shared.setdefault(source, source)
+        db_id = shared.setdefault(db_id, db_id)
+        if origin is not None:
+            origin = shared.setdefault(origin, origin)
+        entries[eid] = KnowledgeEntry(eid, text, source, db_id, origin, iteration)
     return kb
 
 

@@ -744,7 +744,9 @@ def eval_retrieval(
     if not labeled:
         raise ValueError("labeled set must be non-empty")
     _check_fingerprints(index, provider, head)
-    position = {entry_id: i for i, entry_id in enumerate(index.ids)}
+    # Rows of the labeled ids only, in one scan of the index.
+    wanted = {entry_id for _, relevant in labeled for entry_id in relevant}
+    position = {e.id: i for i, e in enumerate(index.entries) if e.id in wanted}
     reciprocal = []
     hits = {k: 0 for k in ks}
     for query, relevant in labeled:

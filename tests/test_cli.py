@@ -571,6 +571,12 @@ def test_generate_on_empty_kb_retrieves_nothing(workdir, caplog):
         (OUTPUTS_FILE, "evaluate", "sql", "outputs.jsonl:2: sql is an empty string", ""),
         (OUTPUTS_FILE, "evaluate", "knowledge", "outputs.jsonl:2: knowledge is an empty string", ""),
         (KB_FILE, "stats", "text", "kb.jsonl:2: text is not a string", 5),
+        (KB_FILE, "generate", "id", "kb.jsonl:2: id is not a string", 7),
+        (KB_FILE, "stats", "source", "kb.jsonl:2: source is not a string", ["dataset"]),
+        (KB_FILE, "stats", "db_id", "kb.jsonl:2: db_id is not a string", ["company"]),
+        (KB_FILE, "stats", "origin_query_id", "kb.jsonl:2: origin_query_id is not a string or null", 5),
+        (KB_FILE, "stats", "iteration", "kb.jsonl:2: iteration is not an int or null", "x"),
+        (KB_FILE, "stats", "iteration", "kb.jsonl:2: iteration is not an int or null", True),
     ],
 )
 def test_mistyped_field_is_clean_error(workdir, capsys, artifact, command, key, where, value):

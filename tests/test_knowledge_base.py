@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -213,6 +214,20 @@ def test_save_load_round_trip(train_ds, tmp_path):
     again = load_kb(path)
     assert again.entries == kb.entries
     assert again.build_config == kb.build_config
+
+
+def test_loaded_entries_are_compact(train_ds, tmp_path):
+    """Loaded entries have no per-entry __dict__, stay frozen, and share one
+    string object per distinct db_id and source."""
+    path = tmp_path / "kb.jsonl"
+    save_kb(init_kb(train_ds), path)
+    entries = load_kb(path).sorted_entries()
+    a = entries[0]
+    b = next(e for e in entries[1:] if e.db_id == a.db_id)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.text = "changed"
+    assert a.db_id is b.db_id and a.source is b.source
 
 
 def test_expansion_failures_survive_save_and_load(train_ds, provider, tmp_path):
