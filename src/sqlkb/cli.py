@@ -238,8 +238,8 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 
-    # The gold texts ride along as probes: they are scored in the pass that
-    # builds the index, or against the raw rows stored with it.
+    # The gold texts ride along as probes: they are scored against the raw
+    # rows stored in the index file, whether it was loaded or just written.
     # An empty KB gets no index: EX, VES, EM and SS need none.
     probes = np.array([provider.raw(g) for g in gold_knowledge]) if gold_knowledge else None
     index = None

@@ -10,7 +10,7 @@ import json
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import (
     DatabaseFileError,
@@ -218,17 +218,9 @@ def save_dataset(dataset: Dataset, path: Path | str) -> None:
     Path(path).write_text(json.dumps(out, indent=2) + "\n")
 
 
-def _render_lines(
-    schema: DatabaseSchema,
-    with_descriptions: bool,
-    with_fks: bool,
-    keep_tables: Optional[set[str]],
-) -> list[str]:
+def _render_lines(schema: DatabaseSchema, with_descriptions: bool, with_fks: bool) -> list[str]:
     lines = []
     for table in schema.tables:
-        if keep_tables is not None and table.name not in keep_tables:
-            lines.append(f"Table {table.name}")
-            continue
         cols = []
         for col in table.columns:
             part = f"{col.name} {col.type}".rstrip()
@@ -243,33 +235,19 @@ def _render_lines(
     return lines
 
 
-def render_schema(
-    schema: DatabaseSchema,
-    budget: int = 1_000_000,
-    keep_tables: Optional[Iterable[str]] = None,
-) -> str:
+def render_schema(schema: DatabaseSchema, budget: int = 1_000_000) -> str:
     """Render a schema as deterministic prompt text within a character budget.
 
     When over budget, drops column descriptions first, then foreign-key
-    lines, then (when keep_tables is given) the columns of tables outside
-    that set; table names are never dropped. As a last resort the text is
-    hard-truncated to the budget.
+    lines. As a last resort the text is hard-truncated to the budget.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if budget == 0:
         return ""
-    keep = set(keep_tables) if keep_tables is not None else None
-    attempts = [
-        (True, True, None),
-        (False, True, None),
-        (False, False, None),
-    ]
-    if keep is not None:
-        attempts.append((False, False, keep))
     text = ""
-    for with_desc, with_fks, kt in attempts:
-        text = "\n".join(_render_lines(schema, with_desc, with_fks, kt))
+    for with_desc, with_fks in ((True, True), (False, True), (False, False)):
+        text = "\n".join(_render_lines(schema, with_desc, with_fks))
         if len(text) <= budget:
             return text
     return text[:budget]

@@ -228,8 +228,8 @@ def kb_coverage(
     normalization, plus the best embedding similarity per gold item.
 
     `best_similarity` takes the per-gold maxima that
-    `build_index(..., probes=...)` computed already; without it the KB is
-    embedded here, in the same chunked pass.
+    `load_or_build_index(..., probes)` computed already; without it the KB
+    is embedded and scored here, by `embed_blocks`.
     """
     if not gold_knowledge:
         raise EmptySetError("gold knowledge list must be non-empty")

@@ -293,6 +293,7 @@ def load_outputs(path: Path | str) -> tuple[list[PipelineOutput], dict]:
     if header.get("format") != OUTPUTS_FORMAT:
         raise ParseError(f"{path}: unrecognized outputs format {header.get('format')!r}")
     outputs = []
+    seen: set[str] = set()
     for n, obj in lines:
         try:
             outputs.append(
@@ -308,6 +309,12 @@ def load_outputs(path: Path | str) -> tuple[list[PipelineOutput], dict]:
             raise ParseError(f"{path}:{n}: missing key {exc}") from exc
         except TypeError as exc:  # retrieved_ids not a list
             raise ParseError(f"{path}:{n}: {exc}") from exc
+        query_id = obj["query_id"]
+        if not isinstance(query_id, str):
+            raise ParseError(f"{path}:{n}: query_id is not a string")
+        if query_id in seen:
+            raise ParseError(f"{path}:{n}: duplicate query_id {query_id}")
+        seen.add(query_id)
         for key in ("sql", "knowledge"):
             if not isinstance(obj[key], (str, type(None))):
                 raise ParseError(f"{path}:{n}: {key} is not a string or null")

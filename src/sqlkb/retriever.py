@@ -176,6 +176,10 @@ class ProjectionHead:
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.weights.ndim != 2 or not self.weights.size:
+            raise ValueError(
+                f"head weights must be a non-empty 2-D matrix, not shape {self.weights.shape}"
+            )
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("head weights must be finite")
         if self.tau <= 0:
@@ -271,7 +275,7 @@ class KnowledgeIndex:
     matrix: np.ndarray
     provider_fingerprint: str
     head_fingerprint: Optional[str] = None
-    # Per probe of build_index: best provider cosine similarity over all entries.
+    # Per probe of load_or_build_index: best provider cosine similarity over all entries.
     probe_best: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -291,92 +295,59 @@ class KnowledgeIndex:
         return [e.id for e in self.entries]
 
 
-def score_blocks(
-    blocks: Iterable[np.ndarray],
-    probes: np.ndarray,
-    on_block: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> np.ndarray:
+def score_blocks(blocks: Iterable[np.ndarray], probes: np.ndarray) -> np.ndarray:
     """Each probe's best cosine similarity over the rows of raw row blocks.
 
     `probes` holds raw provider rows, one per probe. Each block is scored
     against all probes with one product and ranked by `cosine_key`; the best
     key k of a probe p is returned as the cosine sign(k)·sqrt(|k|) / ‖p‖, 0
     for an all-zero probe. With the hash backend the keys are exact, so the
-    result does not depend on the blocking. `on_block(start, rows)` then
-    receives the block's normalized rows. The result is -inf for a probe
+    result does not depend on the blocking. The result is -inf for a probe
     with tokens when there are no rows.
     """
     best = np.full(len(probes), -np.inf)
-    start = 0
     for rows in blocks:
         keys = cosine_key(probes @ rows.T, np.einsum("ij,ij->i", rows, rows))
         np.maximum(best, keys.max(axis=1), out=best)
-        if on_block is not None:
-            on_block(start, normalize_rows(rows, out=rows)[0])
-        start += len(rows)
     probe_norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
     root = np.sign(best) * np.sqrt(np.abs(best))
     return np.divide(root, probe_norms, out=np.zeros_like(best), where=probe_norms > 0)
 
 
 def embed_blocks(
-    texts: Sequence[str],
-    provider: EmbeddingProvider,
-    probes: np.ndarray,
-    on_block: Optional[Callable[[int, np.ndarray], None]] = None,
-    on_raw: Optional[Callable[[np.ndarray], None]] = None,
+    texts: Sequence[str], provider: EmbeddingProvider, probes: np.ndarray
 ) -> np.ndarray:
-    """Embed texts ROW_CHUNK at a time and score them with `score_blocks`.
-
-    `on_raw(rows)`, when given, receives each block's raw rows before they
-    are scored and normalized.
-    """
-
-    def blocks() -> Iterator[np.ndarray]:
-        for start in range(0, len(texts), ROW_CHUNK):
-            rows = provider.raw_many(texts[start : start + ROW_CHUNK])
-            if on_raw is not None:
-                on_raw(rows)
-            yield rows
-
-    return score_blocks(blocks(), probes, on_block)
+    """Embed texts ROW_CHUNK at a time and score them with `score_blocks`."""
+    starts = range(0, len(texts), ROW_CHUNK)
+    return score_blocks((provider.raw_many(texts[i : i + ROW_CHUNK]) for i in starts), probes)
 
 
 def build_index(
     kb: "KnowledgeBase",
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
-    probes: Optional[np.ndarray] = None,
     on_raw: Optional[Callable[[np.ndarray], None]] = None,
 ) -> KnowledgeIndex:
-    """Embed and index every KB entry in one pass.
+    """Embed and index every KB entry, ROW_CHUNK entries at a time.
 
-    With `probes` (raw provider rows, one per probe), the same pass also
-    records each probe's best cosine similarity to the entries as
-    `probe_best` (see `score_blocks`). `on_raw` receives the entries' raw
-    rows block by block, in id order (see `embed_blocks`).
+    `on_raw(rows)`, when given, receives each block's raw rows, in id order,
+    before they are normalized.
     """
     entries = tuple(kb.sorted_entries())
     if not entries:
         raise EmptyKbError("cannot index an empty knowledge base")
     matrix = np.empty((len(entries), head.dim_out if head is not None else provider.dim))
-
-    def store(start: int, rows: np.ndarray) -> None:
+    for start in range(0, len(entries), ROW_CHUNK):
+        rows = provider.raw_many([e.text for e in entries[start : start + ROW_CHUNK]])
+        if on_raw is not None:
+            on_raw(rows)
+        normalize_rows(rows, out=rows)
         matrix[start : start + ROW_CHUNK] = head.project(rows) if head is not None else rows
-
-    best = embed_blocks(
-        [e.text for e in entries],
-        provider,
-        probes if probes is not None else np.empty((0, provider.dim)),
-        store,
-        on_raw,
-    )
     return KnowledgeIndex(
         entries=entries,
         matrix=matrix,
         provider_fingerprint=provider.fingerprint,
         head_fingerprint=head.fingerprint if head is not None else None,
-        probe_best=best if probes is not None else None,
     )
 
 
@@ -393,9 +364,11 @@ def load_or_build_index(
     text) pairs, the provider (its endpoint included) and the head.
     Otherwise, or when it is missing, truncated or corrupt, the index is
     built and the file replaced; a stale or unreadable file is reported
-    with a warning. A loaded index equals a built one bit for bit,
-    `probe_best` included: the probes are scored against the stored raw
-    rows, one block at a time.
+    with a warning. A loaded index equals a built one bit for bit. With
+    `probes` (raw provider rows, one per probe), `probe_best` holds each
+    probe's best cosine similarity to the entries (see `score_blocks`),
+    scored against the raw rows stored in the file, one block at a time,
+    whether the file was loaded or just written.
     """
     path = Path(path)
     key = {
@@ -443,12 +416,16 @@ def _build_index_file(
                     rows = rows.astype(np.min_scalar_type(int(rows.max())))
                 _write_array(zf, raw_names[-1], rows)
 
-            index = build_index(kb, provider, head, probes, write_raw)
+            index = build_index(kb, provider, head, write_raw)
             _write_array(zf, "matrix.npy", index.matrix)
             meta = {"format": INDEX_FORMAT, "key": key, "raw": raw_names}
             # a ZipInfo dates the member 1980-01-01, as zf.open dates the
             # arrays: a name alone would stamp the current time
             zf.writestr(zipfile.ZipInfo(INDEX_META), json.dumps(meta))
+        if probes is not None:
+            with zipfile.ZipFile(tmp) as zf:
+                blocks = _stored_rows(zf, raw_names, (len(index), provider.dim))
+                index.probe_best = score_blocks(blocks, probes)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -578,26 +555,18 @@ def info_nce_batch(
     queries: np.ndarray,
     positives: np.ndarray,
     tau: float,
-    extra_negatives: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray]:
     """Mean in-batch InfoNCE loss and its analytic gradient w.r.t. the head.
 
     Rows of `queries`/`positives` are raw provider embeddings; both sides
     are projected by `weights` and L2-normalized before similarity. Each
-    other positive in the batch serves as a negative; `extra_negatives`
-    rows, when given, extend every row's denominator.
+    other positive in the batch serves as a negative.
     """
     B = queries.shape[0]
     Uh, un = normalize_rows(queries @ weights)
     Vh, vn = normalize_rows(positives @ weights)
 
-    cols = Vh
-    extra = None
-    if extra_negatives is not None and len(extra_negatives):
-        extra, nvn = normalize_rows(extra_negatives @ weights)
-        cols = np.vstack([Vh, extra])
-
-    S = (Uh @ cols.T) / tau  # (B, B + n_extra)
+    S = (Uh @ Vh.T) / tau  # (B, B)
     m = S.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(S - m).sum(axis=1))
     diag = S[np.arange(B), np.arange(B)]
@@ -609,15 +578,11 @@ def info_nce_batch(
     G[np.arange(B), np.arange(B)] -= 1.0
     G /= B * tau
 
-    gUh = G @ cols
-    gVh = G[:, :B].T @ Uh
+    gUh = G @ Vh
+    gVh = G.T @ Uh
     gU = (gUh - (gUh * Uh).sum(axis=1, keepdims=True) * Uh) / un
     gV = (gVh - (gVh * Vh).sum(axis=1, keepdims=True) * Vh) / vn
     grad = queries.T @ gU + positives.T @ gV
-    if extra is not None:
-        gNh = G[:, B:].T @ Uh
-        gN = (gNh - (gNh * extra).sum(axis=1, keepdims=True) * extra) / nvn
-        grad += extra_negatives.T @ gN
     return loss, grad
 
 
@@ -625,7 +590,6 @@ def info_nce_batch(
 class TrainingPair:
     query: str
     positive: str
-    negatives: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.positive:
@@ -690,9 +654,6 @@ def train_head(
 
     q_raw = provider.embed_many([p.query for p in pairs])
     k_raw = provider.embed_many([p.positive for p in pairs])
-    neg_texts = sorted({t for p in pairs for t in p.negatives})
-    neg_raw = provider.embed_many(neg_texts) if neg_texts else None
-    neg_row = {t: i for i, t in enumerate(neg_texts)}
 
     rng = np.random.default_rng(config.seed)
     n = len(pairs)
@@ -716,15 +677,7 @@ def train_head(
             batch = order[start : start + config.batch_size]
             if len(batch) < 2:
                 continue
-            extra = neg_raw
-            if neg_raw is not None:
-                in_batch = sorted(
-                    {t for i in batch for t in pairs[i].negatives}
-                )
-                extra = neg_raw[[neg_row[t] for t in in_batch]] if in_batch else None
-            _, grad = info_nce_batch(
-                W, q_raw[batch], k_raw[batch], config.tau, extra_negatives=extra
-            )
+            _, grad = info_nce_batch(W, q_raw[batch], k_raw[batch], config.tau)
             W -= config.lr * grad
         mrr = _pairwise_mrr(W, q_raw[eval_idx], k_raw[eval_idx])
         if mrr > best_mrr:

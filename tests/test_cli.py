@@ -268,6 +268,7 @@ def test_head_for_other_provider_rejected(workdir, capsys):
         (lambda lines: lines[:2] + [lines[2][:-5]] + lines[3:], "outputs.jsonl:3:"),
         (lambda lines: ['{"format": "sqlkb/kb/v1"}'] + lines[1:], "outputs format"),
         (lambda lines: lines + ["{}"], "outputs.jsonl:8: missing key 'query_id'"),
+        (lambda lines: lines[:2] + lines[1:], "outputs.jsonl:3: duplicate query_id"),
     ],
 )
 def test_corrupt_outputs_is_clean_error(workdir, capsys, corrupt, where):
@@ -535,6 +536,10 @@ def test_evaluate_on_empty_kb_reports_zero_coverage(workdir, capsys):
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "weights"}),
          "head.json: missing key 'weights'"),
         (lambda text: json.dumps({**json.loads(text), "holdout_mrr": "high"}), "head.json: "),
+        (lambda text: json.dumps({**json.loads(text), "weights": json.loads(text)["weights"][0]}),
+         "head.json: head weights must be a non-empty 2-D matrix"),
+        (lambda text: json.dumps({**json.loads(text), "weights": []}),
+         "head.json: head weights must be a non-empty 2-D matrix"),
     ],
 )
 def test_corrupt_head_is_clean_error(workdir, capsys, corrupt, where):
@@ -570,6 +575,7 @@ def test_generate_on_empty_kb_retrieves_nothing(workdir, caplog):
         (OUTPUTS_FILE, "evaluate", "knowledge", "outputs.jsonl:2: knowledge is not a string or null", 5),
         (OUTPUTS_FILE, "evaluate", "sql", "outputs.jsonl:2: sql is an empty string", ""),
         (OUTPUTS_FILE, "evaluate", "knowledge", "outputs.jsonl:2: knowledge is an empty string", ""),
+        (OUTPUTS_FILE, "evaluate", "query_id", "outputs.jsonl:2: query_id is not a string", ["test000"]),
         (KB_FILE, "stats", "text", "kb.jsonl:2: text is not a string", 5),
         (KB_FILE, "generate", "id", "kb.jsonl:2: id is not a string", 7),
         (KB_FILE, "stats", "source", "kb.jsonl:2: source is not a string", ["dataset"]),

@@ -243,9 +243,3 @@ def test_truncation_drops_fks_second(described_schema):
     smaller = render_schema(described_schema, len(no_desc) - 1)
     assert "Foreign keys:" not in smaller
     assert "Table t" in smaller and "Table u" in smaller
-
-
-def test_truncation_collapses_unreferenced_tables(described_schema):
-    text = render_schema(described_schema, 40, keep_tables={"t"})
-    assert "Table u" in text and "REAL" not in text
-    assert "a INTEGER" in text  # the kept table retains its columns

@@ -23,7 +23,7 @@ from sqlkb.evaluation import (
 )
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry
 from sqlkb.pipeline import PipelineOutput
-from sqlkb.retriever import ROW_CHUNK, build_index
+from sqlkb.retriever import ROW_CHUNK, load_or_build_index
 
 
 def company_db(toy_dir):
@@ -238,7 +238,7 @@ def test_kb_coverage_planted(provider):
 
 @pytest.mark.parametrize("n", [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3])
 def test_kb_coverage_best_similarity_bit_identical(
-    provider, tie_heavy_texts, count_best_cosines, n
+    tmp_path, provider, tie_heavy_texts, count_best_cosines, n
 ):
     kb = KnowledgeBase()
     for text in tie_heavy_texts(n):
@@ -247,14 +247,17 @@ def test_kb_coverage_best_similarity_bit_identical(
     want = count_best_cosines(provider, [e.text for e in kb.sorted_entries()], gold)
     walked = kb_coverage(kb, gold, provider)
     probes = np.array([provider.raw(g) for g in gold])
-    supplied = kb_coverage(kb, gold, provider, build_index(kb, provider, None, probes).probe_best)
+    index = load_or_build_index(tmp_path / "kb_index.npz", kb, provider, None, probes)
+    supplied = kb_coverage(kb, gold, provider, index.probe_best)
     for report in (walked, supplied):
         assert [p["best_similarity"] for p in report.per_gold] == want
         assert report.mean_best_similarity == float(np.mean(want))
     assert walked == supplied
 
 
-def test_kb_coverage_maxima_do_not_depend_on_row_chunk(provider, tie_heavy_texts, monkeypatch):
+def test_kb_coverage_maxima_do_not_depend_on_row_chunk(
+    tmp_path, provider, tie_heavy_texts, monkeypatch
+):
     kb = KnowledgeBase()
     for text in tie_heavy_texts(300):
         kb.add(KnowledgeEntry.from_text(text, "dataset", "db"))
@@ -264,7 +267,8 @@ def test_kb_coverage_maxima_do_not_depend_on_row_chunk(provider, tie_heavy_texts
     for chunk in (1, 7, 256):
         monkeypatch.setattr(retriever, "ROW_CHUNK", chunk)
         maxima.append([p["best_similarity"] for p in kb_coverage(kb, gold, provider).per_gold])
-        maxima.append(build_index(kb, provider, None, probes).probe_best.tolist())
+        index = load_or_build_index(tmp_path / f"index{chunk}.npz", kb, provider, None, probes)
+        maxima.append(index.probe_best.tolist())
     assert all(m == maxima[0] for m in maxima)
 
 

@@ -27,6 +27,7 @@ from sqlkb.retriever import (
     TrainingPair,
     build_index,
     embed,
+    embed_blocks,
     eval_retrieval,
     info_nce_batch,
     info_nce_loss,
@@ -259,14 +260,14 @@ KB_SIZES = [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3]
 @pytest.mark.parametrize("n", KB_SIZES)
 @pytest.mark.parametrize("head_dim", [None, 32])
 def test_build_index_probes_leave_matrix_unchanged(
-    provider, tie_heavy_texts, count_best_cosines, n, head_dim
+    tmp_path, provider, tie_heavy_texts, count_best_cosines, n, head_dim
 ):
     kb = make_kb(tie_heavy_texts(n))
     head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
     probe_texts = tie_heavy_texts(5, seed=9)
     probes = provider.raw_many(probe_texts)
     plain = build_index(kb, provider, head)
-    probed = build_index(kb, provider, head, probes)
+    probed = load_or_build_index(tmp_path / "kb_index.npz", kb, provider, head, probes)
     assert np.array_equal(probed.matrix, plain.matrix)
     assert plain.probe_best is None
     texts = [e.text for e in kb.sorted_entries()]
@@ -279,7 +280,9 @@ def test_loaded_index_equals_built_index(tmp_path, provider, tie_heavy_texts, n,
     kb = make_kb(tie_heavy_texts(n))
     head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
     probes = provider.raw_many(tie_heavy_texts(5, seed=9))
-    built = build_index(kb, provider, head, probes)
+    built = load_or_build_index(tmp_path / "built.npz", kb, provider, head, probes)
+    texts = [e.text for e in kb.sorted_entries()]
+    assert built.probe_best.tolist() == embed_blocks(texts, provider, probes).tolist()
     path = tmp_path / "kb_index.npz"
     # written without probes, as by generate; loaded with and without them
     load_or_build_index(path, kb, provider, head)
@@ -369,10 +372,15 @@ def test_index_file_members_carry_a_fixed_date(tmp_path, provider):
         pytest.param(lambda data: b"", id="empty"),
     ],
 )
-def test_damaged_index_file_is_rebuilt_with_a_warning(tmp_path, provider, caplog, damage):
+def test_damaged_index_file_is_rebuilt_with_a_warning(
+    tmp_path, tmp_path_factory, provider, caplog, damage
+):
     kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(2 * ROW_CHUNK)])
     probes = provider.raw_many(["token3 words", "entry 5"])
-    built = build_index(kb, provider, None, probes)
+    fresh = tmp_path_factory.mktemp("fresh") / "kb_index.npz"
+    built = load_or_build_index(fresh, kb, provider, None, probes)
+    texts = [e.text for e in kb.sorted_entries()]
+    assert built.probe_best.tolist() == embed_blocks(texts, provider, probes).tolist()
     path = tmp_path / "kb_index.npz"
     load_or_build_index(path, kb, provider)
     path.write_bytes(damage(path.read_bytes()))
@@ -387,11 +395,15 @@ def test_damaged_index_file_is_rebuilt_with_a_warning(tmp_path, provider, caplog
 
 
 @pytest.mark.parametrize("repeats, dtype", [(255, np.uint8), (256, np.uint16), (70_000, np.uint32)])
-def test_index_file_holds_token_counts_exactly(tmp_path, provider, repeats, dtype):
+def test_index_file_holds_token_counts_exactly(
+    tmp_path, provider, count_best_cosines, repeats, dtype
+):
     kb = make_kb(["word " * repeats, "word and other words", "no shared tokens"])
     texts = [e.text for e in kb.sorted_entries()]
-    probes = provider.raw_many(["word", "other words"])
-    built = build_index(kb, provider, None, probes)
+    probe_texts = ["word", "other words"]
+    probes = provider.raw_many(probe_texts)
+    built = load_or_build_index(tmp_path / "built.npz", kb, provider, None, probes)
+    assert built.probe_best.tolist() == count_best_cosines(provider, texts, probe_texts)
     path = tmp_path / "kb_index.npz"
     load_or_build_index(path, kb, provider)
     with np.load(path) as stored_file:
@@ -548,26 +560,6 @@ def test_batch_gradient_matches_finite_differences():
         fd = finite_difference_grad(W, Q, K, tau=0.5)
         denom = max(np.abs(fd).max(), 1e-8)
         assert np.abs(grad - fd).max() / denom < 1e-5
-
-
-def test_batch_gradient_with_extra_negatives():
-    rng = np.random.default_rng(13)
-    W = rng.normal(size=(6, 5))
-    Q = rng.normal(size=(3, 6))
-    K = rng.normal(size=(3, 6))
-    N = rng.normal(size=(2, 6))
-    eps = 1e-5
-    _, grad = info_nce_batch(W, Q, K, tau=0.3, extra_negatives=N)
-    fd = np.zeros_like(W)
-    for i in range(6):
-        for j in range(5):
-            up, down = W.copy(), W.copy()
-            up[i, j] += eps
-            down[i, j] -= eps
-            lu, _ = info_nce_batch(up, Q, K, 0.3, extra_negatives=N)
-            ld, _ = info_nce_batch(down, Q, K, 0.3, extra_negatives=N)
-            fd[i, j] = (lu - ld) / (2 * eps)
-    assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-5
 
 
 # --- projection head / training ---
