@@ -38,6 +38,7 @@ from .retriever import (
     EmbeddingProvider,
     KnowledgeIndex,
     ProjectionHead,
+    StoredIndex,
     TrainingPair,
     build_index,
     embed,
@@ -45,6 +46,7 @@ from .retriever import (
     info_nce_loss,
     load_or_build_index,
     retrieve,
+    retrieve_many,
     train_head,
 )
 from .evaluation import (

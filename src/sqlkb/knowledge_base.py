@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import Dataset, Query
 from .errors import InsufficientExamplesError, LlmError, ParseError
 from .jsonl import read_jsonl, write_jsonl
-from .ranking import cosine_key, top_j
+from .ranking import ROW_CHUNK, cosine_key, top_j
 
 if TYPE_CHECKING:
     from .dataset import ExampleTriplet
@@ -411,9 +411,15 @@ def load_kb(path: Path | str) -> KnowledgeBase:
 def kb_digest(kb: KnowledgeBase) -> str:
     """sha256 over the KB's (id, text) pairs in id order, each written as
     `<len(id)>:<id><len(text)>:<text>` so no two lists of pairs share an
-    encoding. The other entry fields change no embedding and are left out."""
-    body = "".join(f"{len(e.id)}:{e.id}{len(e.text)}:{e.text}" for e in kb.sorted_entries())
-    return hashlib.sha256(body.encode("utf-8", "surrogatepass")).hexdigest()
+    encoding. The other entry fields change no embedding and are left out.
+    The encoding is hashed ROW_CHUNK entries at a time, never held whole."""
+    entries = kb.sorted_entries()
+    digest = hashlib.sha256()
+    for start in range(0, len(entries), ROW_CHUNK):
+        chunk = entries[start : start + ROW_CHUNK]
+        body = "".join(f"{len(e.id)}:{e.id}{len(e.text)}:{e.text}" for e in chunk)
+        digest.update(body.encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
 
 
 def kb_header(path: Path | str) -> dict:

@@ -191,6 +191,7 @@ def generate_sql(
     train_dataset: Dataset,
     config: Optional[PipelineConfig] = None,
     head: Optional["ProjectionHead"] = None,
+    retrieved: Optional[Sequence["KnowledgeEntry"]] = None,
 ) -> PipelineOutput:
     """Retrieve top-j knowledge, optionally refine it, and generate the SQL.
 
@@ -198,17 +199,19 @@ def generate_sql(
     used directly as the Evidence block; with top_j=0, or without an index
     (an empty KB), the Evidence block is empty (no-knowledge baseline). The
     output records the retrieved entry ids and the Evidence text the SQL
-    prompt showed.
+    prompt showed. `retrieved`, when given, holds the entries retrieved for
+    the query beforehand, and `index` is not searched.
     """
     from .retriever import retrieve
 
     config = config or PipelineConfig()
-    retrieved: list = []
-    if config.top_j > 0 and index is not None:
-        retrieved = [
-            entry
-            for entry, _ in retrieve(query.text, index, config.top_j, provider, head)
-        ]
+    if retrieved is None:
+        retrieved = []
+        if config.top_j > 0 and index is not None:
+            retrieved = [
+                entry
+                for entry, _ in retrieve(query.text, index, config.top_j, provider, head)
+            ]
     if retrieved and config.use_refinement:
         evidence = refine_knowledge(query, retrieved, schema, llm, config.budget).text
     else:
@@ -244,14 +247,26 @@ def run_pipeline(
 ) -> list[PipelineOutput]:
     """Generate SQL for every test record; per-record failures are recorded.
 
-    Records go through `llm.fan_out`, one task per record, so outputs and
-    ledger come back in record order.
+    The knowledge of every record is retrieved first, in one pass over the
+    index. Records then go through `llm.fan_out`, one task per record, so
+    outputs and ledger come back in record order.
     """
+    from .retriever import retrieve_many
+
     config = config or PipelineConfig()
     # Embed the few-shot pool here, not once per concurrent worker.
     _question_matrix(train_dataset, provider)
+    records = test_dataset.records
+    retrieved: list[list["KnowledgeEntry"]] = [[] for _ in records]
+    if config.top_j > 0 and index is not None:
+        queries = [rec.query.text for rec in records]
+        hits = retrieve_many(queries, index, config.top_j, provider, head)
+        retrieved = [[entry for entry, _ in top] for top in hits]
 
-    def one(client: "LlmClient", rec: ExampleTriplet) -> PipelineOutput:
+    def one(
+        client: "LlmClient", task: tuple[ExampleTriplet, list["KnowledgeEntry"]]
+    ) -> PipelineOutput:
+        rec, entries = task
         schema = test_dataset.schema_for(rec.schema_ref)
         try:
             return generate_sql(
@@ -263,6 +278,7 @@ def run_pipeline(
                 train_dataset,
                 config,
                 head,
+                retrieved=entries,
             )
         except (LlmError, EmptySqlError) as exc:
             logger.warning("generation failed for %s: %s", rec.query.id, exc)
@@ -270,7 +286,7 @@ def run_pipeline(
                 query_id=rec.query.id, sql=None, knowledge=None, error=str(exc)
             )
 
-    return llm.fan_out(one, test_dataset.records)
+    return llm.fan_out(one, list(zip(records, retrieved)))
 
 
 def save_outputs(
@@ -296,28 +312,23 @@ def load_outputs(path: Path | str) -> tuple[list[PipelineOutput], dict]:
     seen: set[str] = set()
     for n, obj in lines:
         try:
-            outputs.append(
-                PipelineOutput(
-                    query_id=obj["query_id"],
-                    sql=obj["sql"],
-                    knowledge=obj["knowledge"],
-                    retrieved_ids=tuple(obj.get("retrieved_ids", ())),
-                    error=obj.get("error"),
-                )
-            )
+            query_id, sql, knowledge = obj["query_id"], obj["sql"], obj["knowledge"]
         except KeyError as exc:
             raise ParseError(f"{path}:{n}: missing key {exc}") from exc
-        except TypeError as exc:  # retrieved_ids not a list
-            raise ParseError(f"{path}:{n}: {exc}") from exc
-        query_id = obj["query_id"]
+        ids, error = obj.get("retrieved_ids", []), obj.get("error")
         if not isinstance(query_id, str):
             raise ParseError(f"{path}:{n}: query_id is not a string")
         if query_id in seen:
             raise ParseError(f"{path}:{n}: duplicate query_id {query_id}")
         seen.add(query_id)
-        for key in ("sql", "knowledge"):
-            if not isinstance(obj[key], (str, type(None))):
+        for key, value in (("sql", sql), ("knowledge", knowledge)):
+            if not isinstance(value, (str, type(None))):
                 raise ParseError(f"{path}:{n}: {key} is not a string or null")
-            if obj[key] == "":
+            if value == "":
                 raise ParseError(f"{path}:{n}: {key} is an empty string")
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise ParseError(f"{path}:{n}: retrieved_ids is not a list of strings")
+        if not isinstance(error, (str, type(None))):
+            raise ParseError(f"{path}:{n}: error is not a string or null")
+        outputs.append(PipelineOutput(query_id, sql, knowledge, tuple(ids), error))
     return outputs, header

@@ -10,6 +10,10 @@ from typing import Optional
 
 import numpy as np
 
+# Rows normalized, or embedded, scored and projected, together: bounds the
+# temporaries of large batches. No bit of a result depends on the chunking.
+ROW_CHUNK = 256
+
 
 def normalize_rows(
     x: np.ndarray, out: Optional[np.ndarray] = None

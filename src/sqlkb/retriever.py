@@ -7,11 +7,13 @@ import json
 import logging
 import os
 import re
+import struct
 import tempfile
 import zipfile
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib import format as npformat
@@ -25,7 +27,7 @@ from .errors import (
     UnknownEntryError,
 )
 from .knowledge_base import kb_digest
-from .ranking import cosine_key, normalize_rows, rank_of, top_j
+from .ranking import ROW_CHUNK, cosine_key, normalize_rows, top_j
 from .transport import RetryPolicy, request_json
 
 if TYPE_CHECKING:
@@ -37,12 +39,9 @@ _TOKEN = re.compile(r"[a-z0-9]+")
 
 # Texts per request of the http backend.
 HTTP_BATCH = 64
-# Rows normalized, or embedded, scored and projected, together: bounds the
-# temporaries of large batches. No bit of a result depends on the chunking.
-ROW_CHUNK = 256
 
 # The index file: a zip of .npy members (an .npz) plus this JSON member.
-INDEX_FORMAT = "sqlkb/index/v1"
+INDEX_FORMAT = "sqlkb/index/v2"
 INDEX_META = "index.json"
 
 
@@ -266,7 +265,7 @@ def embed(
 
 @dataclass
 class KnowledgeIndex:
-    """Flat full-scan index: one L2-normalized row per KB entry.
+    """Flat full-scan index held in memory: one L2-normalized row per KB entry.
 
     Entries are in ascending id order, so a row's position is its tie key.
     """
@@ -275,8 +274,6 @@ class KnowledgeIndex:
     matrix: np.ndarray
     provider_fingerprint: str
     head_fingerprint: Optional[str] = None
-    # Per probe of load_or_build_index: best provider cosine similarity over all entries.
-    probe_best: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.matrix) != len(self.entries):
@@ -293,6 +290,169 @@ class KnowledgeIndex:
     @property
     def ids(self) -> list[str]:
         return [e.id for e in self.entries]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The matrix in the row blocks an index file is read in."""
+        bounds = _block_bounds(len(self.matrix))
+        return (self.matrix[first:end] for first, end in zip(bounds, bounds[1:]))
+
+
+@dataclass
+class StoredIndex:
+    """The index kept in an index file, read one row block at a time.
+
+    The matrix is never held whole: each scoring pass (`blocks()`) reads the
+    file again. `load_or_build_index` returns it once every member has been
+    read through the zip layer to its end, its CRC and shape checked, so a
+    damaged file is rebuilt before any score is made. The passes then read
+    the members' arrays straight from the file, at the places `layout` holds,
+    after checking that its `index.json` is still `meta`.
+    """
+
+    entries: tuple["KnowledgeEntry", ...]
+    path: Path
+    meta: dict  # the file's index.json
+    layout: list["_Member"]  # the blocks() members: matrix blocks, else raw blocks
+    # Per probe of load_or_build_index: best provider cosine similarity over all entries.
+    probe_best: Optional[np.ndarray] = field(default=None, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    @property
+    def ids(self) -> list[str]:
+        return [e.id for e in self.entries]
+
+    @property
+    def provider_fingerprint(self) -> str:
+        return self.meta["key"]["provider"]
+
+    @property
+    def head_fingerprint(self) -> Optional[str]:
+        return self.meta["key"]["head"]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The index rows, one stored block at a time: the matrix blocks or,
+        without a head, the raw blocks normalized as `build_index` does."""
+        with open(self.path, "rb") as f:
+            with zipfile.ZipFile(f) as zf:
+                if json.loads(zf.read(INDEX_META)) != self.meta:
+                    raise ParseError(
+                        f"{self.path} was rebuilt for another KB, provider or head while in use"
+                    )
+            members = iter(self.layout)
+            bounds = _block_bounds(len(self))
+            for first, end in zip(bounds, bounds[1:]):
+                parts = []
+                while first < end:
+                    parts.append(self._read(f, next(members)))
+                    first += len(parts[-1])
+                yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _read(self, f: BinaryIO, member: "_Member") -> np.ndarray:
+        f.seek(member.offset)
+        rows = np.empty(member.shape, member.dtype)
+        if f.readinto(rows) != rows.nbytes:
+            raise ParseError(f"{self.path} was cut short while in use")
+        if self.meta["matrix"]:
+            return rows
+        # Normalized 32 rows at a time: `normalize_rows` holds a temporary the
+        # size of its input, and a whole block's would outgrow a small KB's
+        # matrix. Each row's bits do not depend on the rows normalized with it.
+        rows = rows.astype(np.float64)
+        for start in range(0, len(rows), 32):
+            part = rows[start : start + 32]
+            normalize_rows(part, out=part)
+        return rows
+
+
+@dataclass(frozen=True)
+class _Member:
+    """Where an .npy member's array starts in an index file, and its form."""
+
+    offset: int
+    dtype: np.dtype
+    shape: tuple[int, int]
+
+
+def _block_bounds(n: int) -> list[int]:
+    """Where the row blocks of n rows start, and n after them: every
+    ROW_CHUNK rows, but a last block of one row is joined to the block
+    before it. numpy multiplies a vector by a one-row block as a dot
+    product, which sums in another order than a matrix-vector product."""
+    bounds = [*range(0, n, ROW_CHUNK), n]
+    if n > ROW_CHUNK and n % ROW_CHUNK == 1:
+        del bounds[-2]
+    return bounds
+
+
+def _scan(index: "KnowledgeIndex | StoredIndex") -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, rows) per row block of the index."""
+    start = 0
+    for block in index.blocks():
+        yield start, block
+        start += len(block)
+
+
+def _scores(vecs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """scores[i, r]: the score of query vector vecs[i] against row r of a block.
+
+    Each query multiplies the block as a vector of its own (a stacked
+    matmul), so its scores do not depend on the other queries and equal
+    `matrix @ vecs[i]` bit for bit; the matrix product `vecs @ block.T`
+    does not.
+    """
+    return np.matmul(vecs[:, None, :], block.T)[:, 0, :]
+
+
+def _top_rows(
+    index: "KnowledgeIndex | StoredIndex", vecs: np.ndarray, j: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per query vector, (rows, scores) of its top j rows by score descending,
+    then row ascending, merged block by block.
+
+    Rows only grow from block to block, so once a query holds j rows, a later
+    row enters only by beating the j-th best score: a tie loses on its row.
+    """
+    rows = [np.empty(0, dtype=np.intp)] * len(vecs)
+    scores = [np.empty(0)] * len(vecs)
+    floor = np.full(len(vecs), -np.inf)
+    for start, block in _scan(index):
+        block_scores = _scores(vecs, block)
+        beats = block_scores > floor[:, None]
+        for i in np.flatnonzero(beats.any(axis=1)):
+            new = np.flatnonzero(beats[i])
+            scores[i] = np.concatenate((scores[i], block_scores[i, new]))
+            rows[i] = np.concatenate((rows[i], new + start))
+            if len(rows[i]) >= j:
+                keep = top_j(scores[i], j, tie_key=rows[i])
+                scores[i], rows[i] = scores[i][keep], rows[i][keep]
+                floor[i] = scores[i][-1]
+    tops = [top_j(s, j, tie_key=r) for s, r in zip(scores, rows)]
+    return [(r[top], s[top]) for s, r, top in zip(scores, rows, tops)]
+
+
+def _ranks(
+    index: "KnowledgeIndex | StoredIndex", vecs: np.ndarray, query: np.ndarray, row: np.ndarray
+) -> np.ndarray:
+    """1-based rank of `row[k]` in the scores of `vecs[query[k]]`, as `rank_of`
+    counts it over the full scores, in two passes over the blocks: the first
+    scores each row against its query, the second counts the rows ranked
+    before it."""
+    own = np.empty(len(row))
+    for start, block in _scan(index):
+        inside = np.flatnonzero((start <= row) & (row < start + len(block)))
+        if len(inside):
+            own[inside] = _scores(vecs[query[inside]], block)[
+                np.arange(len(inside)), row[inside] - start
+            ]
+    ranks = np.ones(len(row), dtype=np.intp)
+    for start, block in _scan(index):
+        mine = _scores(vecs, block)[query]
+        earlier = start + np.arange(len(block)) < row[:, None]
+        ahead = (mine > own[:, None]) | ((mine == own[:, None]) & earlier)
+        ranks += np.count_nonzero(ahead, axis=1)
+    return ranks
 
 
 def score_blocks(blocks: Iterable[np.ndarray], probes: np.ndarray) -> np.ndarray:
@@ -322,27 +482,31 @@ def embed_blocks(
     return score_blocks((provider.raw_many(texts[i : i + ROW_CHUNK]) for i in starts), probes)
 
 
+def _from_raw(raw: np.ndarray, head: Optional[ProjectionHead]) -> np.ndarray:
+    """Index rows of raw provider rows: normalized, then projected by the
+    head when there is one."""
+    rows = normalize_rows(raw)[0]
+    return head.project(rows) if head is not None else rows
+
+
+def _sorted_entries(kb: "KnowledgeBase") -> tuple["KnowledgeEntry", ...]:
+    entries = tuple(kb.sorted_entries())
+    if not entries:
+        raise EmptyKbError("cannot index an empty knowledge base")
+    return entries
+
+
 def build_index(
     kb: "KnowledgeBase",
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
-    on_raw: Optional[Callable[[np.ndarray], None]] = None,
 ) -> KnowledgeIndex:
-    """Embed and index every KB entry, ROW_CHUNK entries at a time.
-
-    `on_raw(rows)`, when given, receives each block's raw rows, in id order,
-    before they are normalized.
-    """
-    entries = tuple(kb.sorted_entries())
-    if not entries:
-        raise EmptyKbError("cannot index an empty knowledge base")
+    """Embed and index every KB entry in memory, ROW_CHUNK entries at a time."""
+    entries = _sorted_entries(kb)
     matrix = np.empty((len(entries), head.dim_out if head is not None else provider.dim))
     for start in range(0, len(entries), ROW_CHUNK):
-        rows = provider.raw_many([e.text for e in entries[start : start + ROW_CHUNK]])
-        if on_raw is not None:
-            on_raw(rows)
-        normalize_rows(rows, out=rows)
-        matrix[start : start + ROW_CHUNK] = head.project(rows) if head is not None else rows
+        raw = provider.raw_many([e.text for e in entries[start : start + ROW_CHUNK]])
+        matrix[start : start + ROW_CHUNK] = _from_raw(raw, head)
     return KnowledgeIndex(
         entries=entries,
         matrix=matrix,
@@ -357,16 +521,16 @@ def load_or_build_index(
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
     probes: Optional[np.ndarray] = None,
-) -> KnowledgeIndex:
-    """`build_index`, kept in the index file at `path` for later calls.
+) -> StoredIndex:
+    """The KB's index, kept in the index file at `path` for later calls.
 
-    The file is loaded when it was built for the same key: the KB's (id,
+    The file is used when it was built for the same key: the KB's (id,
     text) pairs, the provider (its endpoint included) and the head.
     Otherwise, or when it is missing, truncated or corrupt, the index is
-    built and the file replaced; a stale or unreadable file is reported
-    with a warning. A loaded index equals a built one bit for bit. With
-    `probes` (raw provider rows, one per probe), `probe_best` holds each
-    probe's best cosine similarity to the entries (see `score_blocks`),
+    built into a new file that replaces it; a stale or unreadable file is
+    reported with a warning. Its rows score bit for bit as `build_index`'s.
+    With `probes` (raw provider rows, one per probe), `probe_best` holds
+    each probe's best cosine similarity to the entries (see `score_blocks`),
     scored against the raw rows stored in the file, one block at a time,
     whether the file was loaded or just written.
     """
@@ -401,36 +565,43 @@ def _build_index_file(
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead],
     probes: Optional[np.ndarray],
-) -> KnowledgeIndex:
-    """Build the index while streaming its raw rows into a temporary file,
-    then put the file in place at once, so no reader pairs the key with
-    another build's arrays."""
+) -> StoredIndex:
+    """Embed the KB ROW_CHUNK entries at a time into a temporary file, which
+    then replaces the file at `path` at once, so no reader pairs the key with
+    another build's arrays.
+
+    Each block's raw rows are written, and with a head its index rows, as
+    they are made: no matrix is held. Without a head the index rows are the
+    normalized raw rows, which `StoredIndex.blocks` makes again as it reads them.
+    """
+    entries = _sorted_entries(kb)
+    meta = {"format": INDEX_FORMAT, "key": key, "raw": [], "matrix": []}
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as file, zipfile.ZipFile(file, "w") as zf:
-            raw_names: list[str] = []
-
-            def write_raw(rows: np.ndarray) -> None:
-                raw_names.append(f"raw/{len(raw_names)}.npy")
+            for block, start in enumerate(range(0, len(entries), ROW_CHUNK)):
+                raw = provider.raw_many([e.text for e in entries[start : start + ROW_CHUNK]])
+                if head is not None:
+                    meta["matrix"].append(f"matrix/{block}.npy")
+                    _write_array(zf, meta["matrix"][-1], _from_raw(raw, head))
                 if provider.backend == "hash":  # token counts, held exactly
-                    rows = rows.astype(np.min_scalar_type(int(rows.max())))
-                _write_array(zf, raw_names[-1], rows)
-
-            index = build_index(kb, provider, head, write_raw)
-            _write_array(zf, "matrix.npy", index.matrix)
-            meta = {"format": INDEX_FORMAT, "key": key, "raw": raw_names}
+                    raw = raw.astype(np.min_scalar_type(int(raw.max())))
+                meta["raw"].append(f"raw/{block}.npy")
+                _write_array(zf, meta["raw"][-1], raw)
             # a ZipInfo dates the member 1980-01-01, as zf.open dates the
             # arrays: a name alone would stamp the current time
             zf.writestr(zipfile.ZipInfo(INDEX_META), json.dumps(meta))
-        if probes is not None:
-            with zipfile.ZipFile(tmp) as zf:
-                blocks = _stored_rows(zf, raw_names, (len(index), provider.dim))
-                index.probe_best = score_blocks(blocks, probes)
+        with open(tmp, "rb") as f, zipfile.ZipFile(f) as zf:
+            layout = _layout(f, zf, meta["matrix"] or meta["raw"])
+            best = None
+            if probes is not None:
+                raw_rows = _stored_rows(zf, meta["raw"], (len(entries), provider.dim))
+                best = score_blocks(raw_rows, probes)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
-    return index
+    return StoredIndex(entries, path, meta, layout, best)
 
 
 def _load_index(
@@ -440,53 +611,71 @@ def _load_index(
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead],
     probes: Optional[np.ndarray],
-) -> Optional[KnowledgeIndex]:
-    """The index stored at `path`, or None when it was built for another key."""
-    with zipfile.ZipFile(path) as zf:
+) -> Optional[StoredIndex]:
+    """The index stored at `path`, or None when it was built for another key.
+
+    Every member is read to its end (so its CRC is checked) and checked for
+    shape here, before any score is made from it.
+    """
+    with open(path, "rb") as f, zipfile.ZipFile(f) as zf:
         meta = json.loads(zf.read(INDEX_META))
         if meta["format"] != INDEX_FORMAT or meta["key"] != key:
             return None
-        entries = tuple(kb.sorted_entries())
-        matrix = _read_array(zf, "matrix.npy")
-        dim_out = head.dim_out if head is not None else provider.dim
-        if matrix.dtype != np.float64 or matrix.shape != (len(entries), dim_out):
-            raise ValueError(f"matrix is {matrix.dtype} {matrix.shape}")
-        best = None
-        if probes is not None:
-            blocks = _stored_rows(zf, meta["raw"], (len(entries), provider.dim))
-            best = score_blocks(blocks, probes)
-    return KnowledgeIndex(
-        entries=entries,
-        matrix=matrix,
-        provider_fingerprint=key["provider"],
-        head_fingerprint=key["head"],
-        probe_best=best,
-    )
+        if bool(meta["matrix"]) != (head is not None):
+            raise ValueError(f"matrix members {meta['matrix']} do not fit head {key['head']}")
+        n = len(kb)
+        raw = _stored_rows(zf, meta["raw"], (n, provider.dim))
+        best = score_blocks(raw, probes) if probes is not None else None
+        matrix = () if head is None else _stored_rows(zf, meta["matrix"], (n, head.dim_out), True)
+        for _ in chain(raw, matrix):  # to the end: a damaged member raises here
+            pass
+        layout = _layout(f, zf, meta["matrix"] or meta["raw"])
+    return StoredIndex(tuple(kb.sorted_entries()), path, meta, layout, best)
 
 
 def _stored_rows(
-    zf: zipfile.ZipFile, names: list[str], shape: tuple[int, int]
+    zf: zipfile.ZipFile, names: list[str], shape: tuple[int, int], matrix: bool = False
 ) -> Iterator[np.ndarray]:
-    """The stored raw row blocks as float64, one at a time, checked to add
-    up to `shape`."""
+    """The stored row blocks as float64, one at a time, checked to add up to
+    `shape` (and, for `matrix` blocks, to be stored as float64)."""
     seen = 0
     for name in names:
         rows = _read_array(zf, name)
         seen += len(rows)
         if rows.ndim != 2 or rows.shape[1] != shape[1] or seen > shape[0]:
-            raise ValueError(f"{name} does not fit {shape} raw rows")
-        yield rows.astype(np.float64)
+            raise ValueError(f"{name} does not fit {shape} rows")
+        if matrix and rows.dtype != np.float64:
+            raise ValueError(f"{name} is {rows.dtype}, not float64")
+        yield rows.astype(np.float64, copy=False)
     if seen != shape[0]:
-        raise ValueError(f"{seen} raw rows stored for {shape[0]} entries")
+        raise ValueError(f"{seen} rows stored for {shape[0]} entries")
+
+
+def _layout(f: BinaryIO, zf: zipfile.ZipFile, names: list[str]) -> list[_Member]:
+    """Where each named .npy member's array starts in the open file `f`, with
+    its dtype and shape, to read it again without the zip layer."""
+    layout = []
+    for name in names:
+        info = zf.getinfo(name)
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"{name} is compressed")
+        # the local header: 30 bytes, whose last four give the lengths of the
+        # name and the extra field that follow it
+        f.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", f.read(4))
+        f.seek(info.header_offset + 30 + name_len + extra_len)
+        if npformat.read_magic(f) != (1, 0):
+            raise ValueError(f"{name} is not an .npy 1.0 array")
+        shape, fortran_order, dtype = npformat.read_array_header_1_0(f)
+        if fortran_order:
+            raise ValueError(f"{name} is stored in Fortran order")
+        layout.append(_Member(f.tell(), dtype, shape))
+    return layout
 
 
 def _write_array(zf: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
-    """Write `array` as an .npy member, ROW_CHUNK rows at a time: numpy's
-    `write_array` would copy up to 16 MB of it at once."""
     with zf.open(name, "w", force_zip64=True) as f:
-        npformat.write_array_header_1_0(f, npformat.header_data_from_array_1_0(array))
-        for start in range(0, len(array), ROW_CHUNK):
-            f.write(array[start : start + ROW_CHUNK].tobytes())
+        npformat.write_array(f, array, allow_pickle=False)
 
 
 def _read_array(zf: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -499,7 +688,9 @@ def _read_array(zf: zipfile.ZipFile, name: str) -> np.ndarray:
 
 
 def _check_fingerprints(
-    index: KnowledgeIndex, provider: EmbeddingProvider, head: Optional[ProjectionHead]
+    index: "KnowledgeIndex | StoredIndex",
+    provider: EmbeddingProvider,
+    head: Optional[ProjectionHead],
 ) -> None:
     """Refuse to score queries embedded otherwise than the index rows."""
     built = (index.provider_fingerprint, index.head_fingerprint)
@@ -510,19 +701,35 @@ def _check_fingerprints(
 
 def retrieve(
     query: str,
-    index: KnowledgeIndex,
+    index: "KnowledgeIndex | StoredIndex",
     j: int,
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
 ) -> list[tuple["KnowledgeEntry", float]]:
     """Top-j entries by cosine similarity, ties broken by entry id ascending."""
+    return retrieve_many([query], index, j, provider, head)[0]
+
+
+def retrieve_many(
+    queries: Sequence[str],
+    index: "KnowledgeIndex | StoredIndex",
+    j: int,
+    provider: EmbeddingProvider,
+    head: Optional[ProjectionHead] = None,
+) -> list[list[tuple["KnowledgeEntry", float]]]:
+    """`retrieve` for each query, in one pass over the index."""
     if j < 1:
         raise ValueError("j must be >= 1")
     if len(index) == 0:
         raise EmptyKbError("index is empty")
     _check_fingerprints(index, provider, head)
-    scores = index.matrix @ embed(provider, query, head)
-    return [(index.entries[i], float(scores[i])) for i in top_j(scores, j)]
+    if not queries:
+        return []
+    vecs = np.stack([embed(provider, query, head) for query in queries])
+    return [
+        [(index.entries[r], float(s)) for r, s in zip(rows, scores)]
+        for rows, scores in _top_rows(index, vecs, j)
+    ]
 
 
 def info_nce_loss(
@@ -687,37 +894,38 @@ def train_head(
 
 
 def eval_retrieval(
-    index: KnowledgeIndex,
+    index: "KnowledgeIndex | StoredIndex",
     labeled: Sequence[tuple[str, Sequence[str]]],
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
     ks: Sequence[int] = (1, 3, 10),
 ) -> RetrievalMetrics:
-    """MRR and Top@K over (query text, relevant entry ids) pairs."""
+    """MRR and Top@K over (query text, relevant entry ids) pairs.
+
+    A query's rank is its best relevant entry's `rank_of` rank, counted
+    block by block for all queries at once.
+    """
     if not labeled:
         raise ValueError("labeled set must be non-empty")
     _check_fingerprints(index, provider, head)
     # Rows of the labeled ids only, in one scan of the index.
     wanted = {entry_id for _, relevant in labeled for entry_id in relevant}
     position = {e.id: i for i, e in enumerate(index.entries) if e.id in wanted}
-    reciprocal = []
-    hits = {k: 0 for k in ks}
-    for query, relevant in labeled:
+    pairs = []  # (labeled query number, row of one of its relevant entries)
+    for i, (query, relevant) in enumerate(labeled):
         rel = set(relevant)
         missing = rel - position.keys()
         if missing:
             raise UnknownEntryError(f"labels reference unknown entries: {sorted(missing)}")
         if not rel:
             raise ValueError(f"label for {query!r} has no relevant entries")
-        scores = index.matrix @ embed(provider, query, head)
-        rank = min(rank_of(scores, position[entry_id]) for entry_id in rel)
-        reciprocal.append(1.0 / rank)
-        for k in ks:
-            if rank <= k:
-                hits[k] += 1
+        pairs += [(i, position[entry_id]) for entry_id in rel]
+    query_of, row = np.array(pairs, dtype=np.intp).T
+    vecs = np.stack([embed(provider, query, head) for query, _ in labeled])
+    rank = np.full(len(labeled), np.iinfo(np.intp).max)
+    np.minimum.at(rank, query_of, _ranks(index, vecs, query_of, row))
     n = len(labeled)
     return RetrievalMetrics(
-        mrr=float(np.mean(reciprocal)),
-        top_at={k: hits[k] / n for k in ks},
+        mrr=float(np.mean(1.0 / rank)),
+        top_at={k: int(np.count_nonzero(rank <= k)) / n for k in ks},
     )
-

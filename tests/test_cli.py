@@ -262,6 +262,13 @@ def test_head_for_other_provider_rejected(workdir, capsys):
     assert "hash:256:hash" in err and "hash:128:hash" in err
 
 
+def with_field(lines: list[str], key: str, value) -> list[str]:
+    """The lines with `key` of the first record set to `value`."""
+    record = json.loads(lines[1])
+    record[key] = value
+    return [lines[0], json.dumps(record), *lines[2:]]
+
+
 @pytest.mark.parametrize(
     "corrupt, where",
     [
@@ -269,6 +276,18 @@ def test_head_for_other_provider_rejected(workdir, capsys):
         (lambda lines: ['{"format": "sqlkb/kb/v1"}'] + lines[1:], "outputs format"),
         (lambda lines: lines + ["{}"], "outputs.jsonl:8: missing key 'query_id'"),
         (lambda lines: lines[:2] + lines[1:], "outputs.jsonl:3: duplicate query_id"),
+        (
+            lambda lines: with_field(lines, "retrieved_ids", "abc"),
+            "outputs.jsonl:2: retrieved_ids is not a list of strings",
+        ),
+        (
+            lambda lines: with_field(lines, "retrieved_ids", ["a", 1]),
+            "outputs.jsonl:2: retrieved_ids is not a list of strings",
+        ),
+        (
+            lambda lines: with_field(lines, "error", {"message": "x"}),
+            "outputs.jsonl:2: error is not a string or null",
+        ),
     ],
 )
 def test_corrupt_outputs_is_clean_error(workdir, capsys, corrupt, where):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -13,6 +14,7 @@ from sqlkb.knowledge_base import (
     entry_id,
     expand_kb,
     init_kb,
+    kb_digest,
     kb_stats,
     load_kb,
     normalize_text,
@@ -21,6 +23,7 @@ from sqlkb.knowledge_base import (
     select_examples,
 )
 from sqlkb.llm import LlmClient, LlmConfig
+from sqlkb.ranking import ROW_CHUNK
 
 
 def mock_client(fallback):
@@ -214,6 +217,18 @@ def test_save_load_round_trip(train_ds, tmp_path):
     again = load_kb(path)
     assert again.entries == kb.entries
     assert again.build_config == kb.build_config
+
+
+@pytest.mark.parametrize("n", [0, 1, ROW_CHUNK, 2 * ROW_CHUNK + 3])
+def test_kb_digest_hashes_the_one_string_encoding(n):
+    """Hashed ROW_CHUNK entries at a time, the digest is that of the whole
+    encoding in one string, with non-ASCII text and lone surrogates too."""
+    kb = KnowledgeBase()
+    for i in range(n):
+        text = f"straße {i} 東京 \ud800 ✓" if i % 2 else f"plain {i}"
+        kb.add(KnowledgeEntry(id=f"id{i:04d}é", text=text, source="dataset", db_id="db"))
+    body = "".join(f"{len(e.id)}:{e.id}{len(e.text)}:{e.text}" for e in kb.sorted_entries())
+    assert kb_digest(kb) == hashlib.sha256(body.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def test_loaded_entries_are_compact(train_ds, tmp_path):

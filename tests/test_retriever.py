@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -12,11 +13,13 @@ from sqlkb.errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyKbError,
+    ParseError,
     ProviderError,
     UnknownEntryError,
 )
 from sqlkb import retriever
-from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry
+from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, entry_id
+from sqlkb.ranking import normalize_rows, rank_of, top_j
 from sqlkb.retriever import (
     HTTP_BATCH,
     ROW_CHUNK,
@@ -34,6 +37,7 @@ from sqlkb.retriever import (
     init_head,
     load_or_build_index,
     retrieve,
+    retrieve_many,
     train_head,
 )
 
@@ -225,6 +229,11 @@ def test_http_embed_retries_a_refusal(embed_stub, sent, refusal, slept):
 
 # --- index / retrieve ---
 
+def stored_matrix(index):
+    """The rows an index file holds, read back whole."""
+    return np.concatenate(list(index.blocks()))
+
+
 def test_build_index_empty_kb(provider):
     with pytest.raises(EmptyKbError):
         build_index(KnowledgeBase(), provider)
@@ -268,8 +277,7 @@ def test_build_index_probes_leave_matrix_unchanged(
     probes = provider.raw_many(probe_texts)
     plain = build_index(kb, provider, head)
     probed = load_or_build_index(tmp_path / "kb_index.npz", kb, provider, head, probes)
-    assert np.array_equal(probed.matrix, plain.matrix)
-    assert plain.probe_best is None
+    assert np.array_equal(stored_matrix(probed), plain.matrix)
     texts = [e.text for e in kb.sorted_entries()]
     assert probed.probe_best.tolist() == count_best_cosines(provider, texts, probe_texts)
 
@@ -291,7 +299,7 @@ def test_loaded_index_equals_built_index(tmp_path, provider, tie_heavy_texts, n,
         load_or_build_index(path, kb, provider, head),
     ):
         assert loaded.ids == built.ids
-        assert np.array_equal(loaded.matrix, built.matrix)
+        assert np.array_equal(stored_matrix(loaded), stored_matrix(built))
         assert (loaded.provider_fingerprint, loaded.head_fingerprint) == (
             built.provider_fingerprint,
             built.head_fingerprint,
@@ -306,13 +314,13 @@ def test_loaded_index_equals_built_index(tmp_path, provider, tie_heavy_texts, n,
 
 def count_builds(monkeypatch) -> list:
     builds = []
-    build = retriever.build_index
+    build = retriever._build_index_file
 
     def counting(*args, **kwargs):
         builds.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(retriever, "build_index", counting)
+    monkeypatch.setattr(retriever, "_build_index_file", counting)
     return builds
 
 
@@ -352,8 +360,56 @@ def test_index_key_change_forces_rebuild(
         index = load_or_build_index(path, kb, *INDEX_SETUPS[after](url))
     assert len(builds) == 2 and "built for another KB, provider or head" in caplog.text
     fresh = retriever.build_index(kb, *INDEX_SETUPS[after](url))
-    assert np.array_equal(index.matrix, fresh.matrix)
+    assert np.array_equal(stored_matrix(index), fresh.matrix)
     assert index.head_fingerprint == fresh.head_fingerprint
+
+
+@pytest.mark.parametrize("head_dim", [None, 8])
+def test_index_file_holds_matrix_blocks_only_with_a_head(tmp_path, provider, head_dim):
+    """Without a head the index rows are the normalized raw rows, so the file
+    keeps the raw blocks alone."""
+    kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(ROW_CHUNK + 1)])
+    head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
+    path = tmp_path / "kb_index.npz"
+    load_or_build_index(path, kb, provider, head)
+    with zipfile.ZipFile(path) as zf:
+        names = set(zf.namelist())
+    blocks = {"raw/0.npy", "raw/1.npy"}
+    if head_dim:
+        blocks |= {"matrix/0.npy", "matrix/1.npy"}
+    assert names == blocks | {"index.json"}
+
+
+def float_rows(path, texts):
+    """Embedding-service rows of arbitrary floats, fixed per text."""
+    seeds = [int.from_bytes(hashlib.sha256(t.encode()).digest()[:4], "big") for t in texts]
+    return [np.random.default_rng(seed).standard_normal(64).tolist() for seed in seeds]
+
+
+def test_stored_float_rows_without_a_head_score_as_built(tmp_path, embed_stub):
+    """Without a head the file keeps float64 raw rows, normalized as they are
+    read: their scores are the built index's bit for bit."""
+    embed_stub.rows = float_rows
+    provider = EmbeddingProvider(dim=64, backend="http", endpoint=embed_stub.url)
+    kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(ROW_CHUNK + 1)])
+    stored = load_or_build_index(tmp_path / "kb_index.npz", kb, provider)
+    built = build_index(kb, provider)
+    assert np.array_equal(stored_matrix(stored), built.matrix)
+    queries = ["token3 words", "entry 5", "shared"]
+    assert retrieve_many(queries, stored, 7, provider) == retrieve_many(queries, built, 7, provider)
+
+
+def test_earlier_format_file_is_rebuilt_once(tmp_path, monkeypatch, caplog, provider):
+    kb = make_kb(["one two", "three four"])
+    path = tmp_path / "kb_index.npz"
+    with monkeypatch.context() as m:
+        m.setattr(retriever, "INDEX_FORMAT", "sqlkb/index/v1")
+        load_or_build_index(path, kb, provider)
+    builds = count_builds(monkeypatch)
+    for _ in range(2):
+        index = load_or_build_index(path, kb, provider)
+    assert len(builds) == 1 and caplog.text.count("built for another KB, provider or head") == 1
+    assert np.array_equal(stored_matrix(index), build_index(kb, provider).matrix)
 
 
 def test_index_file_members_carry_a_fixed_date(tmp_path, provider):
@@ -386,7 +442,7 @@ def test_damaged_index_file_is_rebuilt_with_a_warning(
     path.write_bytes(damage(path.read_bytes()))
     index = load_or_build_index(path, kb, provider, None, probes)
     assert "is unreadable" in caplog.text
-    assert np.array_equal(index.matrix, built.matrix)
+    assert np.array_equal(stored_matrix(index), stored_matrix(built))
     assert index.probe_best.tolist() == built.probe_best.tolist()
     caplog.clear()
     load_or_build_index(path, kb, provider, None, probes)
@@ -482,6 +538,118 @@ def test_retrieve_scale_invariance(provider):
         )
         got = [e.id for e, _ in retrieve("token3 entry", scaled, 20, provider)]
         assert got == base
+
+
+# --- block-by-block scoring ---
+
+def index_over(matrix):
+    """An in-memory index whose rows are `matrix`, over placeholder entries."""
+    entries = tuple(
+        KnowledgeEntry(id=f"{i:05d}", text=f"entry {i}", source="dataset", db_id="db")
+        for i in range(len(matrix))
+    )
+    return KnowledgeIndex(entries=entries, matrix=matrix, provider_fingerprint="fp")
+
+
+EDGE_SIZES = [k * ROW_CHUNK + r for k in (1, 2, 3) for r in (0, 1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from(EDGE_SIZES), st.integers(1, 3 * ROW_CHUNK + 1)),
+    dim=st.sampled_from([64, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_scores_equal_matrix_vector_products(n, dim, seed):
+    """Scored block by block, a query's scores are `matrix @ q` bit for bit,
+    also when the last block would hold a single row."""
+    rng = np.random.default_rng(seed)
+    matrix = normalize_rows(rng.standard_normal((n, dim)))[0]
+    vecs = normalize_rows(rng.standard_normal((3, dim)))[0]
+    got = np.concatenate(
+        [retriever._scores(vecs, block) for _, block in retriever._scan(index_over(matrix))],
+        axis=1,
+    )
+    assert np.array_equal(got, np.stack([matrix @ q for q in vecs]))
+
+
+BLOCK_KB_SIZES = [1, 2, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 2]
+
+
+@pytest.mark.parametrize("n", BLOCK_KB_SIZES)
+@pytest.mark.parametrize("head_dim", [None, 32])
+def test_batched_retrieval_equals_per_query_ranking(
+    tmp_path, provider, tie_heavy_texts, n, head_dim
+):
+    """retrieve_many, from memory or from the index file, returns for each
+    query what ranking its full score vector returns, scores included."""
+    kb = make_kb(tie_heavy_texts(n))
+    head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
+    built = build_index(kb, provider, head)
+    stored = load_or_build_index(tmp_path / "kb_index.npz", kb, provider, head)
+    queries = tie_heavy_texts(12, seed=5)
+    for j in (1, 5, n + 3):
+        want = []
+        for query in queries:
+            scores = built.matrix @ embed(provider, query, head)
+            want.append([(built.entries[i], float(scores[i])) for i in top_j(scores, j)])
+        assert retrieve_many(queries, built, j, provider, head) == want
+        assert retrieve_many(queries, stored, j, provider, head) == want
+        assert [retrieve(q, stored, j, provider, head) for q in queries] == want
+
+
+@pytest.mark.parametrize("n", BLOCK_KB_SIZES)
+def test_block_counted_ranks_equal_rank_of(tmp_path, provider, tie_heavy_texts, n):
+    kb = make_kb(tie_heavy_texts(n))
+    built = build_index(kb, provider)
+    stored = load_or_build_index(tmp_path / "kb_index.npz", kb, provider)
+    queries = tie_heavy_texts(6, seed=3)
+    vecs = np.stack([embed(provider, q, None) for q in queries])
+    rng = np.random.default_rng(n)
+    query = rng.integers(0, len(queries), size=20)
+    row = rng.integers(0, n, size=20)
+    want = [rank_of(built.matrix @ vecs[q], r) for q, r in zip(query, row)]
+    for index in (built, stored):
+        assert retriever._ranks(index, vecs, query, row).tolist() == want
+    labeled = [(queries[q], [built.entries[r].id]) for q, r in zip(query, row)]
+    metrics = eval_retrieval(stored, labeled, provider)
+    assert metrics.mrr == float(np.mean([1.0 / rank for rank in want]))
+    assert metrics.top_at == {k: sum(rank <= k for rank in want) / 20 for k in (1, 3, 10)}
+
+
+@pytest.mark.parametrize("head_dim", [None, 64])
+def test_scoring_a_stored_index_holds_no_matrix(tmp_path, head_dim):
+    """Writing a file-backed 20k-entry index, loading it and scoring it,
+    retrieval and ranks alike, peaks below a quarter of its matrix size."""
+    provider = EmbeddingProvider(dim=256)
+    head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
+    words = [f"w{i}" for i in range(40)]
+    texts = [f"{a} {b} {c}" for a in words for b in words for c in words[:13]][:20_000]
+    kb = make_kb(texts)
+    path = tmp_path / "kb_index.npz"
+    queries = [f"w{i} w{7 * i % 40} w{i % 13}" for i in range(30)]
+    labeled = [(q, [entry_id(q)]) for q in queries]
+    provider.cache_raw(queries)
+    matrix_bytes = len(kb) * (head_dim or provider.dim) * 8
+    tracemalloc.start()
+    try:
+        load_or_build_index(path, kb, provider, head)
+        index = load_or_build_index(path, kb, provider, head)
+        retrieve_many(queries, index, 5, provider, head)
+        eval_retrieval(index, labeled, provider, head)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 4
+
+
+def test_index_file_rebuilt_while_in_use_is_refused(tmp_path, provider):
+    kb = make_kb(["one two", "three four", "five six"])
+    path = tmp_path / "kb_index.npz"
+    index = load_or_build_index(path, kb, provider)
+    load_or_build_index(path, kb, provider, init_head(provider.dim, 8, seed=1))
+    with pytest.raises(ParseError, match="while in use"):
+        retrieve("one", index, 1, provider)
 
 
 # --- InfoNCE ---
