@@ -8,6 +8,10 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError
 
+# The C scanner json.loads runs, and the whitespace it allows after a value.
+_scan_once = json.JSONDecoder().scan_once
+_json_space = json.decoder.WHITESPACE.match
+
 
 def write_jsonl(path: Path | str, objs: Iterable[dict], append: bool = False) -> None:
     """Write one sorted-key JSON object per line, each ending in a newline;
@@ -21,7 +25,8 @@ def read_jsonl(path: Path | str, header: bool = False) -> Iterator[tuple[int, di
 
     A line that is not JSON, or not a JSON object, raises ParseError naming
     `path:line`; with `header`, the first non-blank line's error says
-    "bad header".
+    "bad header". Each line is parsed as `json.loads(line)` parses it (see
+    `_loads`).
     """
     prefix = "bad header: " if header else ""
     with open(path) as fh:
@@ -29,7 +34,7 @@ def read_jsonl(path: Path | str, header: bool = False) -> Iterator[tuple[int, di
             if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{n}: {prefix}{exc}") from exc
             if not isinstance(obj, dict):
@@ -37,3 +42,21 @@ def read_jsonl(path: Path | str, header: bool = False) -> Iterator[tuple[int, di
                 raise ParseError(f"{path}:{n}: {problem}")
             yield n, obj
             prefix = ""
+
+
+def _loads(line: str) -> object:
+    """`json.loads(line)`. A line that starts with "{" is scanned once by the
+    scanner json.loads runs, and its object taken when only JSON whitespace
+    follows it; any other line, and every line that scan fails on, goes
+    through json.loads, so every value and every error text are its own."""
+    if line[0] == "{":
+        try:
+            obj, end = _scan_once(line, 0)
+        # StopIteration: a value cut short inside the object
+        except (StopIteration, ValueError, RecursionError):
+            pass  # json.loads raises it again, with its own text
+        else:
+            # not str.isspace: it also passes "\x0c", which json.loads refuses
+            if _json_space(line, end).end() == len(line):
+                return obj
+    return json.loads(line)

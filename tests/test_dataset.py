@@ -151,6 +151,21 @@ def test_load_schema_implicit_fk_uses_primary_key(tmp_path):
     }
 
 
+def test_load_schema_reads_a_table_name_with_a_quote(tmp_path):
+    """A `"` in a table name is doubled in the catalog queries, also for the
+    parent of a foreign key that names no column."""
+    schema = _schema_of(
+        tmp_path,
+        'CREATE TABLE "odd""name" (code TEXT PRIMARY KEY, label TEXT)',
+        'CREATE TABLE child (id INTEGER, ref REFERENCES "odd""name")',
+    )
+    assert [(t.name, [c.name for c in t.columns]) for t in schema.tables] == [
+        ("child", ["id", "ref"]),
+        ('odd"name', ["code", "label"]),
+    ]
+    assert _fk_targets(schema) == {("child", "ref"): ('odd"name', "code")}
+
+
 def test_non_string_sql_is_parse_error(tmp_path, toy_dir):
     path = tmp_path / "sql.json"
     records = [

@@ -5,6 +5,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlkb.errors import ParseError
 from sqlkb.jsonl import read_jsonl, write_jsonl
@@ -132,3 +134,65 @@ def test_ledger_round_trip_is_byte_identical(tmp_path, n):
     assert load_fixture(first) == {
         r.prompt_sha256: r.completion for r in ledger.records if r.ok
     }
+
+
+# --- the one-scan fast path: each line reads as json.loads reads it ---
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+JSON_OBJECTS = st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4)
+
+# Each turns one dumped object into a line; `other` is a second dumped value.
+MUTATIONS = {
+    "as written": lambda text, other, cut: text,
+    "leading spaces": lambda text, other, cut: "  " + text,
+    "trailing JSON whitespace": lambda text, other, cut: text + " \t ",
+    # whitespace to str.isspace, but "Extra data" to json.loads
+    "trailing form feed": lambda text, other, cut: text + "\x0c",
+    "trailing unit separator": lambda text, other, cut: text + "\x1f",
+    "trailing no-break space": lambda text, other, cut: text + "\u00a0",
+    "second value": lambda text, other, cut: text + other,
+    "second value after a space": lambda text, other, cut: text + " " + other,
+    "truncated": lambda text, other, cut: text[: cut % (len(text) + 1)],
+    "BOM": lambda text, other, cut: "\ufeff" + text,
+    "not an object": lambda text, other, cut: other,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obj=JSON_OBJECTS,
+    other=JSON_VALUES,
+    mutation=st.sampled_from(sorted(MUTATIONS)),
+    cut=st.integers(0, 10**6),
+    ascii_only=st.booleans(),
+    header=st.booleans(),
+)
+def test_read_jsonl_reads_each_line_as_json_loads(
+    tmp_path_factory, obj, other, mutation, cut, ascii_only, header
+):
+    """One-line files: read_jsonl yields json.loads's value, or raises a
+    ParseError with json.loads's error text."""
+    dump = lambda value: json.dumps(value, ensure_ascii=ascii_only)  # noqa: E731
+    line = MUTATIONS[mutation](dump(obj), dump(other), cut) + "\n"
+    path = tmp_path_factory.mktemp("one_line") / "a.jsonl"
+    path.write_text(line)
+    if line.isspace():
+        assert list(read_jsonl(path, header)) == []
+        return
+    try:
+        want = json.loads(line)
+    except json.JSONDecodeError as exc:
+        problem = f"{'bad header: ' if header else ''}{exc}"
+    else:
+        if isinstance(want, dict):
+            ((n, got),) = read_jsonl(path, header)
+            assert n == 1 and repr(got) == repr(want)
+            return
+        problem = "bad header: not a JSON object" if header else "entry is not a JSON object"
+    with pytest.raises(ParseError) as raised:
+        list(read_jsonl(path, header))
+    assert str(raised.value) == f"{path}:1: {problem}"

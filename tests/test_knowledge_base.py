@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
+from sqlkb import knowledge_base
 from sqlkb.dataset import Dataset, ExampleTriplet, Query
 from sqlkb.errors import InsufficientExamplesError, LlmError, ParseError
 from sqlkb.knowledge_base import (
@@ -245,6 +248,75 @@ def test_loaded_entries_are_compact(train_ds, tmp_path):
     assert a.db_id is b.db_id and a.source is b.source
 
 
+def test_loaded_entries_equal_and_hash_like_constructed_ones(tmp_path):
+    """Entries built from their slots are KnowledgeEntry(...)s in every way
+    that shows: equality, hash, repr, and no field can be set or deleted."""
+    kb = KnowledgeBase()
+    kb.add(KnowledgeEntry.from_text("alpha refers to state = 'AL'", "dataset", "db"))
+    kb.add(KnowledgeEntry.from_text("beta means grade 2 or higher", "generated", "db", "q1", 3))
+    path = tmp_path / "kb.jsonl"
+    save_kb(kb, path)
+    loaded = load_kb(path).sorted_entries()
+    assert len(loaded) == 2
+    for got in loaded:
+        want = KnowledgeEntry(
+            got.id, got.text, got.source, got.db_id, got.origin_query_id, got.iteration
+        )
+        assert type(got) is KnowledgeEntry
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        for f in dataclasses.fields(KnowledgeEntry):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, f.name, "changed")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(got, f.name)
+    assert loaded == kb.sorted_entries()
+
+
+def _gc_as(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_kb_leaves_gc_as_it_found_it(tmp_path, enabled):
+    kb = KnowledgeBase()
+    for i in range(3):
+        kb.add(KnowledgeEntry.from_text(f"fact number {i} holds", "dataset", "db"))
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    save_kb(kb, good)
+    lines = good.read_text().splitlines()
+    bad.write_text("\n".join([*lines, lines[1]]) + "\n")  # a duplicate id
+    was = gc.isenabled()
+    try:
+        _gc_as(enabled)
+        assert len(load_kb(good)) == 3
+        assert gc.isenabled() == enabled
+        with pytest.raises(ParseError, match="duplicate entry id"):
+            load_kb(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        _gc_as(was)
+
+
+def test_load_kb_pauses_gc_while_entries_are_built(tmp_path, monkeypatch):
+    path = tmp_path / "kb.jsonl"
+    save_kb(KnowledgeBase({"a": KnowledgeEntry("a", "one fact", "dataset", "db")}), path)
+    seen = []
+    read_entries = knowledge_base._read_entries
+    monkeypatch.setattr(
+        knowledge_base,
+        "_read_entries",
+        lambda *args: seen.append(gc.isenabled()) or read_entries(*args),
+    )
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert len(load_kb(path)) == 1
+        assert gc.isenabled()
+    finally:
+        _gc_as(was)
+    assert seen == [False]
+
+
 def test_expansion_failures_survive_save_and_load(train_ds, provider, tmp_path):
     cfg = KbBuildConfig(few_shot_k=5, iterations=1, seed=1)
 
@@ -332,6 +404,15 @@ def test_load_kb_rejects_bad_build_config(tmp_path):
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(ParseError, match="bad build_config"):
             load_kb(path)
+
+
+@pytest.mark.parametrize("failures", ["x", True, -3])
+def test_load_kb_rejects_bad_expansion_failures(tmp_path, failures):
+    path = tmp_path / "kb.jsonl"
+    header = {"format": "sqlkb/kb/v1", "build_config": {}, "expansion_failures": failures}
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: bad expansion_failures")):
+        load_kb(path)
 
 
 def test_expand_kb_concurrent_matches_serial(chat_stub, train_ds, provider, tmp_path):

@@ -617,6 +617,43 @@ def test_block_counted_ranks_equal_rank_of(tmp_path, provider, tie_heavy_texts, 
     assert metrics.top_at == {k: sum(rank <= k for rank in want) / 20 for k in (1, 3, 10)}
 
 
+@pytest.mark.parametrize("head_dim", [None, 32])
+def test_first_rank_pass_reads_only_the_blocks_holding_a_row(
+    tmp_path, provider, tie_heavy_texts, monkeypatch, head_dim
+):
+    """`_ranks` scores the rows against their queries from the blocks that
+    hold them, and counts ranks over every block: two of four blocks, then
+    four. The last block joins a one-row member to the block before it."""
+    n = 4 * ROW_CHUNK + 1
+    kb = make_kb(tie_heavy_texts(n))
+    head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
+    built = build_index(kb, provider, head)
+    stored = load_or_build_index(tmp_path / "kb_index.npz", kb, provider, head)
+    queries = tie_heavy_texts(2, seed=3)
+    vecs = np.stack([embed(provider, q, head) for q in queries])
+    query, row = np.array([0, 1, 1]), np.array([5, 3 * ROW_CHUNK + 2, n - 1])
+    want = [rank_of(built.matrix @ vecs[q], r) for q, r in zip(query, row)]
+    passes, members = [], []
+    for cls in (KnowledgeIndex, retriever.StoredIndex):
+        def counted(self, only=None, _blocks=cls.blocks):
+            blocks = list(_blocks(self, only))
+            passes.append(len(blocks))
+            return iter(blocks)
+
+        monkeypatch.setattr(cls, "blocks", counted)
+    read = retriever.StoredIndex._read
+    monkeypatch.setattr(
+        retriever.StoredIndex, "_read", lambda self, f, m: members.append(m) or read(self, f, m)
+    )
+    for index in (built, stored):
+        passes.clear()
+        members.clear()
+        assert retriever._ranks(index, vecs, query, row).tolist() == want
+        assert passes == [2, 4]
+    # blocks 0 and 3 (members 3 and 4), then all five members
+    assert members == [stored.layout[i] for i in (0, 3, 4, 0, 1, 2, 3, 4)]
+
+
 @pytest.mark.parametrize("head_dim", [None, 64])
 def test_scoring_a_stored_index_holds_no_matrix(tmp_path, head_dim):
     """Writing a file-backed 20k-entry index, loading it and scoring it,
