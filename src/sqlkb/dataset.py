@@ -103,8 +103,9 @@ def load_schema(db_file: Path | str) -> DatabaseSchema:
     db_file = Path(db_file)
     if not db_file.exists():
         raise DatabaseFileError(f"no such database file: {db_file}")
-    header = db_file.read_bytes()[: len(SQLITE_MAGIC)]
-    if db_file.stat().st_size > 0 and header != SQLITE_MAGIC:
+    with open(db_file, "rb") as fh:
+        header = fh.read(len(SQLITE_MAGIC))
+    if header and header != SQLITE_MAGIC:  # an empty file is an empty database
         raise UnsupportedEngineError(f"not a SQLite database: {db_file}")
     try:
         con = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)

@@ -1,6 +1,6 @@
 """The line format shared by kb.jsonl, outputs.jsonl and the LLM ledger:
-one JSON object per line. Blank lines are skipped but counted, so line
-numbers are the file's own."""
+one JSON object per line. Blank lines, of JSON whitespace alone, are
+skipped but counted, so line numbers are the file's own."""
 
 import json
 from pathlib import Path
@@ -11,6 +11,7 @@ from .errors import ParseError
 # The C scanner json.loads runs, and the whitespace it allows after a value.
 _scan_once = json.JSONDecoder().scan_once
 _json_space = json.decoder.WHITESPACE.match
+_JSON_SPACE = " \t\r\n"
 
 
 def write_jsonl(path: Path | str, objs: Iterable[dict], append: bool = False) -> None:
@@ -23,7 +24,9 @@ def write_jsonl(path: Path | str, objs: Iterable[dict], append: bool = False) ->
 def read_jsonl(path: Path | str, header: bool = False) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per non-blank line, streaming the file.
 
-    A line that is not JSON, or not a JSON object, raises ParseError naming
+    A blank line holds JSON whitespace alone (space, tab, CR, LF); a line of
+    other space, such as a form feed or a no-break space, is parsed. A line
+    that is not JSON, or not a JSON object, raises ParseError naming
     `path:line`; with `header`, the first non-blank line's error says
     "bad header". Each line is parsed as `json.loads(line)` parses it (see
     `_loads`).
@@ -31,7 +34,8 @@ def read_jsonl(path: Path | str, header: bool = False) -> Iterator[tuple[int, di
     prefix = "bad header: " if header else ""
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
-            if line.isspace():
+            # str.isspace first, as the fast test; it also passes "\x0c" and "\xa0"
+            if line.isspace() and not line.strip(_JSON_SPACE):
                 continue
             try:
                 obj = _loads(line)

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-# Rows normalized, or embedded, scored and projected, together: bounds the
+# Rows embedded, scored and projected together: bounds the
 # temporaries of large batches. No bit of a result depends on the chunking.
 ROW_CHUNK = 256
 

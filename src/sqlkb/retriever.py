@@ -90,18 +90,14 @@ class EmbeddingProvider:
 
     def embed(self, text: str) -> np.ndarray:
         """Return an L2-normalized vector of length dim, from the cached raw row."""
-        return normalize_rows(self.raw(text)[None])[0][0]
+        return _index_rows(self.raw(text)[None].copy())[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Embed a batch of texts into an (n, dim) array, bypassing the cache.
 
         Row i equals embed(texts[i]) bit for bit.
         """
-        rows = self.raw_many(texts)
-        for start in range(0, len(rows), ROW_CHUNK):
-            block = rows[start : start + ROW_CHUNK]
-            normalize_rows(block, out=block)
-        return rows
+        return _index_rows(self.raw_many(texts))
 
     def raw(self, text: str) -> np.ndarray:
         """Return the raw (unnormalized) row of one text, cached per text."""
@@ -181,10 +177,11 @@ class ProjectionHead:
             )
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("head weights must be finite")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.holdout_mrr is not None and not 0 <= self.holdout_mrr <= 1:
-            raise ValueError("holdout_mrr must be in [0, 1]")
+        if isinstance(self.tau, bool) or not 0 < self.tau < np.inf:  # also refuses NaN
+            raise ValueError(f"tau must be a number > 0 and finite, not {self.tau!r}")
+        mrr = self.holdout_mrr
+        if mrr is not None and (isinstance(mrr, bool) or not 0 <= mrr <= 1):
+            raise ValueError(f"holdout_mrr must be a number in [0, 1], not {mrr!r}")
 
     @property
     def dim_in(self) -> int:
@@ -291,12 +288,10 @@ class KnowledgeIndex:
     def ids(self) -> list[str]:
         return [e.id for e in self.entries]
 
-    def blocks(self, only: Optional[Sequence[int]] = None) -> Iterator[np.ndarray]:
-        """The matrix in the row blocks an index file is read in; with `only`,
-        just the blocks of those numbers (ascending)."""
-        bounds = _block_bounds(len(self.matrix))
-        numbers = range(len(bounds) - 1) if only is None else only
-        return (self.matrix[bounds[k] : bounds[k + 1]] for k in numbers)
+    def blocks(self, only: Optional[Sequence[int]] = None) -> Iterator[tuple[int, np.ndarray]]:
+        """(first row, rows) per row block of the matrix; with `only`, per
+        block of those numbers (ascending)."""
+        return _row_blocks(self.matrix, only)
 
 
 @dataclass
@@ -314,7 +309,7 @@ class StoredIndex:
     entries: tuple["KnowledgeEntry", ...]
     path: Path
     meta: dict  # the file's index.json
-    layout: list["_Member"]  # the blocks() members: matrix blocks, else raw blocks
+    layout: list["_Member"]  # per row block, its matrix member, else its raw member
     # Per probe of load_or_build_index: best provider cosine similarity over all entries.
     probe_best: Optional[np.ndarray] = field(default=None, compare=False)
 
@@ -333,45 +328,27 @@ class StoredIndex:
     def head_fingerprint(self) -> Optional[str]:
         return self.meta["key"]["head"]
 
-    def blocks(self, only: Optional[Sequence[int]] = None) -> Iterator[np.ndarray]:
-        """The index rows, one stored block at a time: the matrix blocks or,
-        without a head, the raw blocks normalized as `build_index` does. With
-        `only`, just the blocks of those numbers (ascending); no other block
-        is read."""
+    def blocks(self, only: Optional[Sequence[int]] = None) -> Iterator[tuple[int, np.ndarray]]:
+        """(first row, rows) per row block, read from the block's member: the
+        matrix rows or, without a head, the raw rows made into index rows as
+        `build_index` makes them. With `only`, per block of those numbers
+        (ascending); no other member is read."""
         with open(self.path, "rb") as f:
             with zipfile.ZipFile(f) as zf:
                 if json.loads(zf.read(INDEX_META)) != self.meta:
                     raise ParseError(
                         f"{self.path} was rebuilt for another KB, provider or head while in use"
                     )
-            members = iter(self.layout)
             bounds = _block_bounds(len(self))
-            wanted = range(len(bounds) - 1) if only is None else set(only)
-            for k, (first, end) in enumerate(zip(bounds, bounds[1:])):
-                parts = []
-                while first < end:
-                    member = next(members)
-                    if k in wanted:
-                        parts.append(self._read(f, member))
-                    first += member.shape[0]
-                if parts:
-                    yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for k in range(len(self.layout)) if only is None else only:
+                yield bounds[k], self._read(f, self.layout[k])
 
     def _read(self, f: BinaryIO, member: "_Member") -> np.ndarray:
         f.seek(member.offset)
         rows = np.empty(member.shape, member.dtype)
         if f.readinto(rows) != rows.nbytes:
             raise ParseError(f"{self.path} was cut short while in use")
-        if self.meta["matrix"]:
-            return rows
-        # Normalized 32 rows at a time: `normalize_rows` holds a temporary the
-        # size of its input, and a whole block's would outgrow a small KB's
-        # matrix. Each row's bits do not depend on the rows normalized with it.
-        rows = rows.astype(np.float64)
-        for start in range(0, len(rows), 32):
-            part = rows[start : start + 32]
-            normalize_rows(part, out=part)
-        return rows
+        return rows if self.meta["matrix"] else _index_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -394,15 +371,12 @@ def _block_bounds(n: int) -> list[int]:
     return bounds
 
 
-def _scan(
-    index: "KnowledgeIndex | StoredIndex", only: Optional[Sequence[int]] = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, rows) per row block of the index; with `only`, per block of
-    those numbers (ascending)."""
-    bounds = _block_bounds(len(index))
+def _row_blocks(rows: Sequence, only: Optional[Sequence[int]] = None) -> Iterator[tuple]:
+    """(first row, rows[first:end]) per row block of `rows`; with `only`, per
+    block of those numbers (ascending)."""
+    bounds = _block_bounds(len(rows))
     numbers = range(len(bounds) - 1) if only is None else only
-    for k, block in zip(numbers, index.blocks(only)):
-        yield bounds[k], block
+    return ((bounds[k], rows[bounds[k] : bounds[k + 1]]) for k in numbers)
 
 
 def _scores(vecs: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -428,7 +402,7 @@ def _top_rows(
     rows = [np.empty(0, dtype=np.intp)] * len(vecs)
     scores = [np.empty(0)] * len(vecs)
     floor = np.full(len(vecs), -np.inf)
-    for start, block in _scan(index):
+    for start, block in index.blocks():
         block_scores = _scores(vecs, block)
         beats = block_scores > floor[:, None]
         for i in np.flatnonzero(beats.any(axis=1)):
@@ -455,14 +429,14 @@ def _ranks(
     bounds = _block_bounds(len(index))
     # not np.unique: its first call imports numpy.ma (~0.7 MB of peak RSS)
     holding = sorted(set((np.searchsorted(bounds, row, side="right") - 1).tolist()))
-    for start, block in _scan(index, holding):
+    for start, block in index.blocks(holding):
         inside = np.flatnonzero((start <= row) & (row < start + len(block)))
         if len(inside):
             own[inside] = _scores(vecs[query[inside]], block)[
                 np.arange(len(inside)), row[inside] - start
             ]
     ranks = np.ones(len(row), dtype=np.intp)
-    for start, block in _scan(index):
+    for start, block in index.blocks():
         mine = _scores(vecs, block)[query]
         earlier = start + np.arange(len(block)) < row[:, None]
         ahead = (mine > own[:, None]) | ((mine == own[:, None]) & earlier)
@@ -492,15 +466,20 @@ def score_blocks(blocks: Iterable[np.ndarray], probes: np.ndarray) -> np.ndarray
 def embed_blocks(
     texts: Sequence[str], provider: EmbeddingProvider, probes: np.ndarray
 ) -> np.ndarray:
-    """Embed texts ROW_CHUNK at a time and score them with `score_blocks`."""
-    starts = range(0, len(texts), ROW_CHUNK)
-    return score_blocks((provider.raw_many(texts[i : i + ROW_CHUNK]) for i in starts), probes)
+    """Embed texts one row block at a time and score them with `score_blocks`."""
+    return score_blocks((provider.raw_many(part) for _, part in _row_blocks(texts)), probes)
 
 
-def _from_raw(raw: np.ndarray, head: Optional[ProjectionHead]) -> np.ndarray:
-    """Index rows of raw provider rows: normalized, then projected by the
-    head when there is one."""
-    rows = normalize_rows(raw)[0]
+def _index_rows(raw: np.ndarray, head: Optional[ProjectionHead] = None) -> np.ndarray:
+    """Index or query rows of raw provider rows: L2-normalized 32 rows at a
+    time, since `normalize_rows` holds a temporary the size of its input,
+    then projected by the head when there is one. Float64 `raw` is normalized
+    in place, so a caller keeping raw rows (a cached row) passes a copy. No
+    row's bits depend on the rows it is made with."""
+    rows = raw.astype(np.float64, copy=False)
+    for start in range(0, len(rows), 32):
+        part = rows[start : start + 32]
+        normalize_rows(part, out=part)
     return head.project(rows) if head is not None else rows
 
 
@@ -516,12 +495,12 @@ def build_index(
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
 ) -> KnowledgeIndex:
-    """Embed and index every KB entry in memory, ROW_CHUNK entries at a time."""
+    """Embed and index every KB entry in memory, one row block at a time."""
     entries = _sorted_entries(kb)
     matrix = np.empty((len(entries), head.dim_out if head is not None else provider.dim))
-    for start in range(0, len(entries), ROW_CHUNK):
-        raw = provider.raw_many([e.text for e in entries[start : start + ROW_CHUNK]])
-        matrix[start : start + ROW_CHUNK] = _from_raw(raw, head)
+    for first, part in _row_blocks(entries):
+        raw = provider.raw_many([e.text for e in part])
+        matrix[first : first + len(part)] = _index_rows(raw, head)
     return KnowledgeIndex(
         entries=entries,
         matrix=matrix,
@@ -581,7 +560,7 @@ def _build_index_file(
     head: Optional[ProjectionHead],
     probes: Optional[np.ndarray],
 ) -> StoredIndex:
-    """Embed the KB ROW_CHUNK entries at a time into a temporary file, which
+    """Embed the KB one row block at a time into a temporary file, which
     then replaces the file at `path` at once, so no reader pairs the key with
     another build's arrays.
 
@@ -594,11 +573,11 @@ def _build_index_file(
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as file, zipfile.ZipFile(file, "w") as zf:
-            for block, start in enumerate(range(0, len(entries), ROW_CHUNK)):
-                raw = provider.raw_many([e.text for e in entries[start : start + ROW_CHUNK]])
+            for block, (_, part) in enumerate(_row_blocks(entries)):
+                raw = provider.raw_many([e.text for e in part])
                 if head is not None:
                     meta["matrix"].append(f"matrix/{block}.npy")
-                    _write_array(zf, meta["matrix"][-1], _from_raw(raw, head))
+                    _write_array(zf, meta["matrix"][-1], _index_rows(raw.copy(), head))
                 if provider.backend == "hash":  # token counts, held exactly
                     raw = raw.astype(np.min_scalar_type(int(raw.max())))
                 meta["raw"].append(f"raw/{block}.npy")
@@ -651,19 +630,19 @@ def _load_index(
 def _stored_rows(
     zf: zipfile.ZipFile, names: list[str], shape: tuple[int, int], matrix: bool = False
 ) -> Iterator[np.ndarray]:
-    """The stored row blocks as float64, one at a time, checked to add up to
-    `shape` (and, for `matrix` blocks, to be stored as float64)."""
-    seen = 0
-    for name in names:
+    """The stored row blocks as float64, one at a time, checked to be the row
+    blocks of `shape`, member k holding exactly the rows of block k (and, for
+    `matrix` blocks, to be stored as float64)."""
+    bounds = _block_bounds(shape[0])
+    if len(names) != len(bounds) - 1:
+        raise ValueError(f"{len(names)} members stored for {len(bounds) - 1} row blocks")
+    for name, first, end in zip(names, bounds, bounds[1:]):
         rows = _read_array(zf, name)
-        seen += len(rows)
-        if rows.ndim != 2 or rows.shape[1] != shape[1] or seen > shape[0]:
-            raise ValueError(f"{name} does not fit {shape} rows")
+        if rows.shape != (end - first, shape[1]):
+            raise ValueError(f"{name} has shape {rows.shape}, not {(end - first, shape[1])}")
         if matrix and rows.dtype != np.float64:
             raise ValueError(f"{name} is {rows.dtype}, not float64")
         yield rows.astype(np.float64, copy=False)
-    if seen != shape[0]:
-        raise ValueError(f"{seen} rows stored for {shape[0]} entries")
 
 
 def _layout(f: BinaryIO, zf: zipfile.ZipFile, names: list[str]) -> list[_Member]:
@@ -833,8 +812,8 @@ class TrainConfig:
             raise ValueError(
                 f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}"
             )
-        if not self.tau > 0:  # also rejects NaN
-            raise ValueError("tau must be > 0")
+        if not 0 < self.tau < np.inf:  # also rejects NaN
+            raise ValueError("tau must be > 0 and finite")
         if not 0 <= self.lr < np.inf:
             raise ValueError("lr must be >= 0 and finite")
         if self.epochs < 0:

@@ -426,7 +426,8 @@ def test_evaluate_embeds_kb_once(workdir, monkeypatch, cold):
     monkeypatch.setattr(EmbeddingProvider, "raw_many", recording_raw_many)
     assert run_cli(workdir, "evaluate") == 0
     assert sorted(t for batch in batches for t in batch) == (kb_texts if cold else [])
-    assert max(map(len, batches), default=0) <= ROW_CHUNK
+    # one row block at most: ROW_CHUNK texts, or ROW_CHUNK + 1 for a last one joined
+    assert max(map(len, batches), default=0) <= ROW_CHUNK + 1
 
 
 def test_edited_kb_line_rebuilds_the_index(workdir, capsys, caplog):
@@ -555,6 +556,13 @@ def test_evaluate_on_empty_kb_reports_zero_coverage(workdir, capsys):
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "weights"}),
          "head.json: missing key 'weights'"),
         (lambda text: json.dumps({**json.loads(text), "holdout_mrr": "high"}), "head.json: "),
+        (lambda text: json.dumps({**json.loads(text), "holdout_mrr": True}),
+         "head.json: holdout_mrr must be a number in [0, 1], not True"),
+        *[
+            (lambda text, tau=tau: json.dumps({**json.loads(text), "tau": tau}),
+             f"head.json: tau must be a number > 0 and finite, not {tau!r}")
+            for tau in (float("nan"), float("inf"), float("-inf"), True)
+        ],
         (lambda text: json.dumps({**json.loads(text), "weights": json.loads(text)["weights"][0]}),
          "head.json: head weights must be a non-empty 2-D matrix"),
         (lambda text: json.dumps({**json.loads(text), "weights": []}),
@@ -666,6 +674,7 @@ ARTIFACTS_BEFORE = {
         ("train-retriever", "retriever.batch_size=1", "[retriever] batch_size must be >= 2"),
         ("stats", "retriever.batch_size=1", "[retriever] batch_size must be >= 2"),
         ("train-retriever", "retriever.tau=0", "[retriever] tau must be > 0"),
+        ("train-retriever", "retriever.tau=inf", "[retriever] tau must be > 0 and finite"),
         ("train-retriever", "retriever.lr=nan", "[retriever] lr must be >= 0 and finite"),
         ("train-retriever", "retriever.epochs=-1", "[retriever] epochs must be >= 0"),
         ("train-retriever", "retriever.holdout_fraction=-0.5",

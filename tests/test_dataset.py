@@ -1,5 +1,6 @@
 import json
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +190,21 @@ def test_load_schema_empty_database(tmp_path):
 def test_load_schema_non_sqlite(tmp_path):
     path = tmp_path / "bogus.sqlite"
     path.write_bytes(b"definitely not a database file" * 10)
+    with pytest.raises(UnsupportedEngineError):
+        load_schema(path)
+
+
+def test_load_schema_reads_only_the_magic(tmp_path, toy_dir, monkeypatch):
+    """The engine check reads the file's first 16 bytes, never the whole file."""
+
+    def whole_file(self):
+        raise AssertionError(f"{self} was read whole")
+
+    monkeypatch.setattr(Path, "read_bytes", whole_file)
+    assert load_schema(toy_dir / "databases" / "company.sqlite").tables
+    path = tmp_path / "bogus.sqlite"
+    with open(path, "wb") as fh:
+        fh.write(b"SQLite format 2\x00" + bytes(4096))
     with pytest.raises(UnsupportedEngineError):
         load_schema(path)
 

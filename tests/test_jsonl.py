@@ -95,8 +95,21 @@ def test_unusable_field_is_parse_error_naming_path_line(tmp_path, artifact, reco
 
 def test_read_jsonl_skips_blank_lines_and_counts_them(tmp_path):
     path = tmp_path / "a.jsonl"
-    path.write_text('\n{"a": 1}\n  \n{"b": 2}\n\n')
-    assert list(read_jsonl(path, header=True)) == [(2, {"a": 1}), (4, {"b": 2})]
+    path.write_text('\n{"a": 1}\n  \n\t\r\n{"b": 2}\n\n')
+    assert list(read_jsonl(path, header=True)) == [(2, {"a": 1}), (5, {"b": 2})]
+
+
+@pytest.mark.parametrize("space", ["\x0c", "\u00a0", " \x0c "])
+def test_line_of_other_space_is_parse_error(tmp_path, space):
+    """Only JSON whitespace makes a line blank: str.isspace also passes a
+    form feed or a no-break space, which json.loads refuses."""
+    path = tmp_path / "a.jsonl"
+    path.write_text(f'{{"a": 1}}\n{space}\n{{"b": 2}}\n')
+    with pytest.raises(ParseError) as raised:
+        list(read_jsonl(path))
+    with pytest.raises(json.JSONDecodeError) as loads:
+        json.loads(space + "\n")
+    assert str(raised.value) == f"{path}:2: {loads.value}"
 
 
 def test_kb_header_skips_leading_blank_line(tmp_path):
@@ -154,6 +167,11 @@ MUTATIONS = {
     "trailing form feed": lambda text, other, cut: text + "\x0c",
     "trailing unit separator": lambda text, other, cut: text + "\x1f",
     "trailing no-break space": lambda text, other, cut: text + "\u00a0",
+    # blank: JSON whitespace alone
+    "JSON whitespace alone": lambda text, other, cut: " \t ",
+    # space to str.isspace, but "Expecting value" to json.loads
+    "form feed alone": lambda text, other, cut: "\x0c",
+    "no-break space alone": lambda text, other, cut: "\u00a0",
     "second value": lambda text, other, cut: text + other,
     "second value after a space": lambda text, other, cut: text + " " + other,
     "truncated": lambda text, other, cut: text[: cut % (len(text) + 1)],
@@ -180,7 +198,7 @@ def test_read_jsonl_reads_each_line_as_json_loads(
     line = MUTATIONS[mutation](dump(obj), dump(other), cut) + "\n"
     path = tmp_path_factory.mktemp("one_line") / "a.jsonl"
     path.write_text(line)
-    if line.isspace():
+    if not line.strip(" \t\r\n"):
         assert list(read_jsonl(path, header)) == []
         return
     try:

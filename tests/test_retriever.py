@@ -231,7 +231,7 @@ def test_http_embed_retries_a_refusal(embed_stub, sent, refusal, slept):
 
 def stored_matrix(index):
     """The rows an index file holds, read back whole."""
-    return np.concatenate(list(index.blocks()))
+    return np.concatenate([rows for _, rows in index.blocks()])
 
 
 def test_build_index_empty_kb(provider):
@@ -367,8 +367,9 @@ def test_index_key_change_forces_rebuild(
 @pytest.mark.parametrize("head_dim", [None, 8])
 def test_index_file_holds_matrix_blocks_only_with_a_head(tmp_path, provider, head_dim):
     """Without a head the index rows are the normalized raw rows, so the file
-    keeps the raw blocks alone."""
-    kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(ROW_CHUNK + 1)])
+    keeps the raw blocks alone. Each member is one scoring block: a last
+    block of one row is joined to the block before it."""
+    kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(2 * ROW_CHUNK + 1)])
     head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
     path = tmp_path / "kb_index.npz"
     load_or_build_index(path, kb, provider, head)
@@ -378,6 +379,9 @@ def test_index_file_holds_matrix_blocks_only_with_a_head(tmp_path, provider, hea
     if head_dim:
         blocks |= {"matrix/0.npy", "matrix/1.npy"}
     assert names == blocks | {"index.json"}
+    with np.load(path) as stored:
+        lengths = [len(stored[name[:-4]]) for name in sorted(blocks)]
+    assert lengths == [ROW_CHUNK, ROW_CHUNK + 1] * (len(blocks) // 2)
 
 
 def float_rows(path, texts):
@@ -567,10 +571,101 @@ def test_block_scores_equal_matrix_vector_products(n, dim, seed):
     matrix = normalize_rows(rng.standard_normal((n, dim)))[0]
     vecs = normalize_rows(rng.standard_normal((3, dim)))[0]
     got = np.concatenate(
-        [retriever._scores(vecs, block) for _, block in retriever._scan(index_over(matrix))],
+        [retriever._scores(vecs, block) for _, block in index_over(matrix).blocks()],
         axis=1,
     )
     assert np.array_equal(got, np.stack([matrix @ q for q in vecs]))
+
+
+ROW_SPLITS = [1, 31, 32, 33, ROW_CHUNK + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([1, 32, 33, ROW_CHUNK + 1]), st.integers(1, 2 * ROW_CHUNK + 3)),
+    counts=st.booleans(),
+    head_dim=st.sampled_from([None, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_index_rows_do_not_depend_on_the_rows_made_with_them(n, counts, head_dim, seed):
+    """`_index_rows` gives each row the same bits whether it is made alone,
+    in pieces of any size, or with all the others; float64 rows and uint8
+    token counts alike, with and without a head. It widens uint8 counts into
+    a copy."""
+    rng = np.random.default_rng(seed)
+    dim = 64
+    if counts:
+        raw = rng.integers(0, 4, size=(n, dim)).astype(np.uint8)
+    else:
+        raw = rng.standard_normal((n, dim))
+    kept = raw.copy()
+    head = init_head(dim, head_dim, seed=1) if head_dim else None
+    whole = retriever._index_rows(raw.copy(), head)
+    assert whole.dtype == np.float64
+    for split in ROW_SPLITS:
+        pieces = [
+            retriever._index_rows(raw[i : i + split].copy(), head) for i in range(0, n, split)
+        ]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+    if counts:
+        retriever._index_rows(raw, head)
+        assert np.array_equal(raw, kept)
+
+
+@pytest.mark.parametrize("backend", ["hash", "http"])
+@pytest.mark.parametrize("head_dim", [None, 16])
+def test_index_rows_equal_embed_embed_many_and_build_index(
+    tmp_path, embed_stub, tie_heavy_texts, backend, head_dim
+):
+    """Index and query rows are `_index_rows` of the raw rows, bit for bit;
+    the per-text cache and the index file keep the raw rows."""
+    embed_stub.rows = float_rows
+    provider = EmbeddingProvider(dim=64, backend=backend, endpoint=embed_stub.url)
+    kb = make_kb(tie_heavy_texts(ROW_CHUNK + 33))
+    texts = [e.text for e in kb.sorted_entries()]
+    head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
+    raw = provider.raw_many(texts)
+    rows = retriever._index_rows(raw.copy(), head)
+    assert build_index(kb, provider, head).matrix.tobytes() == rows.tobytes()
+    provider.cache_raw(texts)
+    assert np.stack([embed(provider, t, head) for t in texts]).tobytes() == rows.tobytes()
+    if head is None:
+        assert provider.embed_many(texts).tobytes() == rows.tobytes()
+    assert np.array_equal(np.stack([provider.raw(t) for t in texts]), raw)
+    path = tmp_path / "kb_index.npz"
+    load_or_build_index(path, kb, provider, head)
+    with np.load(path) as stored:
+        assert np.array_equal(np.concatenate([stored["raw/0"], stored["raw/1"]]), raw)
+
+
+@pytest.mark.parametrize("head_dim", [None, 16])
+def test_file_of_one_row_last_member_is_rebuilt_once(
+    tmp_path, monkeypatch, caplog, provider, tie_heavy_texts, head_dim
+):
+    """A file whose members are not its row blocks, as when a last one-row
+    block was stored as a member of its own, is rebuilt once with a warning,
+    then scores as `build_index` does."""
+    n = ROW_CHUNK + 1
+    kb = make_kb(tie_heavy_texts(n))
+    head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
+    path = tmp_path / "kb_index.npz"
+    with monkeypatch.context() as m:
+        m.setattr(retriever, "_block_bounds", lambda n: [*range(0, n, ROW_CHUNK), n])
+        load_or_build_index(path, kb, provider, head)
+    with np.load(path) as stored:
+        assert [len(stored[f"raw/{k}"]) for k in (0, 1)] == [ROW_CHUNK, 1]
+    builds = count_builds(monkeypatch)
+    for _ in range(2):
+        index = load_or_build_index(path, kb, provider, head)
+    assert len(builds) == 1
+    assert caplog.text.count("is unreadable") == 1 and "rebuilding it" in caplog.text
+    assert len(index.layout) == 1
+    built = build_index(kb, provider, head)
+    assert stored_matrix(index).tobytes() == built.matrix.tobytes()
+    queries = tie_heavy_texts(6, seed=3)
+    assert retrieve_many(queries, index, 5, provider, head) == retrieve_many(
+        queries, built, 5, provider, head
+    )
 
 
 BLOCK_KB_SIZES = [1, 2, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 2]
@@ -623,7 +718,7 @@ def test_first_rank_pass_reads_only_the_blocks_holding_a_row(
 ):
     """`_ranks` scores the rows against their queries from the blocks that
     hold them, and counts ranks over every block: two of four blocks, then
-    four. The last block joins a one-row member to the block before it."""
+    four. The last block holds ROW_CHUNK + 1 rows, in one member."""
     n = 4 * ROW_CHUNK + 1
     kb = make_kb(tie_heavy_texts(n))
     head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
@@ -650,8 +745,9 @@ def test_first_rank_pass_reads_only_the_blocks_holding_a_row(
         members.clear()
         assert retriever._ranks(index, vecs, query, row).tolist() == want
         assert passes == [2, 4]
-    # blocks 0 and 3 (members 3 and 4), then all five members
-    assert members == [stored.layout[i] for i in (0, 3, 4, 0, 1, 2, 3, 4)]
+    # blocks 0 and 3, then all four, one member each
+    assert len(stored.layout) == 4
+    assert members == [stored.layout[i] for i in (0, 3, 0, 1, 2, 3)]
 
 
 @pytest.mark.parametrize("head_dim", [None, 64])
