@@ -61,8 +61,9 @@ class EmbeddingProvider:
     `transport.request_json` does under the default `RetryPolicy`; the last
     failure, or a malformed answer, is a ProviderError.
 
-    `raw`/`raw_many` return the raw rows; `embed`/`embed_many` return them
-    L2-normalized (an all-zero row is returned as-is).
+    `raw`/`raw_many` return the raw rows; `embed` returns one text's row
+    L2-normalized (an all-zero row is returned as-is), as `_index_rows` makes
+    the index and query rows of many.
     """
 
     name: str = "hash"
@@ -91,13 +92,6 @@ class EmbeddingProvider:
     def embed(self, text: str) -> np.ndarray:
         """Return an L2-normalized vector of length dim, from the cached raw row."""
         return _index_rows(self.raw(text)[None].copy())[0]
-
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """Embed a batch of texts into an (n, dim) array, bypassing the cache.
-
-        Row i equals embed(texts[i]) bit for bit.
-        """
-        return _index_rows(self.raw_many(texts))
 
     def raw(self, text: str) -> np.ndarray:
         """Return the raw (unnormalized) row of one text, cached per text."""
@@ -483,6 +477,25 @@ def _index_rows(raw: np.ndarray, head: Optional[ProjectionHead] = None) -> np.nd
     return head.project(rows) if head is not None else rows
 
 
+def _narrow(provider: EmbeddingProvider, raw: np.ndarray) -> np.ndarray:
+    """Raw rows as they are kept: hash token counts in the narrowest unsigned
+    type that holds them exactly, other backends' rows as they are."""
+    if provider.backend == "hash":
+        return raw.astype(np.min_scalar_type(int(raw.max())))
+    return raw
+
+
+def _kept_rows(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
+    """The `_narrow` raw rows of texts, embedded one row block at a time, in
+    the widest type any block needs."""
+    rows = np.empty((len(texts), provider.dim), np.uint8)
+    for first, part in _row_blocks(texts):
+        block = _narrow(provider, provider.raw_many(part))
+        rows = rows.astype(np.promote_types(rows.dtype, block.dtype), copy=False)
+        rows[first : first + len(part)] = block
+    return rows
+
+
 def _sorted_entries(kb: "KnowledgeBase") -> tuple["KnowledgeEntry", ...]:
     entries = tuple(kb.sorted_entries())
     if not entries:
@@ -578,10 +591,8 @@ def _build_index_file(
                 if head is not None:
                     meta["matrix"].append(f"matrix/{block}.npy")
                     _write_array(zf, meta["matrix"][-1], _index_rows(raw.copy(), head))
-                if provider.backend == "hash":  # token counts, held exactly
-                    raw = raw.astype(np.min_scalar_type(int(raw.max())))
                 meta["raw"].append(f"raw/{block}.npy")
-                _write_array(zf, meta["raw"][-1], raw)
+                _write_array(zf, meta["raw"][-1], _narrow(provider, raw))
             # a ZipInfo dates the member 1980-01-01, as zf.open dates the
             # arrays: a name alone would stamp the current time
             zf.writestr(zipfile.ZipInfo(INDEX_META), json.dumps(meta))
@@ -831,11 +842,20 @@ class RetrievalMetrics:
 
 
 def _pairwise_mrr(head_w: np.ndarray, q_raw: np.ndarray, k_raw: np.ndarray) -> float:
-    """MRR of each query's own positive ranked against all positives."""
-    S = normalize_rows(q_raw @ head_w)[0] @ normalize_rows(k_raw @ head_w)[0].T
-    n = S.shape[0]
-    ranks = (S > S[np.arange(n), np.arange(n)][:, None]).sum(axis=1) + 1
-    return float(np.mean(1.0 / ranks))
+    """MRR of each query's own positive ranked against all positives, from
+    raw rows (left as they are), one row block of queries at a time."""
+
+    def projected(raw: np.ndarray) -> np.ndarray:
+        return normalize_rows(_index_rows(raw.astype(np.float64)) @ head_w)[0]
+
+    keys = np.concatenate([projected(part) for _, part in _row_blocks(k_raw)])
+
+    def ranks(first: int, part: np.ndarray) -> np.ndarray:
+        S = projected(part) @ keys.T
+        mine = np.arange(len(part))
+        return (S > S[mine, first + mine][:, None]).sum(axis=1) + 1
+
+    return float(np.mean(1.0 / np.concatenate([ranks(*b) for b in _row_blocks(q_raw)])))
 
 
 def train_head(
@@ -845,16 +865,19 @@ def train_head(
 ) -> ProjectionHead:
     """Minimize mean in-batch InfoNCE with plain gradient descent.
 
-    Embeddings are computed once up front (the provider is frozen). A
-    seeded holdout split is scored by pairwise MRR after every epoch and
-    the best-scoring weights are returned.
+    Raw rows are computed once up front (the provider is frozen) and kept
+    as `_narrow` makes them; each batch is made into index rows just before
+    its step. A seeded holdout split is scored by pairwise MRR after every
+    epoch and the best-scoring weights are returned. With fewer than 2 pairs
+    held out the epoch is chosen on the training pairs, and the head has no
+    `holdout_mrr`.
     """
     config = config or TrainConfig()
     if len(pairs) < 2:
         raise ConfigError("need at least 2 training pairs")
 
-    q_raw = provider.embed_many([p.query for p in pairs])
-    k_raw = provider.embed_many([p.positive for p in pairs])
+    q_raw = _kept_rows(provider, [p.query for p in pairs])
+    k_raw = _kept_rows(provider, [p.positive for p in pairs])
 
     rng = np.random.default_rng(config.seed)
     n = len(pairs)
@@ -878,13 +901,15 @@ def train_head(
             batch = order[start : start + config.batch_size]
             if len(batch) < 2:
                 continue
-            _, grad = info_nce_batch(W, q_raw[batch], k_raw[batch], config.tau)
+            q, k = _index_rows(q_raw[batch]), _index_rows(k_raw[batch])
+            _, grad = info_nce_batch(W, q, k, config.tau)
             W -= config.lr * grad
         mrr = _pairwise_mrr(W, q_raw[eval_idx], k_raw[eval_idx])
         if mrr > best_mrr:
             best_mrr = mrr
             best_w = W.copy()
-    return ProjectionHead(weights=best_w, tau=config.tau, holdout_mrr=best_mrr)
+    held_out = best_mrr if len(hold_idx) >= 2 else None
+    return ProjectionHead(weights=best_w, tau=config.tau, holdout_mrr=held_out)
 
 
 def eval_retrieval(

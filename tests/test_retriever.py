@@ -132,19 +132,19 @@ def test_provider_refuses_bad_settings_at_construction(fields, message):
     assert EmbeddingProvider(dim=1).raw("a b").tolist() == [2.0]
 
 
-def test_embed_many_bit_identical_to_embed():
+def test_index_rows_of_raw_many_bit_identical_to_embed():
     texts = [f"alpha {i} beta{i % 7} gamma gamma" for i in range(600)]
     texts += ["!!!", texts[1]]  # a text without tokens, and a repeat
-    batch = EmbeddingProvider(dim=64).embed_many(texts)
+    batch = retriever._index_rows(EmbeddingProvider(dim=64).raw_many(texts))
     single = EmbeddingProvider(dim=64)
     assert batch.shape == (len(texts), 64)
     assert np.array_equal(batch, np.stack([single.embed(t) for t in texts]))
     assert not batch[len(texts) - 2].any()  # no tokens: the zero vector
 
 
-def test_embed_many_rejects_empty_text(provider):
+def test_raw_many_rejects_empty_text(provider):
     with pytest.raises(ValueError):
-        provider.embed_many(["fine text", ""])
+        provider.raw_many(["fine text", ""])
 
 
 def length_rows(dim, rows_delta=0, dim_delta=0):
@@ -159,13 +159,15 @@ def length_rows(dim, rows_delta=0, dim_delta=0):
     return rows
 
 
-def test_http_embed_many_sends_one_request_per_batch(embed_stub):
+def test_http_raw_many_sends_one_request_per_batch(embed_stub):
     embed_stub.rows = length_rows(8)
     prov = EmbeddingProvider(dim=8, backend="http", endpoint=embed_stub.url)
     texts = [f"text number {i}" for i in range(2 * HTTP_BATCH + 5)]
-    rows = prov.embed_many(texts)
+    raw = prov.raw_many(texts)
     assert embed_stub.batches == [texts[:HTTP_BATCH], texts[HTTP_BATCH:-5], texts[-5:]]
-    assert rows.shape == (len(texts), 8)
+    assert raw.shape == (len(texts), 8)
+    assert raw[10, :2].tolist() == [len(texts[10]), 1.0]
+    rows = retriever._index_rows(raw)
     expected = np.array([len(texts[10]), 1.0]) / math.hypot(len(texts[10]), 1.0)
     assert np.allclose(rows[10, :2], expected)
     assert np.array_equal(prov.embed(texts[10]), rows[10])
@@ -174,11 +176,11 @@ def test_http_embed_many_sends_one_request_per_batch(embed_stub):
 
 
 @pytest.mark.parametrize("rows_delta, dim_delta", [(1, 0), (0, 1), (0, -1)])
-def test_http_embed_many_rejects_wrong_shape(embed_stub, rows_delta, dim_delta):
+def test_http_raw_many_rejects_wrong_shape(embed_stub, rows_delta, dim_delta):
     embed_stub.rows = length_rows(8, rows_delta=rows_delta, dim_delta=dim_delta)
     prov = EmbeddingProvider(dim=8, backend="http", endpoint=embed_stub.url)
     with pytest.raises(ProviderError):
-        prov.embed_many(["one text", "another text"])
+        prov.raw_many(["one text", "another text"])
     with pytest.raises(ProviderError):
         prov.embed("a single text")
 
@@ -199,7 +201,7 @@ def test_http_embed_failure_is_provider_error(embed_stub, refused_url, sent, fai
         embed_stub.rows = lambda path, texts: {"not": "rows"}
     prov = EmbeddingProvider(dim=8, backend="http", endpoint=endpoint)
     with pytest.raises(ProviderError, match=message):
-        prov.embed_many(["one text"])
+        prov.raw_many(["one text"])
     assert len(sent.posts) == {"status": 3, "refused": 3, "body": 1}[failure]
 
 
@@ -208,7 +210,7 @@ def test_http_embed_only_a_200_is_an_answer(embed_stub, sent, status):
     embed_stub.status = status
     prov = EmbeddingProvider(dim=256, backend="http", endpoint=embed_stub.url)
     with pytest.raises(ProviderError, match=f"embedding service failed: http status {status}$"):
-        prov.embed_many(["one text"])
+        prov.raw_many(["one text"])
     assert len(sent.posts) == 1
 
 
@@ -614,7 +616,7 @@ def test_index_rows_do_not_depend_on_the_rows_made_with_them(n, counts, head_dim
 
 @pytest.mark.parametrize("backend", ["hash", "http"])
 @pytest.mark.parametrize("head_dim", [None, 16])
-def test_index_rows_equal_embed_embed_many_and_build_index(
+def test_index_rows_equal_embed_and_build_index(
     tmp_path, embed_stub, tie_heavy_texts, backend, head_dim
 ):
     """Index and query rows are `_index_rows` of the raw rows, bit for bit;
@@ -629,8 +631,6 @@ def test_index_rows_equal_embed_embed_many_and_build_index(
     assert build_index(kb, provider, head).matrix.tobytes() == rows.tobytes()
     provider.cache_raw(texts)
     assert np.stack([embed(provider, t, head) for t in texts]).tobytes() == rows.tobytes()
-    if head is None:
-        assert provider.embed_many(texts).tobytes() == rows.tobytes()
     assert np.array_equal(np.stack([provider.raw(t) for t in texts]), raw)
     path = tmp_path / "kb_index.npz"
     load_or_build_index(path, kb, provider, head)
@@ -950,6 +950,92 @@ def test_train_head_improves_retrieval():
     untrained = eval_retrieval(build_index(kb, prov), labeled, prov)
     trained = eval_retrieval(build_index(kb, prov, head), labeled, prov, head)
     assert trained.mrr > untrained.mrr
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.1])  # of 12 pairs: none held out, one held out
+def test_train_head_without_holdout_has_no_holdout_mrr(tmp_path, fraction):
+    cfg = TrainConfig(batch_size=4, epochs=3, lr=0.5, seed=7, holdout_fraction=fraction)
+    head = train_head(synthetic_pairs()[:12], EmbeddingProvider(dim=32), cfg)
+    assert head.holdout_mrr is None
+    path = tmp_path / "head.json"
+    head.save(path)
+    assert "holdout_mrr" not in path.read_text()
+
+
+def test_train_head_memory_stays_bounded():
+    """Hash rows are held as narrow counts and the holdout is scored in row
+    blocks, so the peak stays below the float64 query and positive matrices,
+    and below one holdout x holdout score matrix."""
+    n, dim = 3000, 256
+    pairs = [
+        TrainingPair(f"question {i} about w{i % 97} x{i % 89}", f"fact {i} on w{i % 97} y{i % 83}")
+        for i in range(n)
+    ]
+    cfg = TrainConfig(epochs=1, seed=1, dim_out=8, holdout_fraction=0.5)
+    n_hold = round(n * cfg.holdout_fraction)
+    tracemalloc.start()
+    try:
+        train_head(pairs, EmbeddingProvider(dim=dim), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(2 * n * dim * 8, n_hold * n_hold * 8)
+
+
+def reference_training(pairs, provider, config):
+    """`train_head`'s algorithm over float64 normalized rows, scoring the
+    holdout with the full holdout x holdout product. Asserts that no score is
+    near-tied with a query's own, which another blocking could order otherwise."""
+    queries = normalize_rows(provider.raw_many([p.query for p in pairs]))[0]
+    positives = normalize_rows(provider.raw_many([p.positive for p in pairs]))[0]
+    rng = np.random.default_rng(config.seed)
+    n_hold = int(round(len(pairs) * config.holdout_fraction))
+    perm = rng.permutation(len(pairs))
+    hold, train = perm[:n_hold], perm[n_hold:]
+    W = init_head(provider.dim, config.dim_out, seed=config.seed).weights.copy()
+
+    def pairwise_mrr(W):
+        S = normalize_rows(queries[hold] @ W)[0] @ normalize_rows(positives[hold] @ W)[0].T
+        own = np.diag(S)[:, None]
+        gaps = np.abs(S - own)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() > 1e-9
+        return float(np.mean(1.0 / ((S > own).sum(axis=1) + 1)))
+
+    best_w, best_mrr = W.copy(), pairwise_mrr(W)
+    for _ in range(config.epochs):
+        order = rng.permutation(train)
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            if len(batch) >= 2:
+                W -= config.lr * info_nce_batch(W, queries[batch], positives[batch], config.tau)[1]
+        mrr = pairwise_mrr(W)
+        if mrr > best_mrr:
+            best_w, best_mrr = W.copy(), mrr
+    return best_w, best_mrr
+
+
+@pytest.mark.parametrize("backend", ["hash", "http"])
+@pytest.mark.parametrize("n_hold", [ROW_CHUNK - 1, ROW_CHUNK + 1, 2 * ROW_CHUNK + 5])
+def test_train_head_equals_full_product_reference(embed_stub, backend, n_hold):
+    """Raw rows widened per batch and a holdout scored in row blocks (a
+    one-row tail among them) give the reference's head and holdout MRR."""
+    embed_stub.rows = float_rows
+    provider = EmbeddingProvider(
+        dim=64 if backend == "http" else 1024, backend=backend, endpoint=embed_stub.url
+    )
+    pairs = [
+        TrainingPair(f"query {i} w{i % 31} v{i % 17} t{i % 7}", f"fact {i} w{i % 31} u{i % 13}")
+        for i in range(2 * n_hold)
+    ]
+    cfg = TrainConfig(batch_size=64, epochs=3, lr=0.5, seed=5, dim_out=16, holdout_fraction=0.5)
+    head = train_head(pairs, provider, cfg)
+    weights, mrr = reference_training(pairs, provider, cfg)
+    assert np.array_equal(head.weights, weights)
+    assert head.holdout_mrr == mrr
+    # train_head sent the requests the reference's whole-list raw_many sent
+    half = len(embed_stub.batches) // 2
+    assert embed_stub.batches[:half] == embed_stub.batches[half:]
 
 
 # --- eval_retrieval ---
