@@ -71,11 +71,6 @@ class Dataset:
     records: tuple[ExampleTriplet, ...]
     schemas: dict[str, DatabaseSchema] = field(default_factory=dict)
     split: str = "train"
-    # Derived per-record arrays, keyed by embedding provider fingerprint;
-    # filled on first use by knowledge_base._question_matrix.
-    question_vectors: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def schema_for(self, db_id: str) -> DatabaseSchema:
         try:

@@ -162,9 +162,6 @@ class _QuestionMatrix:
 
 
 def _question_matrix(dataset: Dataset, embedder: "EmbeddingProvider") -> _QuestionMatrix:
-    cached = dataset.question_vectors.get(embedder.fingerprint)
-    if cached is not None:
-        return cached
     records = dataset.records
     ids = [rec.query.id for rec in records]
     positions: dict[str, list[int]] = {}
@@ -173,7 +170,7 @@ def _question_matrix(dataset: Dataset, embedder: "EmbeddingProvider") -> _Questi
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     rows = embedder.raw_many([rec.query.text for rec in records])
-    matrix = _QuestionMatrix(
+    return _QuestionMatrix(
         rows=rows,
         sq_norms=np.einsum("ij,ij->i", rows, rows),
         positions=positions,
@@ -181,8 +178,6 @@ def _question_matrix(dataset: Dataset, embedder: "EmbeddingProvider") -> _Questi
         has_knowledge=np.array([rec.knowledge is not None for rec in records], dtype=bool),
         has_sql=np.array([rec.gold_sql is not None for rec in records], dtype=bool),
     )
-    dataset.question_vectors[embedder.fingerprint] = matrix
-    return matrix
 
 
 def _rank_examples(
@@ -220,16 +215,26 @@ def _rank_examples(
 
 
 def example_pools(
-    dataset: Dataset, k: int, embedder: "EmbeddingProvider"
+    dataset: Dataset,
+    k: int,
+    embedder: "EmbeddingProvider",
+    queries: Optional[Sequence[Query]] = None,
+    require_sql: bool = False,
 ) -> list[list["ExampleTriplet"]]:
-    """`select_examples(rec.query, dataset, k, embedder)` for every record, in
-    record order, as one blocked pass over the dataset's question matrix; a
-    record with no candidate gets an empty list."""
+    """`select_examples(query, dataset, k, embedder, require_sql)` for each
+    query (by default each record's own), in order, as one blocked pass over
+    the dataset's question matrix, as both `build-kb` and `generate` rank; a
+    query with no candidate gets an empty list. Only with integer (hash) rows
+    is each pool the one-query call's bit for bit: a float row block's product
+    can differ in the last bits, so near-ties may order differently."""
     if k < 1:
         raise ValueError("k must be >= 1")
     questions = _question_matrix(dataset, embedder)
-    ids = [rec.query.id for rec in dataset.records]
-    pools = _rank_examples(questions, questions.rows, ids, k)
+    if queries is None:
+        rows, ids = questions.rows, [rec.query.id for rec in dataset.records]
+    else:
+        rows, ids = np.array([embedder.raw(q.text) for q in queries]), [q.id for q in queries]
+    pools = _rank_examples(questions, rows, ids, k, require_sql)
     return [[dataset.records[i] for i in best] for best in pools]
 
 
@@ -244,10 +249,10 @@ def select_examples(
 
     The query's own record (same id) is excluded; ties break by record id
     ascending. Returns at most k records, never padded. The dataset's
-    question matrix is embedded once per provider fingerprint and reused.
-    Candidates are ranked by `cosine_key` of the raw rows, which is exact for
-    the hash backend, so the id rule decides every exact tie. This is the
-    one-query case of the pass `example_pools` makes over every record.
+    question matrix is embedded on every call. Candidates are ranked by
+    `cosine_key` of the raw rows, which is exact for the hash backend, so the
+    id rule decides every exact tie. This is the one-query case of the pass
+    `example_pools` makes for `build-kb` and `generate`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

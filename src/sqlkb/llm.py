@@ -102,7 +102,7 @@ class CallLedger:
         A `stage` tags every line with the command that made the calls;
         `append` adds the lines to an existing file instead of replacing it.
         """
-        keys = ("prompt_sha256", "prompt", "completion", "ok")
+        keys = ("prompt_sha256", "prompt", "completion", "backend", "ok")
         tag = {"stage": stage} if stage else {}
         lines = ({**{k: getattr(r, k) for k in keys}, **tag} for r in self.records)
         write_jsonl(path, lines, append)

@@ -18,12 +18,12 @@ from .errors import (
     ParseError,
 )
 from .jsonl import read_jsonl, write_jsonl
-from .knowledge_base import _question_matrix, select_examples
+from .knowledge_base import example_pools, select_examples
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeEntry
     from .llm import LlmClient
-    from .retriever import EmbeddingProvider, KnowledgeIndex, ProjectionHead
+    from .retriever import EmbeddingProvider, KnowledgeIndex, ProjectionHead, StoredIndex
 
 logger = logging.getLogger(__name__)
 
@@ -185,13 +185,14 @@ def postprocess_sql(completion: str) -> str:
 def generate_sql(
     query: Query,
     schema: DatabaseSchema,
-    index: Optional["KnowledgeIndex"],
+    index: Optional["KnowledgeIndex | StoredIndex"],
     llm: "LlmClient",
     provider: "EmbeddingProvider",
     train_dataset: Dataset,
     config: Optional[PipelineConfig] = None,
     head: Optional["ProjectionHead"] = None,
     retrieved: Optional[Sequence["KnowledgeEntry"]] = None,
+    examples: Optional[Sequence[ExampleTriplet]] = None,
 ) -> PipelineOutput:
     """Retrieve top-j knowledge, optionally refine it, and generate the SQL.
 
@@ -200,7 +201,8 @@ def generate_sql(
     (an empty KB), the Evidence block is empty (no-knowledge baseline). The
     output records the retrieved entry ids and the Evidence text the SQL
     prompt showed. `retrieved`, when given, holds the entries retrieved for
-    the query beforehand, and `index` is not searched.
+    the query beforehand, and `index` is not searched; `examples`, when
+    given, holds its few-shot pool, and `train_dataset` is not ranked.
     """
     from .retriever import retrieve
 
@@ -218,13 +220,10 @@ def generate_sql(
         evidence = "; ".join(e.text for e in retrieved)
 
     try:
-        examples = select_examples(
-            query,
-            train_dataset,
-            config.few_shot_k,
-            provider,
-            require_sql=True,
-        )
+        if examples is None:
+            examples = select_examples(
+                query, train_dataset, config.few_shot_k, provider, require_sql=True
+            )
     except InsufficientExamplesError:
         examples = []
     prompt = build_sql_prompt(query, evidence, schema, examples, config.budget)
@@ -239,7 +238,7 @@ def generate_sql(
 def run_pipeline(
     test_dataset: Dataset,
     train_dataset: Dataset,
-    index: Optional["KnowledgeIndex"],
+    index: Optional["KnowledgeIndex | StoredIndex"],
     llm: "LlmClient",
     provider: "EmbeddingProvider",
     config: Optional[PipelineConfig] = None,
@@ -248,25 +247,24 @@ def run_pipeline(
     """Generate SQL for every test record; per-record failures are recorded.
 
     The knowledge of every record is retrieved first, in one pass over the
-    index. Records then go through `llm.fan_out`, one task per record, so
-    outputs and ledger come back in record order.
+    index, and its few-shot pool ranked, in one `example_pools` pass over
+    the train questions. Records then go through `llm.fan_out`, one task per
+    record, so outputs and ledger come back in record order; the workers
+    embed nothing.
     """
     from .retriever import retrieve_many
 
     config = config or PipelineConfig()
-    # Embed the few-shot pool here, not once per concurrent worker.
-    _question_matrix(train_dataset, provider)
     records = test_dataset.records
+    queries = [rec.query for rec in records]
+    pools = example_pools(train_dataset, config.few_shot_k, provider, queries, require_sql=True)
     retrieved: list[list["KnowledgeEntry"]] = [[] for _ in records]
     if config.top_j > 0 and index is not None:
-        queries = [rec.query.text for rec in records]
-        hits = retrieve_many(queries, index, config.top_j, provider, head)
+        hits = retrieve_many([q.text for q in queries], index, config.top_j, provider, head)
         retrieved = [[entry for entry, _ in top] for top in hits]
 
-    def one(
-        client: "LlmClient", task: tuple[ExampleTriplet, list["KnowledgeEntry"]]
-    ) -> PipelineOutput:
-        rec, entries = task
+    def one(client: "LlmClient", task: tuple) -> PipelineOutput:
+        rec, entries, pool = task
         schema = test_dataset.schema_for(rec.schema_ref)
         try:
             return generate_sql(
@@ -279,6 +277,7 @@ def run_pipeline(
                 config,
                 head,
                 retrieved=entries,
+                examples=pool,
             )
         except (LlmError, EmptySqlError) as exc:
             logger.warning("generation failed for %s: %s", rec.query.id, exc)
@@ -286,7 +285,7 @@ def run_pipeline(
                 query_id=rec.query.id, sql=None, knowledge=None, error=str(exc)
             )
 
-    return llm.fan_out(one, list(zip(records, retrieved)))
+    return llm.fan_out(one, list(zip(records, retrieved, pools)))
 
 
 def save_outputs(

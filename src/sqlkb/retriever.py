@@ -485,15 +485,22 @@ def _narrow(provider: EmbeddingProvider, raw: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _kept_rows(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
-    """The `_narrow` raw rows of texts, embedded one row block at a time, in
-    the widest type any block needs."""
+def _kept_rows(
+    provider: EmbeddingProvider, texts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The `_narrow` raw rows of texts, in the widest type any block needs,
+    and each row's `normalize_rows` norm (shape (n, 1)), embedded one row
+    block at a time. A norm is a per-row reduction, so the widened rows
+    divided by their norms are `_index_rows` of them bit for bit."""
     rows = np.empty((len(texts), provider.dim), np.uint8)
+    norms = np.empty((len(texts), 1))
     for first, part in _row_blocks(texts):
-        block = _narrow(provider, provider.raw_many(part))
+        raw = provider.raw_many(part)
+        norms[first : first + len(part)] = normalize_rows(raw)[1]
+        block = _narrow(provider, raw)
         rows = rows.astype(np.promote_types(rows.dtype, block.dtype), copy=False)
         rows[first : first + len(part)] = block
-    return rows
+    return rows, norms
 
 
 def _sorted_entries(kb: "KnowledgeBase") -> tuple["KnowledgeEntry", ...]:
@@ -841,21 +848,21 @@ class RetrievalMetrics:
     top_at: dict[int, int | float]
 
 
-def _pairwise_mrr(head_w: np.ndarray, q_raw: np.ndarray, k_raw: np.ndarray) -> float:
+def _pairwise_mrr(head_w: np.ndarray, q: tuple, k: tuple) -> float:
     """MRR of each query's own positive ranked against all positives, from
-    raw rows (left as they are), one row block of queries at a time."""
+    `_kept_rows` (rows, norms) pairs, one row block of queries at a time."""
 
-    def projected(raw: np.ndarray) -> np.ndarray:
-        return normalize_rows(_index_rows(raw.astype(np.float64)) @ head_w)[0]
+    def projected(kept: tuple, first: int, part: np.ndarray) -> np.ndarray:
+        return normalize_rows((part / kept[1][first : first + len(part)]) @ head_w)[0]
 
-    keys = np.concatenate([projected(part) for _, part in _row_blocks(k_raw)])
+    keys = np.concatenate([projected(k, *b) for b in _row_blocks(k[0])])
 
     def ranks(first: int, part: np.ndarray) -> np.ndarray:
-        S = projected(part) @ keys.T
+        S = projected(q, first, part) @ keys.T
         mine = np.arange(len(part))
         return (S > S[mine, first + mine][:, None]).sum(axis=1) + 1
 
-    return float(np.mean(1.0 / np.concatenate([ranks(*b) for b in _row_blocks(q_raw)])))
+    return float(np.mean(1.0 / np.concatenate([ranks(*b) for b in _row_blocks(q[0])])))
 
 
 def train_head(
@@ -866,9 +873,10 @@ def train_head(
     """Minimize mean in-batch InfoNCE with plain gradient descent.
 
     Raw rows are computed once up front (the provider is frozen) and kept
-    as `_narrow` makes them; each batch is made into index rows just before
-    its step. A seeded holdout split is scored by pairwise MRR after every
-    epoch and the best-scoring weights are returned. With fewer than 2 pairs
+    as `_narrow` makes them, with their norms; each batch is made into index
+    rows (the widened rows divided by their norms) just before its step. A
+    seeded holdout split is scored by pairwise MRR after every epoch and the
+    best-scoring weights are returned. With fewer than 2 pairs
     held out the epoch is chosen on the training pairs, and the head has no
     `holdout_mrr`.
     """
@@ -876,8 +884,8 @@ def train_head(
     if len(pairs) < 2:
         raise ConfigError("need at least 2 training pairs")
 
-    q_raw = _kept_rows(provider, [p.query for p in pairs])
-    k_raw = _kept_rows(provider, [p.positive for p in pairs])
+    q_raw, q_norms = _kept_rows(provider, [p.query for p in pairs])
+    k_raw, k_norms = _kept_rows(provider, [p.positive for p in pairs])
 
     rng = np.random.default_rng(config.seed)
     n = len(pairs)
@@ -892,8 +900,9 @@ def train_head(
     W = head.weights.copy()
 
     eval_idx = hold_idx if len(hold_idx) >= 2 else train_idx
+    held_q, held_k = (q_raw[eval_idx], q_norms[eval_idx]), (k_raw[eval_idx], k_norms[eval_idx])
     best_w = W.copy()
-    best_mrr = _pairwise_mrr(W, q_raw[eval_idx], k_raw[eval_idx])
+    best_mrr = _pairwise_mrr(W, held_q, held_k)
 
     for _ in range(config.epochs):
         order = rng.permutation(train_idx)
@@ -901,10 +910,10 @@ def train_head(
             batch = order[start : start + config.batch_size]
             if len(batch) < 2:
                 continue
-            q, k = _index_rows(q_raw[batch]), _index_rows(k_raw[batch])
+            q, k = q_raw[batch] / q_norms[batch], k_raw[batch] / k_norms[batch]
             _, grad = info_nce_batch(W, q, k, config.tau)
             W -= config.lr * grad
-        mrr = _pairwise_mrr(W, q_raw[eval_idx], k_raw[eval_idx])
+        mrr = _pairwise_mrr(W, held_q, held_k)
         if mrr > best_mrr:
             best_mrr = mrr
             best_w = W.copy()

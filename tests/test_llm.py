@@ -159,6 +159,21 @@ def test_ledger_save_and_replay(tmp_path):
         replayed.complete("third question")
 
 
+def test_ledger_lines_keep_backend_and_old_fixtures_replay(tmp_path):
+    """A saved line names the backend that made the call; a fixture written
+    before lines carried `backend` still replays."""
+    client = LlmClient(LlmConfig(backend="mock"), fallback=lambda p: f"answer to {p}")
+    client.complete("question")
+    path = tmp_path / "fixture.jsonl"
+    client.ledger.save(path, stage="generate")
+    (line,) = map(json.loads, path.read_text().splitlines())
+    assert line["backend"] == "mock"
+    del line["backend"]
+    path.write_text(json.dumps(line, sort_keys=True) + "\n")
+    replayed = replay_client(LlmConfig(backend="mock"), path)
+    assert replayed.complete("question") == "answer to question"
+
+
 def test_replay_fails_a_recorded_failure_again(tmp_path):
     answers = {"flaky": ["boom", "fine"], "broken": ["boom"], "good": ["fine"]}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 import time
@@ -5,9 +6,9 @@ import time
 import pytest
 
 from sqlkb.dataset import Query, load_dataset
-from sqlkb.errors import BudgetError, EmptySqlError, LlmError
+from sqlkb.errors import BudgetError, EmptySqlError, InsufficientExamplesError, LlmError
 from sqlkb.evaluation import EvalConfig, evaluate_run
-from sqlkb.knowledge_base import init_kb
+from sqlkb.knowledge_base import example_pools, init_kb, select_examples
 from sqlkb.llm import CallLedger, LlmClient, LlmConfig, synthetic_completer
 from sqlkb.pipeline import (
     PipelineConfig,
@@ -364,3 +365,108 @@ def test_run_pipeline_embeds_train_questions_once(chat_stub, toy_dir, test_ds, p
         PipelineConfig(top_j=3, few_shot_k=5),
     )
     assert len(passes) == 1
+
+
+# --- few-shot pools: ranked once, before the fan-out ---
+
+def _sql_prompts(ledger):
+    return [r.prompt for r in ledger.records if r.prompt.endswith("SQL: ")]
+
+
+def test_run_pipeline_pools_equal_per_query_select_examples(train_ds, test_ds, provider):
+    """Each SQL prompt shows the pool a one-query `select_examples(...,
+    require_sql=True)` call ranks (hash rows: exact keys), also for a test
+    question whose id is a train record's: that record stays excluded."""
+    train = dataclasses.replace(
+        train_ds,
+        records=tuple(
+            dataclasses.replace(rec, gold_sql=None) if i % 3 == 1 else rec
+            for i, rec in enumerate(train_ds.records)
+        ),
+    )
+    twin = train.records[0]
+    tests = dataclasses.replace(test_ds, records=(*test_ds.records, twin))
+    config = PipelineConfig(top_j=0, few_shot_k=4)
+    ledger = CallLedger()
+    outputs = run_pipeline(tests, train, None, mock_client(ledger), provider, config)
+    assert all(o.sql for o in outputs)
+    pools = []
+    for rec in tests.records:
+        try:
+            pools.append(select_examples(rec.query, train, 4, provider, require_sql=True))
+        except InsufficientExamplesError:
+            pools.append([])
+    prompts = _sql_prompts(ledger)
+    assert prompts == [
+        build_sql_prompt(rec.query, "", tests.schema_for(rec.schema_ref), pool)
+        for rec, pool in zip(tests.records, pools)
+    ]
+    assert pools[-1] and twin not in pools[-1]
+    assert prompts[-1].count(f"Question: {twin.query.text}\n") == 1  # the target only
+
+
+def test_run_pipeline_without_sql_examples_shows_no_example_block(train_ds, test_ds, provider):
+    train = dataclasses.replace(
+        train_ds, records=tuple(dataclasses.replace(r, gold_sql=None) for r in train_ds.records)
+    )
+    ledger = CallLedger()
+    outputs = run_pipeline(
+        test_ds, train, None, mock_client(ledger), provider, PipelineConfig(top_j=0)
+    )
+    assert all(o.sql for o in outputs)
+    prompts = _sql_prompts(ledger)
+    assert len(prompts) == len(test_ds.records)
+    assert all(p.count("Question: ") == 1 for p in prompts)
+
+
+@pytest.mark.parametrize("top_j", [0, 3])
+def test_run_pipeline_embeds_only_on_the_calling_thread(
+    chat_stub, train_ds, test_ds, provider, top_j
+):
+    """Workers only build prompts and call the LLM: every raw row is made on
+    the thread that called `run_pipeline`."""
+    index = build_index(init_kb(train_ds), provider)
+    embedded_on, called_on = set(), set()
+
+    def on_thread(fn):
+        def call(texts):
+            embedded_on.add(threading.get_ident())
+            return fn(texts)
+
+        return call
+
+    provider.raw, provider.raw_many = on_thread(provider.raw), on_thread(provider.raw_many)
+
+    def calling(*args):
+        called_on.add(threading.get_ident())
+        return run_pipeline(*args)
+
+    chat_stub.latency = 0.05  # long enough for the calls to overlap
+    client = chat_stub.client(4)
+    outputs = chat_stub.bounded(
+        calling, test_ds, train_ds, index, client, provider, PipelineConfig(top_j=top_j)
+    )
+    assert all(o.sql for o in outputs)
+    assert chat_stub.inflight_max > 1
+    assert embedded_on == called_on
+
+
+def test_generate_embeds_the_train_questions_once_per_run(train_ds, test_ds, provider):
+    """No embedding is kept on the `Dataset`: a `run_pipeline` after a
+    `build-kb`-style pass over the same train set embeds the train
+    questions once, in one `raw_many` call."""
+    questions = [r.query.text for r in train_ds.records]
+    raw_many = provider.raw_many
+    passes = []
+
+    def counted(texts):
+        passes.append(list(texts) == questions)
+        return raw_many(texts)
+
+    provider.raw_many = counted
+    example_pools(train_ds, 4, provider)
+    assert passes == [True]
+    for _ in range(2):
+        passes.clear()
+        run_pipeline(test_ds, train_ds, None, mock_client(), provider, PipelineConfig(top_j=0))
+        assert passes.count(True) == 1

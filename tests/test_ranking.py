@@ -142,16 +142,6 @@ def test_select_examples_equals_full_sort_over_same_scores():
                 assert [r.query.id for r in got] == [r.query.id for r in scored[:k]]
 
 
-def test_select_examples_caches_question_matrix_per_provider():
-    ds = _synthetic_dataset(50, seed=4)
-    probe = Query(id="probe", text="v1 v2", db_id="db")
-    select_examples(probe, ds, 3, EmbeddingProvider(dim=16))
-    select_examples(probe, ds, 3, EmbeddingProvider(dim=16))
-    select_examples(probe, ds, 3, EmbeddingProvider(dim=32))
-    assert sorted(ds.question_vectors) == ["hash:16:hash", "hash:32:hash"]
-    assert ds == Dataset(records=ds.records)  # the cache takes no part in equality
-
-
 @st.composite
 def tie_heavy_records(draw):
     """Question texts over a three-word vocabulary with repeated tokens and
