@@ -80,9 +80,15 @@ class Dataset:
 
 
 def _quoted(name: str) -> str:
-    """A table name as an SQL identifier: in double quotes, each `"` doubled.
+    """A name as an SQL identifier: in double quotes, each `"` doubled.
     (Binding it, as in `pragma_table_info(?)`, made `load_schema` ~50% slower.)"""
     return '"' + name.replace('"', '""') + '"'
+
+
+def _shown(name: str) -> str:
+    """A name as the rendered schema writes it: as is when it is a plain
+    [A-Za-z_][A-Za-z0-9_]* name, else quoted so that it can be pasted into SQL."""
+    return name if name.isascii() and name.isidentifier() else _quoted(name)
 
 
 def _primary_key_column(con: sqlite3.Connection, table: str, seq: int) -> str:
@@ -226,23 +232,26 @@ def _render_lines(schema: DatabaseSchema, with_descriptions: bool, with_fks: boo
     for table in schema.tables:
         cols = []
         for col in table.columns:
-            part = f"{col.name} {col.type}".rstrip()
+            part = f"{_shown(col.name)} {col.type}".rstrip()
             if with_descriptions and col.description:
                 part += f" -- {col.description}"
             cols.append(part)
-        lines.append(f"Table {table.name} ({', '.join(cols)})")
+        lines.append(f"Table {_shown(table.name)} ({', '.join(cols)})")
     if with_fks and schema.foreign_keys:
         lines.append("Foreign keys:")
         for fk in schema.foreign_keys:
-            lines.append(f"  {fk.table}.{fk.column} -> {fk.ref_table}.{fk.ref_column}")
+            source, target = _shown(fk.table), _shown(fk.ref_table)
+            lines.append(f"  {source}.{_shown(fk.column)} -> {target}.{_shown(fk.ref_column)}")
     return lines
 
 
 def render_schema(schema: DatabaseSchema, budget: int = 1_000_000) -> str:
     """Render a schema as deterministic prompt text within a character budget.
 
-    When over budget, drops column descriptions first, then foreign-key
-    lines. As a last resort the text is hard-truncated to the budget.
+    A table or column name that is not a plain [A-Za-z_][A-Za-z0-9_]* name
+    is written in double quotes, each `"` doubled. When over budget, drops
+    column descriptions first, then foreign-key lines. As a last resort the
+    text is hard-truncated to the budget.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

@@ -6,7 +6,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import struct
 import tempfile
 import zipfile
@@ -35,7 +34,8 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+# Byte table for `bytes.translate`: ASCII a-z0-9 stay, every other byte is a space.
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
 
 # Texts per request of the http backend.
 HTTP_BATCH = 64
@@ -50,10 +50,12 @@ class EmbeddingProvider:
     """Sentence embedding source.
 
     The "hash" backend is fully deterministic and offline. Its raw row,
-    fixed for reproducibility: lowercase the text, extract tokens matching
-    [a-z0-9]+, and for each token occurrence add 1.0 at bucket
-    int(sha256(token)[:8]) % dim. Texts with disjoint, non-colliding token
-    sets are therefore orthogonal.
+    fixed for reproducibility: lowercase the text, take the runs of ASCII
+    [a-z0-9] in it as tokens, and for each token occurrence add 1.0 at bucket
+    int(sha256(token)[:8]) % dim. Tokens are read from the UTF-8 bytes (lone
+    surrogates kept by "surrogatepass"), so every non-ASCII character and
+    lone surrogate separates tokens as a space does. Texts with disjoint,
+    non-colliding token sets are orthogonal. No token state outlives a call.
 
     The "http" backend POSTs {"texts": [...]} to the endpoint, up to
     HTTP_BATCH texts per request, and expects a 200 with
@@ -72,7 +74,6 @@ class EmbeddingProvider:
     endpoint: Optional[str] = None
     timeout: float = 30.0
     _cache: dict = field(default_factory=dict, repr=False)  # text -> raw row
-    _buckets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.backend not in ("hash", "http"):
@@ -121,20 +122,18 @@ class EmbeddingProvider:
         return self._http_rows(texts)
 
     def _hash_rows(self, texts: Sequence[str]) -> np.ndarray:
-        lengths, buckets = [], []
-        known = self._buckets  # token -> bucket, so each token is hashed once
-        for text in texts:
-            tokens = _TOKEN.findall(text.lower())
-            lengths.append(len(tokens))
-            for token in tokens:
-                bucket = known.get(token)
-                if bucket is None:
-                    digest = hashlib.sha256(token.encode("utf-8")).digest()
-                    bucket = known[token] = int.from_bytes(digest[:8], "big") % self.dim
-                buckets.append(bucket)
-        rows = np.repeat(np.arange(len(texts)), lengths)
+        tokens = [
+            t.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
+            for t in texts
+        ]
+        flat = list(chain.from_iterable(tokens))
+        bucket = dict.fromkeys(flat)  # each distinct token of the call is hashed once
+        for token in bucket:
+            bucket[token] = int.from_bytes(hashlib.sha256(token).digest()[:8], "big") % self.dim
+        rows = np.repeat(np.arange(len(texts)), [len(t) for t in tokens])
+        cols = np.fromiter(map(bucket.__getitem__, flat), np.intp, len(flat))
         counts = np.zeros((len(texts), self.dim))
-        np.add.at(counts, (rows, np.array(buckets, dtype=np.intp)), 1.0)
+        np.add.at(counts, (rows, cols), 1.0)
         return counts
 
     def _http_rows(self, texts: Sequence[str]) -> np.ndarray:

@@ -173,14 +173,18 @@ class ChatStub:
 
     Each request sleeps between half and all of `latency` seconds, by
     prompt hash, so concurrent completions finish out of submission order. `status(prompt)`
-    picks the answer's HTTP status (200 by default). Counts requests in
-    arrival order and the most in flight at once.
+    picks the answer's HTTP status (200 by default). A client made with
+    `gated=True` sets `gate`, a barrier of max_inflight parties that each
+    request waits on before sleeping: every window of max_inflight requests
+    is then in flight at once, however loaded the machine is.
+    Counts requests in arrival order and the most in flight at once.
     """
 
     def __init__(self) -> None:
         self.url = ""
         self.latency = 0.0
         self.status: Callable[[str], int] = lambda prompt: 200
+        self.gate: threading.Barrier | None = None
         self.seen: list[str] = []
         self.inflight = 0
         self.inflight_max = 0
@@ -193,6 +197,8 @@ class ChatStub:
             self.inflight += 1
             self.inflight_max = max(self.inflight_max, self.inflight)
         try:
+            if self.gate is not None:
+                self.gate.wait()
             time.sleep(self.latency * (1 + int(prompt_sha256(prompt)[:2], 16) / 255) / 2)
             status = self.status(prompt)
             if status != 200:
@@ -202,7 +208,9 @@ class ChatStub:
             with self._lock:
                 self.inflight -= 1
 
-    def client(self, max_inflight: int, backoff: float = 0.01) -> LlmClient:
+    def client(self, max_inflight: int, backoff: float = 0.01, gated: bool = False) -> LlmClient:
+        if gated:
+            self.gate = threading.Barrier(max_inflight, timeout=STUB_TIMEOUT)
         config = LlmConfig(
             backend="http",
             endpoint=self.url,

@@ -1,4 +1,5 @@
 import json
+import re
 import sqlite3
 from pathlib import Path
 
@@ -240,6 +241,59 @@ def test_render_schema_budget_zero(train_ds):
 def test_render_schema_deterministic(train_ds):
     schema = train_ds.schemas["clinic"]
     assert render_schema(schema) == render_schema(schema)
+
+
+# A name as render_schema writes it: plain, or double-quoted with `"` doubled.
+_NAME = r'(?:"(?:[^"]|"")*"|[A-Za-z_][A-Za-z0-9_]*)'
+
+
+def test_render_schema_quotes_names_that_need_it(tmp_path):
+    """BIRD-style names (spaces, parentheses, `%`, a `"`, a comma) are written
+    quoted; each rendered name, pasted into SELECT <col> FROM <table>, reads
+    that column. Plain names stay bare."""
+    path = tmp_path / "schools.sqlite"
+    con = sqlite3.connect(path)
+    con.executescript(
+        'CREATE TABLE frpm (CDSCode TEXT PRIMARY KEY, "Free Meal Count (K-12)" REAL,'
+        ' "Percent (%) Eligible" REAL);'
+        'CREATE TABLE "sat scores" (cds TEXT REFERENCES frpm (CDSCode), "odd""name" INTEGER);'
+        'CREATE TABLE "odd""name" ("a, b" TEXT, "sat id" TEXT REFERENCES "sat scores" (cds));'
+        # one row whose every value names its table and column
+        "INSERT INTO frpm VALUES"
+        " ('frpm|CDSCode', 'frpm|Free Meal Count (K-12)', 'frpm|Percent (%) Eligible');"
+        """INSERT INTO "sat scores" VALUES ('sat scores|cds', 'sat scores|odd"name');"""
+        """INSERT INTO "odd""name" VALUES ('odd"name|a, b', 'odd"name|sat id');"""
+    )
+    schema = load_schema(path)
+    text = render_schema(schema)
+    assert text == "\n".join([
+        'Table frpm (CDSCode TEXT, "Free Meal Count (K-12)" REAL, "Percent (%) Eligible" REAL)',
+        'Table "odd""name" ("a, b" TEXT, "sat id" TEXT)',
+        'Table "sat scores" (cds TEXT, "odd""name" INTEGER)',
+        "Foreign keys:",
+        '  "odd""name"."sat id" -> "sat scores".cds',
+        '  "sat scores".cds -> frpm.CDSCode',
+    ])
+
+    def read(table, column):
+        # A double-quoted name that is no column would read as a string
+        # literal; the value shows that the column itself was read.
+        return con.execute(f"SELECT {column} FROM {table}").fetchall()
+
+    lines = text.splitlines()
+    column = rf"({_NAME}) [A-Z]+"
+    for table, line in zip(schema.tables, lines):
+        name, body = re.fullmatch(rf"Table ({_NAME}) \((.*)\)", line).groups()
+        assert re.fullmatch(rf"{column}(?:, {column})*", body)
+        shown = re.findall(column, body)
+        assert [read(name, c) for c in shown] == [
+            [(f"{table.name}|{c.name}",)] for c in table.columns
+        ]
+    for fk, line in zip(schema.foreign_keys, lines[len(schema.tables) + 1 :]):
+        names = re.fullmatch(rf"  ({_NAME})\.({_NAME}) -> ({_NAME})\.({_NAME})", line).groups()
+        assert read(*names[:2]) == [(f"{fk.table}|{fk.column}",)]
+        assert read(*names[2:]) == [(f"{fk.ref_table}|{fk.ref_column}",)]
+    con.close()
 
 
 @pytest.fixture()

@@ -476,8 +476,8 @@ def test_max_inflight_validation():
 @pytest.mark.parametrize("max_inflight", [1, 4, LlmConfig().max_inflight])
 def test_fan_out_keeps_item_order(chat_stub, max_inflight):
     chat_stub.latency = 0.1
-    prompts = [f"prompt {i}" for i in range(16)]
-    client = chat_stub.client(max_inflight)
+    prompts = [f"prompt {i}" for i in range(16)]  # fills every gated window
+    client = chat_stub.client(max_inflight, gated=True)
     results = chat_stub.bounded(client.fan_out, LlmClient.complete, prompts)
     assert results == [synthetic_completer(p) for p in prompts]
     assert [r.prompt for r in client.ledger.records] == prompts

@@ -111,6 +111,51 @@ def test_disjoint_tokens_orthogonal():
     assert math.isclose(float(prov.embed(a) @ prov.embed(b)), 0.0, abs_tol=1e-12)
 
 
+def _documented_rows(texts, dim):
+    """The hash rows by the documented rule, written out one token at a time."""
+    rows = np.zeros((len(texts), dim))
+    for i, text in enumerate(texts):
+        for token in re.findall(r"[a-z0-9]+", text.lower()):
+            rows[i, int.from_bytes(hashlib.sha256(token.encode()).digest()[:8], "big") % dim] += 1
+    return rows
+
+
+# Any code point, lone surrogates included, and characters whose lowercase is
+# ASCII (the Kelvin sign, dotted capital I) or looks like a token (fullwidth).
+_TEXT_CHARS = st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),
+    st.sampled_from(list("aZ09 _-.\t\x00\xa0\xdf\u0130\u212a\uff23\uff11\U0001f600")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.text(_TEXT_CHARS, min_size=1), min_size=1, max_size=6),
+       dim=st.sampled_from([1, 7, 256]))
+def test_hash_rows_follow_the_documented_token_rule(texts, dim):
+    prov = EmbeddingProvider(dim=dim)
+    rows = prov.raw_many(texts)
+    assert np.array_equal(rows, _documented_rows(texts, dim))
+    assert np.array_equal(rows, [prov.raw(t) for t in texts])
+
+
+def test_hash_rows_keep_no_token_state():
+    """20,000 texts, each with its own numeric token, embedded in ROW_CHUNK
+    blocks: the rows are dropped, and nothing else is held after the calls."""
+    prov = EmbeddingProvider(dim=256)
+    texts = [f"school {i} enrolment" for i in range(20_000)]
+    prov.raw_many(["warm up"])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(0, len(texts), ROW_CHUNK):
+            prov.raw_many(texts[start : start + ROW_CHUNK])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.25 * 2**20
+
+
 def test_embed_empty_text_rejected(provider):
     with pytest.raises(ValueError):
         provider.embed("")
