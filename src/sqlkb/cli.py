@@ -97,11 +97,12 @@ def _test_dataset(cfg: RunConfig) -> Dataset:
     )
 
 
-def _load_head(cfg: RunConfig) -> Optional[ProjectionHead]:
+def _load_head(cfg: RunConfig, force: bool = False) -> Optional[ProjectionHead]:
     path = cfg.workdir / HEAD_FILE
     if not cfg["retriever"]["use_head"] or not path.exists():
         return None
     head, meta = ProjectionHead.load(path)
+    _check_lineage(cfg, meta.get("config_hash"), "projection head", force)
     trained_for = meta.get("provider_fingerprint", "")
     current = _provider(cfg).fingerprint
     if trained_for and trained_for != current:
@@ -175,7 +176,7 @@ def _load_kb(cfg: RunConfig, force: bool) -> KnowledgeBase:
 def cmd_retrieve(cfg: RunConfig, args: argparse.Namespace) -> int:
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
-    head = _load_head(cfg)
+    head = _load_head(cfg, args.force)
     index = retriever.load_or_build_index(cfg.workdir / INDEX_FILE, kb, provider, head)
     results = retriever.retrieve(
         args.query, index, cfg["pipeline"]["top_j"], provider, head
@@ -188,7 +189,7 @@ def cmd_retrieve(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
-    head = _load_head(cfg)
+    head = _load_head(cfg, args.force)
     pipe_cfg = cfg.stage(pipeline.PipelineConfig, "pipeline")
     # Nothing to retrieve with top_j = 0 or from an empty KB: build no index.
     index = None
@@ -217,7 +218,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _check_lineage(cfg, header.get("config_hash"), "outputs file", args.force)
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
-    head = _load_head(cfg)
+    head = _load_head(cfg, args.force)
     test = _test_dataset(cfg)
     eval_cfg = cfg.stage(evaluation.EvalConfig, "eval")
     gold = [r for r in test.records if r.knowledge is not None]

@@ -33,7 +33,6 @@ class Query:
 class Column:
     name: str
     type: str
-    description: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -227,15 +226,10 @@ def save_dataset(dataset: Dataset, path: Path | str) -> None:
     Path(path).write_text(json.dumps(out, indent=2) + "\n")
 
 
-def _render_lines(schema: DatabaseSchema, with_descriptions: bool, with_fks: bool) -> list[str]:
+def _render_lines(schema: DatabaseSchema, with_fks: bool) -> list[str]:
     lines = []
     for table in schema.tables:
-        cols = []
-        for col in table.columns:
-            part = f"{_shown(col.name)} {col.type}".rstrip()
-            if with_descriptions and col.description:
-                part += f" -- {col.description}"
-            cols.append(part)
+        cols = [f"{_shown(col.name)} {col.type}".rstrip() for col in table.columns]
         lines.append(f"Table {_shown(table.name)} ({', '.join(cols)})")
     if with_fks and schema.foreign_keys:
         lines.append("Foreign keys:")
@@ -250,16 +244,16 @@ def render_schema(schema: DatabaseSchema, budget: int = 1_000_000) -> str:
 
     A table or column name that is not a plain [A-Za-z_][A-Za-z0-9_]* name
     is written in double quotes, each `"` doubled. When over budget, drops
-    column descriptions first, then foreign-key lines. As a last resort the
-    text is hard-truncated to the budget.
+    the foreign-key lines; as a last resort the text is hard-truncated to
+    the budget.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if budget == 0:
         return ""
     text = ""
-    for with_desc, with_fks in ((True, True), (False, True), (False, False)):
-        text = "\n".join(_render_lines(schema, with_desc, with_fks))
+    for with_fks in (True, False):
+        text = "\n".join(_render_lines(schema, with_fks))
         if len(text) <= budget:
             return text
     return text[:budget]

@@ -148,72 +148,6 @@ def init_kb(dataset: Dataset, config: Optional[KbBuildConfig] = None) -> Knowled
 EXAMPLE_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class _QuestionMatrix:
-    """Raw question rows, their squared norms and filter masks of a dataset's
-    records, in record order."""
-
-    rows: np.ndarray
-    sq_norms: np.ndarray
-    positions: dict[str, list[int]]  # record id -> positions of its records
-    id_rank: np.ndarray  # position of each record id in ascending id order
-    has_knowledge: np.ndarray
-    has_sql: np.ndarray
-
-
-def _question_matrix(dataset: Dataset, embedder: "EmbeddingProvider") -> _QuestionMatrix:
-    records = dataset.records
-    ids = [rec.query.id for rec in records]
-    positions: dict[str, list[int]] = {}
-    for i, qid in enumerate(ids):
-        positions.setdefault(qid, []).append(i)
-    id_rank = np.empty(len(ids), dtype=np.intp)
-    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    rows = embedder.raw_many([rec.query.text for rec in records])
-    return _QuestionMatrix(
-        rows=rows,
-        sq_norms=np.einsum("ij,ij->i", rows, rows),
-        positions=positions,
-        id_rank=id_rank,
-        has_knowledge=np.array([rec.knowledge is not None for rec in records], dtype=bool),
-        has_sql=np.array([rec.gold_sql is not None for rec in records], dtype=bool),
-    )
-
-
-def _rank_examples(
-    questions: _QuestionMatrix,
-    query_rows: np.ndarray,
-    query_ids: Sequence[str],
-    k: int,
-    require_sql: bool = False,
-) -> list[np.ndarray]:
-    """Record positions of each query's k best examples, best first.
-
-    Query rows are scored EXAMPLE_BLOCK at a time, by one product with every
-    question row and `cosine_key`. Records without knowledge (or SQL, when
-    required) and those sharing the query's id score -inf, so they sort
-    after every real key and are cut off. With integer rows (hash token
-    counts) every dot product is exact, so the result does not depend on the
-    blocking.
-    """
-    drop = ~questions.has_knowledge
-    if require_sql:
-        drop |= ~questions.has_sql
-    dropped = np.flatnonzero(drop)
-    available = len(drop) - len(dropped)
-    pools = []
-    for start in range(0, len(query_ids), EXAMPLE_BLOCK):
-        keys = cosine_key(
-            query_rows[start : start + EXAMPLE_BLOCK] @ questions.rows.T, questions.sq_norms
-        )
-        keys[:, dropped] = -np.inf
-        for key, qid in zip(keys, query_ids[start : start + EXAMPLE_BLOCK]):
-            own = [i for i in questions.positions.get(qid, ()) if not drop[i]]
-            key[own] = -np.inf
-            pools.append(top_j(key, min(k, available - len(own)), questions.id_rank))
-    return pools
-
-
 def example_pools(
     dataset: Dataset,
     k: int,
@@ -222,20 +156,52 @@ def example_pools(
     require_sql: bool = False,
 ) -> list[list["ExampleTriplet"]]:
     """`select_examples(query, dataset, k, embedder, require_sql)` for each
-    query (by default each record's own), in order, as one blocked pass over
-    the dataset's question matrix, as both `build-kb` and `generate` rank; a
-    query with no candidate gets an empty list. Only with integer (hash) rows
-    is each pool the one-query call's bit for bit: a float row block's product
-    can differ in the last bits, so near-ties may order differently."""
+    query (by default each record's own), in order; a query with no
+    candidate gets an empty list. Both `build-kb` and `generate` rank this
+    way, in one pass over the dataset's question rows.
+
+    Query rows are scored EXAMPLE_BLOCK at a time, by one product with every
+    question row and `cosine_key`. Records without knowledge (or SQL, when
+    required) and those sharing the query's id score -inf, so they sort
+    after every real key and are cut off; ties break by record id. Given
+    queries are embedded in one batch. Only with integer (hash) rows is
+    each pool the one-query call's bit for bit: a float row block's product
+    can differ in the last bits, so near-ties may order differently.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    questions = _question_matrix(dataset, embedder)
+    records = dataset.records
+    ids = [rec.query.id for rec in records]
+    rows = embedder.raw_many([rec.query.text for rec in records])
+    sq_norms = np.einsum("ij,ij->i", rows, rows)
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    positions: dict[str, list[int]] = {}  # record id -> positions of its records
+    for i, qid in enumerate(ids):
+        positions.setdefault(qid, []).append(i)
+    drop = np.array(
+        [rec.knowledge is None or (require_sql and rec.gold_sql is None) for rec in records],
+        dtype=bool,
+    )
+    dropped = np.flatnonzero(drop)
+    available = len(drop) - len(dropped)
     if queries is None:
-        rows, ids = questions.rows, [rec.query.id for rec in dataset.records]
+        query_rows, query_ids = rows, ids
     else:
-        rows, ids = np.array([embedder.raw(q.text) for q in queries]), [q.id for q in queries]
-    pools = _rank_examples(questions, rows, ids, k, require_sql)
-    return [[dataset.records[i] for i in best] for best in pools]
+        texts = [q.text for q in queries]
+        embedder.cache_raw(texts)
+        query_rows = np.array([embedder.raw(t) for t in texts])
+        query_ids = [q.id for q in queries]
+    pools = []
+    for start in range(0, len(query_ids), EXAMPLE_BLOCK):
+        keys = cosine_key(query_rows[start : start + EXAMPLE_BLOCK] @ rows.T, sq_norms)
+        keys[:, dropped] = -np.inf
+        for key, qid in zip(keys, query_ids[start : start + EXAMPLE_BLOCK]):
+            own = [i for i in positions.get(qid, ()) if not drop[i]]
+            key[own] = -np.inf
+            best = top_j(key, min(k, available - len(own)), id_rank)
+            pools.append([records[i] for i in best])
+    return pools
 
 
 def select_examples(
@@ -249,18 +215,15 @@ def select_examples(
 
     The query's own record (same id) is excluded; ties break by record id
     ascending. Returns at most k records, never padded. The dataset's
-    question matrix is embedded on every call. Candidates are ranked by
+    question rows are embedded on every call. Candidates are ranked by
     `cosine_key` of the raw rows, which is exact for the hash backend, so the
-    id rule decides every exact tie. This is the one-query case of the pass
-    `example_pools` makes for `build-kb` and `generate`.
+    id rule decides every exact tie. This is the one-query call of
+    `example_pools`.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    questions = _question_matrix(dataset, embedder)
-    (best,) = _rank_examples(questions, embedder.raw(query.text)[None], [query.id], k, require_sql)
-    if not len(best):
+    (pool,) = example_pools(dataset, k, embedder, [query], require_sql)
+    if not pool:
         raise InsufficientExamplesError("no candidate examples available")
-    return [dataset.records[i] for i in best]
+    return pool
 
 
 def parse_knowledge_lines(completion: str) -> list[str]:

@@ -198,6 +198,25 @@ def test_lineage_mismatch_refused_then_forced(workdir, capsys):
     assert run_cli(workdir, "stats", "--set", "run.seed=99", "--force") == 0
 
 
+def test_head_lineage_refused_then_forced(workdir, capsys, caplog):
+    """A head trained under another config hash is refused by every command
+    that loads it, even when the KB matches, and used under --force."""
+    for cmd in ("build-kb", "train-retriever"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    rebuilt = ("--set", "kb.iterations=2")
+    assert run_cli(workdir, "build-kb", *rebuilt) == 0
+    capsys.readouterr()
+    foreign_head = "error: LineageError: projection head was built under config hash"
+    for argv in (("retrieve", "employees"), ("generate",)):
+        assert run_cli(workdir, *argv, *rebuilt) == 2, argv
+        assert capsys.readouterr().err.startswith(foreign_head)
+    assert run_cli(workdir, "generate", *rebuilt, "--force") == 0
+    assert "projection head was built under config hash" in caplog.text
+    assert run_cli(workdir, "evaluate", *rebuilt) == 2
+    assert capsys.readouterr().err.startswith(foreign_head)
+    assert run_cli(workdir, "evaluate", *rebuilt, "--force") == 0
+
+
 def test_output_neutral_override_passes_lineage(workdir, capsys):
     run_cli(workdir, "build-kb")
     assert run_cli(workdir, "generate") == 0
@@ -451,8 +470,8 @@ def test_edited_kb_line_rebuilds_the_index(workdir, capsys, caplog):
 
 def test_generate_http_embedding_requests(workdir, embed_stub):
     """With the http embedding backend, generate sends one request per
-    HTTP_BATCH texts of each KB block and of the train questions, and one
-    per test question (its raw row and its unit vector share a cache)."""
+    HTTP_BATCH texts of each KB block, of the train questions and of the
+    test questions (their raw rows and unit vectors share a cache)."""
     requests_sent = embed_stub.batches
     http = ("--set", "retriever.backend=http", "--set", f"retriever.endpoint={embed_stub.url}")
     assert run_cli(workdir, "build-kb", *http) == 0
@@ -463,7 +482,7 @@ def test_generate_http_embedding_requests(workdir, embed_stub):
     test_questions = {r["question"] for r in json.loads((workdir / "test.json").read_text())}
     kb_blocks = [min(ROW_CHUNK, n_kb - start) for start in range(0, n_kb, ROW_CHUNK)]
     batches = lambda n: -(-n // HTTP_BATCH)
-    want = sum(map(batches, kb_blocks)) + batches(n_train) + len(test_questions)
+    want = sum(map(batches, kb_blocks)) + batches(n_train) + batches(len(test_questions))
     assert len(requests_sent) == want
 
 

@@ -296,35 +296,16 @@ def test_render_schema_quotes_names_that_need_it(tmp_path):
     con.close()
 
 
-@pytest.fixture()
-def described_schema():
-    return DatabaseSchema(
+def test_truncation_drops_fks_second():
+    schema = DatabaseSchema(
         db_id="d",
         tables=(
-            Table(
-                "t",
-                (
-                    Column("a", "INTEGER", description="primary identifier"),
-                    Column("b", "TEXT", description="free-form label"),
-                ),
-            ),
+            Table("t", (Column("a", "INTEGER"), Column("b", "TEXT"))),
             Table("u", (Column("c", "REAL"),)),
         ),
         foreign_keys=(ForeignKey("t", "a", "u", "c"),),
     )
-
-
-def test_truncation_drops_descriptions_first(described_schema):
-    full = render_schema(described_schema)
-    assert "primary identifier" in full
-    trimmed = render_schema(described_schema, len(full) - 1)
-    assert "primary identifier" not in trimmed
-    assert "Foreign keys:" in trimmed
-
-
-def test_truncation_drops_fks_second(described_schema):
-    no_desc = render_schema(described_schema, 80)
-    assert "Foreign keys:" in no_desc and "primary identifier" not in no_desc
-    smaller = render_schema(described_schema, len(no_desc) - 1)
-    assert "Foreign keys:" not in smaller
-    assert "Table t" in smaller and "Table u" in smaller
+    full = render_schema(schema)
+    assert "Foreign keys:" in full
+    smaller = render_schema(schema, len(full) - 1)
+    assert smaller == "Table t (a INTEGER, b TEXT)\nTable u (c REAL)"
