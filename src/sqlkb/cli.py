@@ -5,9 +5,11 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -127,18 +129,37 @@ def _check_lineage(cfg: RunConfig, artifact_hash: Optional[str], what: str, forc
             raise LineageError(msg + " (use --force to override)")
 
 
+@contextmanager
+def _ledger_stream(cfg: RunConfig, stage: str, append: bool) -> Iterator[llm.CallLedger]:
+    """A ledger whose lines go, as calls complete, to a temporary file in the
+    workdir. When the block succeeds the file replaces the ledger file, or
+    with `append` is added to its end; when it fails the file is removed,
+    so a failed command leaves the ledger file as it was."""
+    path = cfg.workdir / LEDGER_FILE
+    tmp = path.with_name(LEDGER_FILE + ".tmp")
+    try:
+        with open(tmp, "w") as sink:
+            yield llm.CallLedger(sink, stage)
+        if append:
+            with open(tmp) as src, open(path, "a") as dst:
+                shutil.copyfileobj(src, dst)
+        else:
+            os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cmd_build_kb(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _train_dataset(cfg)
     kb_cfg = cfg.stage(KbBuildConfig, "kb")
     kb = knowledge_base.init_kb(dataset, kb_cfg)
     print(f"seeded {len(kb)} entries from dataset evidence")
-    ledger = llm.CallLedger()
-    if kb_cfg.iterations > 0:
-        client = _llm_client(cfg)
-        kb = knowledge_base.expand_kb(kb, dataset, client, _provider(cfg), kb_cfg)
-        ledger = client.ledger
     # build-kb starts the ledger; generate appends to it
-    ledger.save(cfg.workdir / LEDGER_FILE, stage="build-kb")
+    with _ledger_stream(cfg, "build-kb", append=False) as ledger:
+        if kb_cfg.iterations > 0:
+            client = _llm_client(cfg)
+            client.ledger = ledger
+            kb = knowledge_base.expand_kb(kb, dataset, client, _provider(cfg), kb_cfg)
     out = cfg.workdir / KB_FILE
     knowledge_base.save_kb(kb, out, config_hash=cfg.config_hash)
     stats = knowledge_base.kb_stats(kb)
@@ -199,12 +220,13 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             logger.warning("the knowledge base has no entries; no knowledge is retrieved")
     client = _llm_client(cfg)
-    outputs = pipeline.run_pipeline(
-        _test_dataset(cfg), _train_dataset(cfg), index, client, provider, pipe_cfg, head
-    )
-    out = cfg.workdir / OUTPUTS_FILE
-    pipeline.save_outputs(outputs, out, config_hash=cfg.config_hash)
-    client.ledger.save(cfg.workdir / LEDGER_FILE, stage="generate", append=True)
+    with _ledger_stream(cfg, "generate", append=True) as ledger:
+        client.ledger = ledger
+        outputs = pipeline.run_pipeline(
+            _test_dataset(cfg), _train_dataset(cfg), index, client, provider, pipe_cfg, head
+        )
+        out = cfg.workdir / OUTPUTS_FILE
+        pipeline.save_outputs(outputs, out, config_hash=cfg.config_hash)
     failed = sum(1 for o in outputs if o.error)
     print(f"{len(outputs)} outputs written to {out} ({failed} failed)")
     return 0

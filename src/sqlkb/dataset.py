@@ -6,6 +6,7 @@ single-file SQLite databases; see docs/formats.md for the exact layout.
 
 from __future__ import annotations
 
+import functools
 import json
 import sqlite3
 from dataclasses import dataclass, field
@@ -84,10 +85,27 @@ def _quoted(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+@functools.lru_cache(maxsize=4096)
 def _shown(name: str) -> str:
     """A name as the rendered schema writes it: as is when it is a plain
-    [A-Za-z_][A-Za-z0-9_]* name, else quoted so that it can be pasted into SQL."""
-    return name if name.isascii() and name.isidentifier() else _quoted(name)
+    [A-Za-z_][A-Za-z0-9_]* name that SQLite reads bare, else quoted so that
+    it can be pasted into SQL. Cached: every prompt renders its schema."""
+    plain = name.isascii() and name.isidentifier() and _reads_bare(name)
+    return name if plain else _quoted(name)
+
+
+def _reads_bare(name: str) -> bool:
+    """Whether the bare name, as a table and as a column, reads that column in
+    `SELECT <name> FROM <name>`. SQLite decides: a keyword such as `order`
+    fails to parse, and `current_date` parses as something else."""
+    con = sqlite3.connect(":memory:")
+    try:
+        cte = f"WITH {_quoted(name)}({_quoted(name)}) AS (SELECT 'column')"
+        return con.execute(f"{cte} SELECT {name} FROM {name}").fetchall() == [("column",)]
+    except sqlite3.Error:
+        return False
+    finally:
+        con.close()
 
 
 def _primary_key_column(con: sqlite3.Connection, table: str, seq: int) -> str:
@@ -242,8 +260,9 @@ def _render_lines(schema: DatabaseSchema, with_fks: bool) -> list[str]:
 def render_schema(schema: DatabaseSchema, budget: int = 1_000_000) -> str:
     """Render a schema as deterministic prompt text within a character budget.
 
-    A table or column name that is not a plain [A-Za-z_][A-Za-z0-9_]* name
-    is written in double quotes, each `"` doubled. When over budget, drops
+    A table or column name that is not a plain [A-Za-z_][A-Za-z0-9_]* name,
+    or that SQLite does not read bare (a keyword such as `order`), is
+    written in double quotes, each `"` doubled. When over budget, drops
     the foreign-key lines; as a last resort the text is hard-truncated to
     the budget.
     """

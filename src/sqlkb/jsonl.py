@@ -14,11 +14,16 @@ _json_space = json.decoder.WHITESPACE.match
 _JSON_SPACE = " \t\r\n"
 
 
+def jsonl_line(obj: dict) -> str:
+    """One line of the format: the object's sorted-key JSON and a newline."""
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
 def write_jsonl(path: Path | str, objs: Iterable[dict], append: bool = False) -> None:
-    """Write one sorted-key JSON object per line, each ending in a newline;
-    with `append`, after the file's existing lines."""
+    """Write one `jsonl_line` per object; with `append`, after the file's
+    existing lines."""
     with open(path, "a" if append else "w") as fh:
-        fh.writelines(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+        fh.writelines(map(jsonl_line, objs))
 
 
 def read_jsonl(path: Path | str, header: bool = False) -> Iterator[tuple[int, dict]]:

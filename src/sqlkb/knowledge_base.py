@@ -239,13 +239,6 @@ def parse_knowledge_lines(completion: str) -> list[str]:
     return out
 
 
-def _complete_or_error(llm: "LlmClient", prompt: str) -> str | LlmError:
-    try:
-        return llm.complete(prompt)
-    except LlmError as exc:
-        return exc
-
-
 def expand_kb(
     kb: KnowledgeBase,
     dataset: Dataset,
@@ -260,9 +253,10 @@ def expand_kb(
     top-2k most similar candidates, ranked for all records in one blocked
     pass by `example_pools`) and shuffled, both under a seeded RNG
     keyed by (seed, record id, iteration), so results do not depend on
-    processing order. The prompts are built in (record, iteration) order,
-    completed through `llm.fan_out`, and parsed in that same order, so
-    dedup keeps the same first entry however the completions interleave.
+    processing order. Each (record, iteration) task builds its prompt and
+    completes it through `llm.fan_out`, so no more prompts are held than
+    calls are in flight; the completions are parsed in (record, iteration)
+    order, so dedup keeps the same first entry however they interleave.
     LLM failures are skipped and counted, never fatal.
     """
     from .pipeline import build_knowledge_prompt
@@ -273,23 +267,27 @@ def expand_kb(
         build_config=config,
         expansion_failures=kb.expansion_failures,
     )
-    tasks = []  # (record, iteration, prompt)
+    tasks = []  # (record, schema, pool, iteration)
     pools = example_pools(dataset, 2 * config.few_shot_k, embedder)
     for rec, pool in zip(dataset.records, pools):
         schema = dataset.schema_for(rec.schema_ref)
-        if not pool:
-            continue
-        for i in range(1, config.iterations + 1):
-            rng = random.Random(f"{config.seed}:{rec.query.id}:{i}")
-            chosen = rng.sample(pool, min(config.few_shot_k, len(pool)))
-            rng.shuffle(chosen)
-            prompt = build_knowledge_prompt(
-                rec.query, schema, chosen, budget=config.prompt_budget
-            )
-            tasks.append((rec, i, prompt))
-    completions = llm.fan_out(_complete_or_error, [prompt for _, _, prompt in tasks])
+        if pool:
+            tasks.extend((rec, schema, pool, i) for i in range(1, config.iterations + 1))
+
+    def complete(client: "LlmClient", task: tuple) -> str | LlmError:
+        rec, schema, pool, i = task
+        rng = random.Random(f"{config.seed}:{rec.query.id}:{i}")
+        chosen = rng.sample(pool, min(config.few_shot_k, len(pool)))
+        rng.shuffle(chosen)
+        prompt = build_knowledge_prompt(rec.query, schema, chosen, budget=config.prompt_budget)
+        try:
+            return client.complete(prompt)
+        except LlmError as exc:
+            return exc
+
+    completions = llm.fan_out(complete, tasks)
     failures = 0
-    for (rec, i, _), completion in zip(tasks, completions):
+    for (rec, _, _, i), completion in zip(tasks, completions):
         if isinstance(completion, LlmError):
             failures += 1
             logger.warning(

@@ -1,7 +1,8 @@
 """Completion backends: OpenAI-compatible HTTP client plus a hermetic mock.
 
-Every call, including failures, is appended to a ledger that can be saved
-and replayed so pipeline runs are bit-reproducible in tests.
+Every call, including failures, is appended to a ledger that can be saved,
+or streamed to a file as the calls complete, and replayed so pipeline runs
+are bit-reproducible in tests.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO, TypeVar
 
 from .errors import (
     ContextOverflowError,
@@ -20,7 +21,7 @@ from .errors import (
     ParseError,
     ReplayDriftError,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import jsonl_line, read_jsonl, write_jsonl
 from .transport import RetryPolicy, request_json
 
 T = TypeVar("T")
@@ -76,19 +77,47 @@ class LedgerRecord:
     ok: bool = True
 
 
-class CallLedger:
-    """Append-only, thread-safe record of every complete() invocation."""
+class CallSummary(NamedTuple):
+    """What a streamed ledger keeps of a call once its line is written."""
 
-    def __init__(self) -> None:
-        self._records: list[LedgerRecord] = []
+    prompt_sha256: str
+    backend: str
+    ok: bool
+
+
+_LINE_KEYS = ("prompt_sha256", "prompt", "completion", "backend", "ok")
+
+
+def _ledger_obj(record: LedgerRecord, stage: str) -> dict:
+    """A record's ledger line; a `stage` tags it with the command that made the call."""
+    tag = {"stage": stage} if stage else {}
+    return {**{k: getattr(record, k) for k in _LINE_KEYS}, **tag}
+
+
+class CallLedger:
+    """Append-only, thread-safe record of every complete() invocation.
+
+    With a `sink`, each appended record's line (tagged with `stage`) is
+    written to it at once and only its CallSummary is kept, so the ledger
+    holds no prompt or completion, and `save` has nothing to write.
+    """
+
+    def __init__(self, sink: Optional[TextIO] = None, stage: str = "") -> None:
+        self._records: list[LedgerRecord | CallSummary] = []
         self._lock = threading.Lock()
+        self._sink = sink
+        self._stage = stage
 
     def append(self, record: LedgerRecord) -> None:
         with self._lock:
-            self._records.append(record)
+            if self._sink is None:
+                self._records.append(record)
+                return
+            self._sink.write(jsonl_line(_ledger_obj(record, self._stage)))
+            self._records.append(CallSummary(record.prompt_sha256, record.backend, record.ok))
 
     @property
-    def records(self) -> list[LedgerRecord]:
+    def records(self) -> list[LedgerRecord | CallSummary]:
         with self._lock:
             return list(self._records)
 
@@ -102,10 +131,9 @@ class CallLedger:
         A `stage` tags every line with the command that made the calls;
         `append` adds the lines to an existing file instead of replacing it.
         """
-        keys = ("prompt_sha256", "prompt", "completion", "backend", "ok")
-        tag = {"stage": stage} if stage else {}
-        lines = ({**{k: getattr(r, k) for k in keys}, **tag} for r in self.records)
-        write_jsonl(path, lines, append)
+        if self._sink is not None:
+            raise ValueError("a streamed ledger's lines are in its sink")
+        write_jsonl(path, (_ledger_obj(r, stage) for r in self.records), append)
 
 
 def load_fixture(path: Path | str, keep_failed: bool = False) -> dict[str, Optional[str]]:
@@ -171,7 +199,8 @@ class LlmClient:
         max_inflight - 1 threads go on with the later items. Each call
         writes to its own ledger through a twin of this client; those
         ledgers are appended to this client's in item order, so the ledger
-        reads exactly as a serial run's. Mock completions take microseconds
+        reads exactly as a serial run's, and each twin is let go once its
+        records are appended. Mock completions take microseconds
         and run inline.
         """
         if self.config.backend != "http" or self.config.max_inflight == 1:
@@ -183,8 +212,10 @@ class LlmClient:
         with ThreadPoolExecutor(self.config.max_inflight) as pool:
             futures = [pool.submit(fn, twin, item) for twin, item in zip(twins, items)]
             try:
-                for twin, future in zip(twins, futures):
+                for k, future in enumerate(futures):
                     future.exception()  # wait, so the ledger is complete
+                    # drop the twin with its records once they are merged
+                    twin, twins[k] = twins[k], None
                     for record in twin.ledger.records:
                         self.ledger.append(record)
                     results.append(future.result())

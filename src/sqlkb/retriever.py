@@ -209,18 +209,25 @@ class ProjectionHead:
         provider_fingerprint: str = "",
         config_hash: Optional[str] = None,
     ) -> None:
-        obj = {
+        """Write the bytes of `json.dumps(obj) + "\\n"` for the object of the
+        head's fields, one weight row at a time, so that neither the nested
+        list of weights nor the whole text is built."""
+        lead = {
             "dim_in": self.dim_in,
             "dim_out": self.dim_out,
             "tau": self.tau,
             "provider_fingerprint": provider_fingerprint,
-            "weights": self.weights.tolist(),
         }
+        tail = {}
         if self.holdout_mrr is not None:
-            obj["holdout_mrr"] = self.holdout_mrr
+            tail["holdout_mrr"] = self.holdout_mrr
         if config_hash is not None:
-            obj["config_hash"] = config_hash
-        Path(path).write_text(json.dumps(obj) + "\n")
+            tail["config_hash"] = config_hash
+        with open(path, "w") as fh:
+            fh.write(json.dumps(lead)[:-1] + ', "weights": [')
+            for i, row in enumerate(self.weights):
+                fh.write((", " if i else "") + json.dumps(row.tolist()))
+            fh.write("]" + (", " + json.dumps(tail)[1:] if tail else "}") + "\n")
 
     @classmethod
     def load(cls, path: Path | str) -> tuple["ProjectionHead", dict]:

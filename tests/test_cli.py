@@ -783,20 +783,29 @@ def test_http_llm_backend_needs_an_endpoint(workdir, monkeypatch, capsys):
     assert not (workdir / KB_FILE).exists()
 
 
-@pytest.mark.parametrize("command, fixture_records", [("build-kb", 0), ("generate", 20)])
+@pytest.mark.parametrize(
+    "command, fixture_records",
+    [("build-kb", 0), ("build-kb", 10), ("generate", 20), ("generate", 30)],
+)
 def test_replay_miss_ends_the_command(workdir, capsys, command, fixture_records):
-    assert run_cli(workdir, "build-kb") == 0
-    # An empty fixture answers no prompt; build-kb's 20 records answer no SQL prompt.
+    """A fixture holding the ledger's first lines answers the command's first
+    prompts (build-kb's 20 lines answer no SQL prompt); the next prompt ends
+    the command. Every file is left as it was: the ledger keeps only its
+    build-kb lines, and no temporary ledger file or outputs file remains."""
+    for cmd in ("build-kb", "generate"):
+        assert run_cli(workdir, cmd) == 0, cmd
     lines = (workdir / LEDGER_FILE).read_text().splitlines(keepends=True)
     (workdir / "fixture.jsonl").write_text("".join(lines[:fixture_records]))
-    before = {name: (workdir / name).read_bytes() for name in (KB_FILE, LEDGER_FILE)}
+    (workdir / LEDGER_FILE).write_text("".join(lines[:20]))
+    (workdir / OUTPUTS_FILE).unlink()
+    before = {path.name: path.read_bytes() for path in workdir.iterdir() if path.is_file()}
     capsys.readouterr()
     assert run_cli(workdir, command, "--set", "llm.fixture=fixture.jsonl", "--force") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: MockMissError: ")
     assert re.search(r"prompt hash [0-9a-f]{12}$", err.strip())
-    assert {name: (workdir / name).read_bytes() for name in before} == before
-    assert not (workdir / OUTPUTS_FILE).exists()
+    assert {path.name: path.read_bytes() for path in workdir.iterdir() if path.is_file()} == before
+    assert ledger_stages(workdir) == ["build-kb"] * 20
 
 
 def test_replay_fails_a_recorded_failure_again(workdir, monkeypatch, capsys):

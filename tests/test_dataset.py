@@ -248,29 +248,35 @@ _NAME = r'(?:"(?:[^"]|"")*"|[A-Za-z_][A-Za-z0-9_]*)'
 
 
 def test_render_schema_quotes_names_that_need_it(tmp_path):
-    """BIRD-style names (spaces, parentheses, `%`, a `"`, a comma) are written
-    quoted; each rendered name, pasted into SELECT <col> FROM <table>, reads
-    that column. Plain names stay bare."""
+    """BIRD-style names (spaces, parentheses, `%`, a `"`, a comma) and SQLite
+    keywords (`order`, `group`, `select`) are written quoted; each rendered
+    name, pasted into SELECT <col> FROM <table>, reads that column. Plain
+    names stay bare."""
     path = tmp_path / "schools.sqlite"
     con = sqlite3.connect(path)
     con.executescript(
         'CREATE TABLE frpm (CDSCode TEXT PRIMARY KEY, "Free Meal Count (K-12)" REAL,'
-        ' "Percent (%) Eligible" REAL);'
+        ' "Percent (%) Eligible" REAL, "order" INTEGER);'
         'CREATE TABLE "sat scores" (cds TEXT REFERENCES frpm (CDSCode), "odd""name" INTEGER);'
         'CREATE TABLE "odd""name" ("a, b" TEXT, "sat id" TEXT REFERENCES "sat scores" (cds));'
+        'CREATE TABLE "group" ("select" TEXT REFERENCES frpm ("order"));'
         # one row whose every value names its table and column
-        "INSERT INTO frpm VALUES"
-        " ('frpm|CDSCode', 'frpm|Free Meal Count (K-12)', 'frpm|Percent (%) Eligible');"
+        "INSERT INTO frpm VALUES ('frpm|CDSCode', 'frpm|Free Meal Count (K-12)',"
+        " 'frpm|Percent (%) Eligible', 'frpm|order');"
         """INSERT INTO "sat scores" VALUES ('sat scores|cds', 'sat scores|odd"name');"""
         """INSERT INTO "odd""name" VALUES ('odd"name|a, b', 'odd"name|sat id');"""
+        """INSERT INTO "group" VALUES ('group|select');"""
     )
     schema = load_schema(path)
     text = render_schema(schema)
     assert text == "\n".join([
-        'Table frpm (CDSCode TEXT, "Free Meal Count (K-12)" REAL, "Percent (%) Eligible" REAL)',
+        'Table frpm (CDSCode TEXT, "Free Meal Count (K-12)" REAL, "Percent (%) Eligible" REAL,'
+        ' "order" INTEGER)',
+        'Table "group" ("select" TEXT)',
         'Table "odd""name" ("a, b" TEXT, "sat id" TEXT)',
         'Table "sat scores" (cds TEXT, "odd""name" INTEGER)',
         "Foreign keys:",
+        '  "group"."select" -> frpm."order"',
         '  "odd""name"."sat id" -> "sat scores".cds',
         '  "sat scores".cds -> frpm.CDSCode',
     ])

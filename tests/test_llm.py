@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -202,6 +203,51 @@ def test_replay_fails_a_recorded_failure_again(tmp_path):
     with pytest.raises(MockMissError):
         replayed.complete("never asked")
     assert [r.ok for r in replayed.ledger.records] == [True, False, False]
+
+
+def _complete_all(client, prompts):
+    for prompt in prompts:
+        try:
+            client.complete(prompt)
+        except LlmError:
+            pass
+
+
+def test_streamed_ledger_holds_no_prompts_and_writes_save_lines(tmp_path):
+    """A ledger with a sink writes each call's line at once and keeps only its
+    summary: 2,000 calls with 4 KB prompts leave under 1 MiB held, and the
+    file is what `save` writes for the same records, failures included."""
+    prompts = [f"{i:04d} " + "x" * 4096 for i in range(2000)]
+
+    def fallback(prompt):
+        if int(prompt[:4]) % 100 == 7:
+            raise LlmError("http status 503")
+        return f"answer {prompt[:4]}"
+
+    config = LlmConfig(backend="mock")
+    streamed = tmp_path / "streamed.jsonl"
+    tracemalloc.start()
+    try:
+        with open(streamed, "w") as sink:
+            ledger = CallLedger(sink, stage="build-kb")
+            client = LlmClient(config, fallback=fallback, ledger=ledger)
+            before = tracemalloc.get_traced_memory()[0]
+            _complete_all(client, prompts)
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    assert len(ledger) == 2000
+    assert [r.ok for r in ledger.records] == [int(p[:4]) % 100 != 7 for p in prompts]
+    assert ledger.records[0].prompt_sha256 == prompt_sha256(prompts[0])
+    with pytest.raises(ValueError, match="sink"):
+        ledger.save(tmp_path / "refused.jsonl")
+
+    in_memory = CallLedger()
+    _complete_all(LlmClient(config, fallback=fallback, ledger=in_memory), prompts)
+    saved = tmp_path / "saved.jsonl"
+    in_memory.save(saved, stage="build-kb")
+    assert streamed.read_bytes() == saved.read_bytes()
 
 
 def test_ledger_save_empty(tmp_path):
@@ -483,6 +529,22 @@ def test_fan_out_keeps_item_order(chat_stub, max_inflight):
     assert [r.prompt for r in client.ledger.records] == prompts
     assert all(r.ok and r.backend == "http" for r in client.ledger.records)
     assert chat_stub.inflight_max == max_inflight
+
+
+def test_fan_out_streams_the_serial_ledger_lines(chat_stub, tmp_path):
+    """Through a pool, a streamed ledger's lines come in item order, as the
+    lines `save` writes for a serial run's ledger."""
+    chat_stub.latency = 0.05
+    prompts = [f"prompt {i}" for i in range(16)]
+    serial = chat_stub.client(1)
+    chat_stub.bounded(serial.fan_out, LlmClient.complete, prompts)
+    serial.ledger.save(tmp_path / "serial.jsonl", stage="generate")
+    client = chat_stub.client(4)
+    with open(tmp_path / "streamed.jsonl", "w") as sink:
+        client.ledger = CallLedger(sink, stage="generate")
+        chat_stub.bounded(client.fan_out, LlmClient.complete, prompts)
+    assert (tmp_path / "streamed.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+    assert [r.prompt_sha256 for r in client.ledger.records] == list(map(prompt_sha256, prompts))
 
 
 def test_fan_out_stress_more_workers_than_cores(chat_stub):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -936,6 +937,45 @@ def test_head_save_load_roundtrip(tmp_path):
     init_head(6, 3, seed=5).save(path)
     assert "holdout_mrr" not in path.read_text()
     assert ProjectionHead.load(path)[0].holdout_mrr is None
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, 0.1]
+_WEIGHT = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _weight_rows(dim_out):
+    return st.lists(st.lists(_WEIGHT, min_size=dim_out, max_size=dim_out), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 5).flatmap(_weight_rows),
+    tau=st.floats(min_value=5e-324, max_value=1e308),
+    holdout_mrr=st.none() | st.floats(0, 1),
+    fingerprint=st.text(max_size=8),
+    config_hash=st.none() | st.text(max_size=8),
+)
+def test_head_file_is_the_whole_object_dump(
+    tmp_path_factory, rows, tau, holdout_mrr, fingerprint, config_hash
+):
+    """head.json, written a weight row at a time, is `json.dumps(obj) + "\n"`
+    of the whole object, and loads back every weight bit for bit: -0.0,
+    subnormals and +-1e308 included."""
+    weights = np.array(rows, dtype=np.float64)
+    head = ProjectionHead(weights=weights, tau=tau, holdout_mrr=holdout_mrr)
+    path = tmp_path_factory.mktemp("head") / "head.json"
+    head.save(path, fingerprint, config_hash)
+    obj = {"dim_in": head.dim_in, "dim_out": head.dim_out, "tau": tau,
+           "provider_fingerprint": fingerprint, "weights": weights.tolist()}
+    if holdout_mrr is not None:
+        obj["holdout_mrr"] = holdout_mrr
+    if config_hash is not None:
+        obj["config_hash"] = config_hash
+    assert path.read_text() == json.dumps(obj) + "\n"
+    again, meta = ProjectionHead.load(path)
+    assert again.weights.tobytes() == weights.tobytes()
+    assert (again.tau, again.holdout_mrr) == (tau, holdout_mrr)
+    assert meta == {k: v for k, v in obj.items() if k != "weights"}
 
 
 def synthetic_pairs():
