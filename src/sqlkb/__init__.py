@@ -27,7 +27,6 @@ from .knowledge_base import (
 from .llm import CallLedger, LlmClient, LlmConfig
 from .pipeline import (
     PipelineConfig,
-    RefinedKnowledge,
     build_knowledge_prompt,
     build_sql_prompt,
     generate_sql,

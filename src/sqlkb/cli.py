@@ -62,8 +62,9 @@ def _llm_config(cfg: RunConfig) -> LlmConfig:
 
 def _llm_client(cfg: RunConfig) -> LlmClient:
     config = _llm_config(cfg)
-    if cfg["llm"]["fixture"]:
-        return llm.replay_client(config, cfg.path(cfg["llm"]["fixture"]))
+    fixture = cfg["llm"]["fixture"]
+    if fixture:
+        return LlmClient(config, responses=llm.load_fixture(cfg.path(fixture)))
     if config.backend == "mock":
         return LlmClient(config, fallback=llm.synthetic_completer)
     return LlmClient(config)
@@ -105,9 +106,9 @@ def _load_head(cfg: RunConfig, force: bool = False) -> Optional[ProjectionHead]:
         return None
     head, meta = ProjectionHead.load(path)
     _check_lineage(cfg, meta.get("config_hash"), "projection head", force)
-    trained_for = meta.get("provider_fingerprint", "")
+    trained_for = meta.get("provider_fingerprint") or "(none recorded)"
     current = _provider(cfg).fingerprint
-    if trained_for and trained_for != current:
+    if trained_for != current:
         raise ConfigError(
             f"{path} was trained for embedding provider {trained_for}, "
             f"current provider is {current}"

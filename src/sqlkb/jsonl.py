@@ -19,10 +19,9 @@ def jsonl_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def write_jsonl(path: Path | str, objs: Iterable[dict], append: bool = False) -> None:
-    """Write one `jsonl_line` per object; with `append`, after the file's
-    existing lines."""
-    with open(path, "a" if append else "w") as fh:
+def write_jsonl(path: Path | str, objs: Iterable[dict]) -> None:
+    """Write one `jsonl_line` per object."""
+    with open(path, "w") as fh:
         fh.writelines(map(jsonl_line, objs))
 
 

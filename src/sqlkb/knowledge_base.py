@@ -162,8 +162,9 @@ def example_pools(
 
     Query rows are scored EXAMPLE_BLOCK at a time, by one product with every
     question row and `cosine_key`. Records without knowledge (or SQL, when
-    required) and those sharing the query's id score -inf, so they sort
-    after every real key and are cut off; ties break by record id. Given
+    required) score -inf. So do those sharing the query's id when the query
+    is one of the dataset's own: a query of another split may share an id
+    alone. Ties break by record id; -inf keys are cut from the pools. Given
     queries are embedded in one batch. Only with integer (hash) rows is
     each pool the one-query call's bit for bit: a float row block's product
     can differ in the last bits, so near-ties may order differently.
@@ -179,28 +180,26 @@ def example_pools(
     positions: dict[str, list[int]] = {}  # record id -> positions of its records
     for i, qid in enumerate(ids):
         positions.setdefault(qid, []).append(i)
-    drop = np.array(
-        [rec.knowledge is None or (require_sql and rec.gold_sql is None) for rec in records],
+    usable = np.array(
+        [rec.knowledge is not None and not (require_sql and rec.gold_sql is None)
+         for rec in records],
         dtype=bool,
     )
-    dropped = np.flatnonzero(drop)
-    available = len(drop) - len(dropped)
     if queries is None:
-        query_rows, query_ids = rows, ids
+        queries, query_rows = [rec.query for rec in records], rows
     else:
         texts = [q.text for q in queries]
         embedder.cache_raw(texts)
         query_rows = np.array([embedder.raw(t) for t in texts])
-        query_ids = [q.id for q in queries]
     pools = []
-    for start in range(0, len(query_ids), EXAMPLE_BLOCK):
+    for start in range(0, len(queries), EXAMPLE_BLOCK):
         keys = cosine_key(query_rows[start : start + EXAMPLE_BLOCK] @ rows.T, sq_norms)
-        keys[:, dropped] = -np.inf
-        for key, qid in zip(keys, query_ids[start : start + EXAMPLE_BLOCK]):
-            own = [i for i in positions.get(qid, ()) if not drop[i]]
-            key[own] = -np.inf
-            best = top_j(key, min(k, available - len(own)), id_rank)
-            pools.append([records[i] for i in best])
+        keys[:, ~usable] = -np.inf
+        for key, query in zip(keys, queries[start : start + EXAMPLE_BLOCK]):
+            same_id = positions.get(query.id, [])
+            if any(records[i].query == query for i in same_id):
+                key[same_id] = -np.inf
+            pools.append([records[i] for i in top_j(key, k, id_rank) if key[i] > -np.inf])
     return pools
 
 
@@ -213,12 +212,12 @@ def select_examples(
 ) -> list["ExampleTriplet"]:
     """Rank dataset records by cosine similarity of their questions to the query.
 
-    The query's own record (same id) is excluded; ties break by record id
-    ascending. Returns at most k records, never padded. The dataset's
-    question rows are embedded on every call. Candidates are ranked by
-    `cosine_key` of the raw rows, which is exact for the hash backend, so the
-    id rule decides every exact tie. This is the one-query call of
-    `example_pools`.
+    When the query is one of the dataset's own, the records sharing its id
+    are excluded; ties break by record id ascending. Returns at most k
+    records, never padded. The dataset's question rows are embedded on every
+    call. Candidates are ranked by `cosine_key` of the raw rows, which is
+    exact for the hash backend, so the id rule decides every exact tie. This
+    is the one-query call of `example_pools`.
     """
     (pool,) = example_pools(dataset, k, embedder, [query], require_sql)
     if not pool:

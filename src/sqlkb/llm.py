@@ -1,7 +1,7 @@
 """Completion backends: OpenAI-compatible HTTP client plus a hermetic mock.
 
-Every call, including failures, is appended to a ledger that can be saved,
-or streamed to a file as the calls complete, and replayed so pipeline runs
+Every call, including failures, is appended to a ledger that can be
+streamed to a file as the calls complete, and replayed so pipeline runs
 are bit-reproducible in tests.
 """
 
@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ReplayDriftError,
 )
-from .jsonl import jsonl_line, read_jsonl, write_jsonl
+from .jsonl import jsonl_line, read_jsonl
 from .transport import RetryPolicy, request_json
 
 T = TypeVar("T")
@@ -99,7 +99,7 @@ class CallLedger:
 
     With a `sink`, each appended record's line (tagged with `stage`) is
     written to it at once and only its CallSummary is kept, so the ledger
-    holds no prompt or completion, and `save` has nothing to write.
+    holds no prompt or completion.
     """
 
     def __init__(self, sink: Optional[TextIO] = None, stage: str = "") -> None:
@@ -125,23 +125,13 @@ class CallLedger:
         with self._lock:
             return len(self._records)
 
-    def save(self, path: Path | str, stage: str = "", append: bool = False) -> None:
-        """Persist as a line-delimited replay fixture.
 
-        A `stage` tags every line with the command that made the calls;
-        `append` adds the lines to an existing file instead of replacing it.
-        """
-        if self._sink is not None:
-            raise ValueError("a streamed ledger's lines are in its sink")
-        write_jsonl(path, (_ledger_obj(r, stage) for r in self.records), append)
-
-
-def load_fixture(path: Path | str, keep_failed: bool = False) -> dict[str, Optional[str]]:
+def load_fixture(path: Path | str) -> dict[str, Optional[str]]:
     """Load a replay fixture as {prompt hash: completion}.
 
     A record whose stored prompt does not hash to its recorded
-    prompt_sha256 indicates a corrupted or hand-edited fixture. Failed
-    records are skipped; `keep_failed` maps a never-answered prompt to None.
+    prompt_sha256 indicates a corrupted or hand-edited fixture. A prompt
+    whose records all failed maps to None, so it fails again in a replay.
     """
     responses = {}
     for n, obj in read_jsonl(path):
@@ -157,7 +147,7 @@ def load_fixture(path: Path | str, keep_failed: bool = False) -> dict[str, Optio
             raise ReplayDriftError(f"{path}:{n}: prompt does not match its hash")
         if completion is not None:
             responses[digest] = completion
-        elif keep_failed:
+        else:
             responses.setdefault(digest, None)
     return responses
 
@@ -287,8 +277,3 @@ class LlmClient:
         if not isinstance(content, str):
             raise LlmError(f"malformed response: content is {content!r}")
         return content
-
-
-def replay_client(config: LlmConfig, fixture_path: Path | str) -> LlmClient:
-    """Client answering from a persisted fixture, failures too, before its backend."""
-    return LlmClient(config, responses=load_fixture(fixture_path, keep_failed=True))

@@ -33,14 +33,6 @@ OUTPUTS_FORMAT = "sqlkb/outputs/v1"
 _FENCE = re.compile(r"```(?:sql)?\s*(.*?)```", re.DOTALL | re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class RefinedKnowledge:
-    text: str
-    query_id: str
-    retrieved_ids: tuple[str, ...]
-    schema_id: str
-
-
 @dataclass
 class PipelineConfig:
     top_j: int = 5  # 0 disables retrieval (no-knowledge baseline)
@@ -144,18 +136,12 @@ def refine_knowledge(
     schema: DatabaseSchema,
     llm: "LlmClient",
     budget: int = DEFAULT_BUDGET,
-) -> RefinedKnowledge:
+) -> str:
     """Rewrite retrieved entries into query-specific knowledge via the LLM."""
     prompt = build_refinement_prompt(
         query, [e.text for e in retrieved], schema, budget
     )
-    completion = llm.complete(prompt)
-    return RefinedKnowledge(
-        text=completion.strip(),
-        query_id=query.id,
-        retrieved_ids=tuple(e.id for e in retrieved),
-        schema_id=schema.db_id,
-    )
+    return llm.complete(prompt).strip()
 
 
 def postprocess_sql(completion: str) -> str:
@@ -215,7 +201,7 @@ def generate_sql(
                 for entry, _ in retrieve(query.text, index, config.top_j, provider, head)
             ]
     if retrieved and config.use_refinement:
-        evidence = refine_knowledge(query, retrieved, schema, llm, config.budget).text
+        evidence = refine_knowledge(query, retrieved, schema, llm, config.budget)
     else:
         evidence = "; ".join(e.text for e in retrieved)
 

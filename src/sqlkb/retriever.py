@@ -206,7 +206,7 @@ class ProjectionHead:
     def save(
         self,
         path: Path | str,
-        provider_fingerprint: str = "",
+        provider_fingerprint: str,
         config_hash: Optional[str] = None,
     ) -> None:
         """Write the bytes of `json.dumps(obj) + "\\n"` for the object of the

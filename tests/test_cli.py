@@ -534,6 +534,27 @@ def test_head_for_other_embedding_service_rejected(workdir, embed_stub, capsys):
     assert f"http:256:http:{embed_stub.url}/a" in err and f"http:256:http:{embed_stub.url}/b" in err
 
 
+@pytest.mark.parametrize(
+    "unrecorded",
+    [lambda head: {k: v for k, v in head.items() if k != "provider_fingerprint"},
+     lambda head: {**head, "provider_fingerprint": ""}],
+    ids=["missing", "empty"],
+)
+def test_head_without_provider_fingerprint_rejected(workdir, capsys, unrecorded):
+    """A head that does not say which embedding space it was trained for is
+    refused, under --force too, naming the current provider."""
+    for cmd in ("build-kb", "train-retriever"):
+        assert run_cli(workdir, cmd) == 0, cmd
+    path = workdir / HEAD_FILE
+    path.write_text(json.dumps(unrecorded(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert run_cli(workdir, "generate", "--force") == 2
+    err = capsys.readouterr().err
+    current = _provider(load_config(workdir / "run.ini")).fingerprint
+    assert err.startswith("error: ConfigError")
+    assert "(none recorded)" in err and f"current provider is {current}" in err
+
+
 def test_outputs_line_not_object_is_clean_error(workdir, capsys):
     for cmd in ("build-kb", "generate"):
         assert run_cli(workdir, cmd) == 0, cmd

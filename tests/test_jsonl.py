@@ -29,14 +29,18 @@ def sample_outputs() -> list[PipelineOutput]:
     ]
 
 
-def sample_ledger(n: int) -> CallLedger:
-    ledger = CallLedger()
-    for i in range(n):
-        prompt = f"Question: q{i}\nSQL: "
-        ledger.append(
-            LedgerRecord(prompt_sha256(prompt), prompt, f"SELECT {i}", "mock", ok=i != 1)
-        )
-    return ledger
+def write_ledger(path, n: int) -> list[LedgerRecord]:
+    """Stream n records, the second one failed, to a ledger file at `path`."""
+    records = []
+    with open(path, "w") as sink:
+        ledger = CallLedger(sink)
+        for i in range(n):
+            prompt = f"Question: q{i}\nSQL: "
+            records.append(
+                LedgerRecord(prompt_sha256(prompt), prompt, f"SELECT {i}", "mock", ok=i != 1)
+            )
+            ledger.append(records[-1])
+    return records
 
 
 # name: (writer of a three-line file, loader, first key the loader reads,
@@ -44,7 +48,7 @@ def sample_ledger(n: int) -> CallLedger:
 ARTIFACTS = {
     "kb": (lambda p: save_kb(sample_kb(), p, "h"), load_kb, "id", True),
     "outputs": (lambda p: save_outputs(sample_outputs(), p, "h"), load_outputs, "query_id", True),
-    "fixture": (lambda p: sample_ledger(3).save(p), load_fixture, "prompt_sha256", False),
+    "fixture": (lambda p: write_ledger(p, 3), load_fixture, "prompt_sha256", False),
 }
 
 
@@ -139,13 +143,12 @@ def test_outputs_round_trip_is_byte_identical(tmp_path):
 @pytest.mark.parametrize("n", [0, 3])
 def test_ledger_round_trip_is_byte_identical(tmp_path, n):
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    ledger = sample_ledger(n)
-    ledger.save(first)
+    records = write_ledger(first, n)
     write_jsonl(second, (obj for _, obj in read_jsonl(first)))
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().count(b"\n") == n
     assert load_fixture(first) == {
-        r.prompt_sha256: r.completion for r in ledger.records if r.ok
+        r.prompt_sha256: r.completion if r.ok else None for r in records
     }
 
 

@@ -8,13 +8,14 @@ import re
 import pytest
 
 from sqlkb import knowledge_base
-from sqlkb.dataset import Dataset, ExampleTriplet, Query
+from sqlkb.dataset import Dataset, ExampleTriplet, Query, load_dataset
 from sqlkb.errors import InsufficientExamplesError, LlmError, ParseError
 from sqlkb.knowledge_base import (
     KbBuildConfig,
     KnowledgeBase,
     KnowledgeEntry,
     entry_id,
+    example_pools,
     expand_kb,
     init_kb,
     kb_digest,
@@ -25,7 +26,7 @@ from sqlkb.knowledge_base import (
     save_kb,
     select_examples,
 )
-from sqlkb.llm import LlmClient, LlmConfig
+from sqlkb.llm import CallLedger, LlmClient, LlmConfig
 from sqlkb.ranking import ROW_CHUNK
 
 
@@ -89,6 +90,29 @@ def test_select_examples_excludes_self(train_ds, provider):
     target = train_ds.records[3]
     chosen = select_examples(target.query, train_ds, 50, provider)
     assert target.query.id not in {c.query.id for c in chosen}
+
+
+def test_pools_keep_train_records_that_share_only_an_id_with_a_test_question(
+    toy_dir, tmp_path, provider
+):
+    """Without `question_id` (as in BIRD's train.json) ids are positions, so
+    test and train ids collide; the same-index train record is another
+    question and stays in the test question's pool."""
+    for name in ("train.json", "test.json"):
+        records = json.loads((toy_dir / name).read_text())
+        for rec in records:
+            del rec["question_id"]
+        (tmp_path / name).write_text(json.dumps(records))
+    train = load_dataset(tmp_path / "train.json", toy_dir / "databases")
+    test = load_dataset(tmp_path / "test.json", toy_dir / "databases", split="test")
+    assert {r.query.id for r in test.records} <= {r.query.id for r in train.records}
+    usable = sorted(r.query.id for r in train.records if r.knowledge and r.gold_sql)
+    queries = [r.query for r in test.records]
+    pools = example_pools(train, 50, provider, queries, require_sql=True)
+    assert [sorted(r.query.id for r in pool) for pool in pools] == [usable] * len(queries)
+    # a train question is still left out of its own pool
+    (own,) = example_pools(train, 50, provider, [train.records[0].query], require_sql=True)
+    assert train.records[0].query.id not in {r.query.id for r in own}
 
 
 def test_select_examples_k_larger_than_pool(train_ds, provider):
@@ -427,12 +451,13 @@ def test_expand_kb_concurrent_matches_serial(chat_stub, train_ds, provider, tmp_
     for max_inflight in (1, 4, LlmConfig().max_inflight):
         chat_stub.inflight_max = 0
         client = chat_stub.client(max_inflight)
-        kb = chat_stub.bounded(expand_kb, init_kb(train_ds), train_ds, client, provider, config)
+        with open(tmp_path / f"ledger{max_inflight}.jsonl", "w") as sink:
+            client.ledger = CallLedger(sink, stage="build-kb")
+            kb = chat_stub.bounded(expand_kb, init_kb(train_ds), train_ds, client, provider, config)
         assert 1 <= chat_stub.inflight_max <= max_inflight
         assert (chat_stub.inflight_max > 1) == (max_inflight > 1)  # it did overlap
         assert kb.expansion_failures == 2
         save_kb(kb, tmp_path / f"kb{max_inflight}.jsonl")
-        client.ledger.save(tmp_path / f"ledger{max_inflight}.jsonl")
         files[max_inflight] = [
             (tmp_path / f"{name}{max_inflight}.jsonl").read_bytes() for name in ("kb", "ledger")
         ]

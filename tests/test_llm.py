@@ -29,7 +29,6 @@ from sqlkb.llm import (
     RetryPolicy,
     load_fixture,
     prompt_sha256,
-    replay_client,
     synthetic_completer,
 )
 from sqlkb.transport import post_json
@@ -145,15 +144,21 @@ def test_ledger_thread_safety():
     assert len(ledger) == 8 * 50
 
 
-def test_ledger_save_and_replay(tmp_path):
-    ledger = CallLedger()
-    client = LlmClient(LlmConfig(backend="mock"), fallback=lambda p: f"answer to {p}", ledger=ledger)
-    client.complete("first question")
-    client.complete("second question")
-    path = tmp_path / "fixture.jsonl"
-    ledger.save(path)
+def replay(path) -> LlmClient:
+    """A mock client answering from the fixture at `path`, as `llm.fixture` replays."""
+    return LlmClient(LlmConfig(backend="mock"), responses=load_fixture(path))
 
-    replayed = replay_client(LlmConfig(backend="mock"), path)
+
+def test_streamed_ledger_replays(tmp_path):
+    path = tmp_path / "fixture.jsonl"
+    with open(path, "w") as sink:
+        client = LlmClient(
+            LlmConfig(backend="mock"), fallback=lambda p: f"answer to {p}", ledger=CallLedger(sink)
+        )
+        client.complete("first question")
+        client.complete("second question")
+
+    replayed = replay(path)
     assert replayed.complete("first question") == "answer to first question"
     assert replayed.complete("second question") == "answer to second question"
     with pytest.raises(MockMissError):
@@ -161,18 +166,29 @@ def test_ledger_save_and_replay(tmp_path):
 
 
 def test_ledger_lines_keep_backend_and_old_fixtures_replay(tmp_path):
-    """A saved line names the backend that made the call; a fixture written
+    """A ledger line names the backend that made the call; a fixture written
     before lines carried `backend` still replays."""
-    client = LlmClient(LlmConfig(backend="mock"), fallback=lambda p: f"answer to {p}")
-    client.complete("question")
     path = tmp_path / "fixture.jsonl"
-    client.ledger.save(path, stage="generate")
+    with open(path, "w") as sink:
+        ledger = CallLedger(sink, stage="generate")
+        client = LlmClient(
+            LlmConfig(backend="mock"), fallback=lambda p: f"answer to {p}", ledger=ledger
+        )
+        client.complete("question")
     (line,) = map(json.loads, path.read_text().splitlines())
     assert line["backend"] == "mock"
     del line["backend"]
     path.write_text(json.dumps(line, sort_keys=True) + "\n")
-    replayed = replay_client(LlmConfig(backend="mock"), path)
+    replayed = replay(path)
     assert replayed.complete("question") == "answer to question"
+
+
+def _complete_all(client, prompts):
+    for prompt in prompts:
+        try:
+            client.complete(prompt)
+        except LlmError:
+            pass
 
 
 def test_replay_fails_a_recorded_failure_again(tmp_path):
@@ -184,17 +200,12 @@ def test_replay_fails_a_recorded_failure_again(tmp_path):
             raise LlmError("http status 429")
         return f"answer to {prompt}"
 
-    ledger = CallLedger()
-    client = LlmClient(LlmConfig(backend="mock"), fallback=fallback, ledger=ledger)
-    for prompt in ("flaky", "broken", "flaky", "good"):
-        try:
-            client.complete(prompt)
-        except LlmError:
-            pass
     path = tmp_path / "fixture.jsonl"
-    ledger.save(path)
+    with open(path, "w") as sink:
+        client = LlmClient(LlmConfig(backend="mock"), fallback=fallback, ledger=CallLedger(sink))
+        _complete_all(client, ("flaky", "broken", "flaky", "good"))
 
-    replayed = replay_client(LlmConfig(backend="mock"), path)
+    replayed = replay(path)
     # a prompt answered once replays its answer, however often it failed
     assert replayed.complete("flaky") == "answer to flaky"
     with pytest.raises(LlmError, match="recorded failure") as failure:
@@ -205,18 +216,10 @@ def test_replay_fails_a_recorded_failure_again(tmp_path):
     assert [r.ok for r in replayed.ledger.records] == [True, False, False]
 
 
-def _complete_all(client, prompts):
-    for prompt in prompts:
-        try:
-            client.complete(prompt)
-        except LlmError:
-            pass
-
-
-def test_streamed_ledger_holds_no_prompts_and_writes_save_lines(tmp_path):
+def test_streamed_ledger_holds_no_prompts_and_writes_every_call(tmp_path):
     """A ledger with a sink writes each call's line at once and keeps only its
     summary: 2,000 calls with 4 KB prompts leave under 1 MiB held, and the
-    file is what `save` writes for the same records, failures included."""
+    file holds one sorted-key line per call, failures included."""
     prompts = [f"{i:04d} " + "x" * 4096 for i in range(2000)]
 
     def fallback(prompt):
@@ -240,19 +243,21 @@ def test_streamed_ledger_holds_no_prompts_and_writes_save_lines(tmp_path):
     assert len(ledger) == 2000
     assert [r.ok for r in ledger.records] == [int(p[:4]) % 100 != 7 for p in prompts]
     assert ledger.records[0].prompt_sha256 == prompt_sha256(prompts[0])
-    with pytest.raises(ValueError, match="sink"):
-        ledger.save(tmp_path / "refused.jsonl")
 
     in_memory = CallLedger()
     _complete_all(LlmClient(config, fallback=fallback, ledger=in_memory), prompts)
-    saved = tmp_path / "saved.jsonl"
-    in_memory.save(saved, stage="build-kb")
-    assert streamed.read_bytes() == saved.read_bytes()
+    lines = [
+        json.dumps({**dataclasses.asdict(r), "stage": "build-kb"}, sort_keys=True) + "\n"
+        for r in in_memory.records
+    ]
+    assert streamed.read_text() == "".join(lines)
 
 
-def test_ledger_save_empty(tmp_path):
+def test_streamed_ledger_of_no_call_replays_nothing(tmp_path):
     path = tmp_path / "empty.jsonl"
-    CallLedger().save(path)
+    with open(path, "w") as sink:
+        CallLedger(sink)
+    assert path.read_text() == ""
     assert load_fixture(path) == {}
 
 
@@ -273,20 +278,14 @@ def test_fixture_drift_detection(tmp_path):
         load_fixture(path)
 
 
-def test_fixture_skips_failed_records(tmp_path):
-    ledger = CallLedger()
-    ledger.append(
-        LedgerRecord(
-            prompt_sha256=prompt_sha256("failed"),
-            prompt="failed",
-            completion="",
-            backend="mock",
-            ok=False,
-        )
-    )
+def test_fixture_maps_a_failed_prompt_to_none(tmp_path):
+    """A prompt whose every record failed maps to None, so a replay fails it again."""
     path = tmp_path / "fixture.jsonl"
-    ledger.save(path)
-    assert load_fixture(path) == {}
+    with open(path, "w") as sink:
+        ledger = CallLedger(sink)
+        for ok in (False, False):
+            ledger.append(LedgerRecord(prompt_sha256("failed"), "failed", "", "mock", ok))
+    assert load_fixture(path) == {prompt_sha256("failed"): None}
 
 
 # --- http backend (against a local stub server) ---
@@ -532,18 +531,16 @@ def test_fan_out_keeps_item_order(chat_stub, max_inflight):
 
 
 def test_fan_out_streams_the_serial_ledger_lines(chat_stub, tmp_path):
-    """Through a pool, a streamed ledger's lines come in item order, as the
-    lines `save` writes for a serial run's ledger."""
+    """Through a pool, a streamed ledger's lines come in item order, as a
+    serial run's do."""
     chat_stub.latency = 0.05
     prompts = [f"prompt {i}" for i in range(16)]
-    serial = chat_stub.client(1)
-    chat_stub.bounded(serial.fan_out, LlmClient.complete, prompts)
-    serial.ledger.save(tmp_path / "serial.jsonl", stage="generate")
-    client = chat_stub.client(4)
-    with open(tmp_path / "streamed.jsonl", "w") as sink:
-        client.ledger = CallLedger(sink, stage="generate")
-        chat_stub.bounded(client.fan_out, LlmClient.complete, prompts)
-    assert (tmp_path / "streamed.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+    for max_inflight in (1, 4):
+        client = chat_stub.client(max_inflight)
+        with open(tmp_path / f"ledger{max_inflight}.jsonl", "w") as sink:
+            client.ledger = CallLedger(sink, stage="generate")
+            chat_stub.bounded(client.fan_out, LlmClient.complete, prompts)
+    assert (tmp_path / "ledger4.jsonl").read_bytes() == (tmp_path / "ledger1.jsonl").read_bytes()
     assert [r.prompt_sha256 for r in client.ledger.records] == list(map(prompt_sha256, prompts))
 
 

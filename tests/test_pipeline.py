@@ -108,15 +108,15 @@ def test_refinement_prompt_pairs_candidates_with_question(train_ds, test_ds):
     assert "Evidence: second fact" in prompt
 
 
-def test_refine_knowledge_provenance(train_ds, test_ds, provider):
-    kb = init_kb(train_ds)
-    entries = kb.sorted_entries()[:3]
-    refined = refine_knowledge(
-        target_query(test_ds), entries, train_ds.schemas["company"], mock_client()
-    )
-    assert refined.retrieved_ids == tuple(e.id for e in entries)
-    assert refined.schema_id == "company"
-    assert refined.text == refined.text.strip() and refined.text
+def test_refine_knowledge_returns_the_stripped_completion(train_ds, test_ds):
+    """Refinement asks the refinement prompt of the retrieved texts and
+    returns the completion without its surrounding space."""
+    entries = init_kb(train_ds).sorted_entries()[:3]
+    schema, q = train_ds.schemas["company"], target_query(test_ds)
+    client = LlmClient(LlmConfig(backend="mock"), fallback=lambda p: "  refined fact\n")
+    assert refine_knowledge(q, entries, schema, client) == "refined fact"
+    (record,) = client.ledger.records
+    assert record.prompt == build_refinement_prompt(q, [e.text for e in entries], schema)
 
 
 # --- postprocessing ---
@@ -328,16 +328,17 @@ def test_run_pipeline_concurrent_matches_serial(chat_stub, toy_dir, train_ds, pr
     for max_inflight in (1, 4, LlmConfig().max_inflight):
         chat_stub.inflight_max = 0
         client = chat_stub.client(max_inflight)
-        outputs = chat_stub.bounded(
-            run_pipeline, queries, train_ds, index, client, provider, config
-        )
+        with open(tmp_path / f"ledger{max_inflight}.jsonl", "w") as sink:
+            client.ledger = CallLedger(sink, stage="generate")
+            outputs = chat_stub.bounded(
+                run_pipeline, queries, train_ds, index, client, provider, config
+            )
         assert 1 <= chat_stub.inflight_max <= max_inflight
         assert (chat_stub.inflight_max > 1) == (max_inflight > 1)  # it did overlap
         assert [o.query_id for o in outputs] == [r.query.id for r in queries.records]
         assert outputs[1].error == "http status 400"
         assert sum(o.error is not None for o in outputs) == 1
         save_outputs(outputs, tmp_path / f"outputs{max_inflight}.jsonl")
-        client.ledger.save(tmp_path / f"ledger{max_inflight}.jsonl")
         files[max_inflight] = [
             (tmp_path / f"{name}{max_inflight}.jsonl").read_bytes()
             for name in ("outputs", "ledger")

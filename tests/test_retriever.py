@@ -934,7 +934,7 @@ def test_head_save_load_roundtrip(tmp_path):
     assert again.holdout_mrr == head.holdout_mrr
     assert meta["provider_fingerprint"] == "hash:6:hash"
     assert meta["config_hash"] == "abc"
-    init_head(6, 3, seed=5).save(path)
+    init_head(6, 3, seed=5).save(path, "hash:6:hash")
     assert "holdout_mrr" not in path.read_text()
     assert ProjectionHead.load(path)[0].holdout_mrr is None
 
@@ -1043,7 +1043,7 @@ def test_train_head_without_holdout_has_no_holdout_mrr(tmp_path, fraction):
     head = train_head(synthetic_pairs()[:12], EmbeddingProvider(dim=32), cfg)
     assert head.holdout_mrr is None
     path = tmp_path / "head.json"
-    head.save(path)
+    head.save(path, "hash:32:hash")
     assert "holdout_mrr" not in path.read_text()
 
 
