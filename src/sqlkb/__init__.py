@@ -11,7 +11,6 @@ from .dataset import (
     load_dataset,
     load_schema,
     render_schema,
-    save_dataset,
 )
 from .knowledge_base import (
     KbBuildConfig,

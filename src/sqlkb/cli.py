@@ -11,8 +11,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional
 
-import numpy as np
-
 from . import evaluation, knowledge_base, llm, pipeline, retriever
 from .config import RunConfig, load_config
 from .dataset import Dataset, load_dataset
@@ -196,13 +194,17 @@ def _load_kb(cfg: RunConfig, force: bool) -> KnowledgeBase:
 
 
 def cmd_retrieve(cfg: RunConfig, args: argparse.Namespace) -> int:
+    # generate reads top_j = 0 as the no-knowledge baseline; retrieve has no such mode
+    top_j = cfg["pipeline"]["top_j"]
+    if top_j < 1:
+        raise ConfigError(f"[pipeline] top_j must be >= 1 to retrieve, got {top_j}")
+    if not args.query.strip():
+        raise ConfigError("the query is empty or whitespace only")
     kb = _load_kb(cfg, args.force)
     provider = _provider(cfg)
     head = _load_head(cfg, args.force)
     index = retriever.load_or_build_index(cfg.workdir / INDEX_FILE, kb, provider, head)
-    results = retriever.retrieve(
-        args.query, index, cfg["pipeline"]["top_j"], provider, head
-    )
+    results = retriever.retrieve(args.query, index, top_j, provider, head)
     for entry, score in results:
         print(f"{score:.4f}  {entry.id}  {entry.text}")
     return 0
@@ -262,18 +264,14 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = evaluation.evaluate_run(outputs, test, eval_cfg, provider)
     report.config_hash = cfg.config_hash
 
-    # The gold texts ride along as probes: they are scored against the raw
-    # rows stored in the index file, whether it was loaded or just written.
-    # An empty KB gets no index: EX, VES, EM and SS need none.
-    probes = np.array([provider.raw(g) for g in gold_knowledge]) if gold_knowledge else None
+    # An empty KB gets no index: EX, VES, EM and SS need none. Coverage
+    # scores the raw rows stored in the index file, loaded or just written.
     index = None
     if len(kb):
-        index = retriever.load_or_build_index(
-            cfg.workdir / INDEX_FILE, kb, provider, head, probes
-        )
+        index = retriever.load_or_build_index(cfg.workdir / INDEX_FILE, kb, provider, head)
     if gold_knowledge:
-        best = index.probe_best if index is not None else None
-        coverage = evaluation.kb_coverage(kb, gold_knowledge, provider, best)
+        blocks = index.raw_blocks() if index is not None else None
+        coverage = evaluation.kb_coverage(kb, gold_knowledge, provider, blocks)
         report.coverage = {
             "exact_match_pct": coverage.exact_match_pct,
             "mean_best_similarity": coverage.mean_best_similarity,

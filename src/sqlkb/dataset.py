@@ -180,7 +180,8 @@ def load_dataset(
     """Load a JSON record file plus its sibling database directory.
 
     Records keep the source knowledge text verbatim; a missing or null
-    evidence field becomes None, never an empty string.
+    evidence field, or one of whitespace alone, becomes None, never an empty
+    or blank string.
     """
     path = Path(path)
     if db_dir is None:
@@ -211,7 +212,7 @@ def load_dataset(
         evidence = rec.get("evidence")
         if evidence is not None and not isinstance(evidence, str):
             raise ParseError(f"{path}: record {qid} evidence must be a string")
-        if evidence == "":
+        if evidence is not None and not evidence.strip():
             evidence = None
         gold_sql = rec.get("SQL")
         if gold_sql is not None and not isinstance(gold_sql, str):
@@ -225,23 +226,6 @@ def load_dataset(
             )
         )
     return Dataset(records=tuple(records), schemas=schemas, split=split)
-
-
-def save_dataset(dataset: Dataset, path: Path | str) -> None:
-    """Write records back to the JSON layout accepted by load_dataset."""
-    out = []
-    for rec in dataset.records:
-        obj = {
-            "question_id": rec.query.id,
-            "question": rec.query.text,
-            "db_id": rec.query.db_id,
-        }
-        if rec.knowledge is not None:
-            obj["evidence"] = rec.knowledge
-        if rec.gold_sql is not None:
-            obj["SQL"] = rec.gold_sql
-        out.append(obj)
-    Path(path).write_text(json.dumps(out, indent=2) + "\n")
 
 
 def _render_lines(schema: DatabaseSchema, with_fks: bool) -> list[str]:

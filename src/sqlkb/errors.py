@@ -44,7 +44,7 @@ class DimensionMismatchError(SqlkbError):
 
 
 class ConfigError(SqlkbError):
-    """A configuration value is invalid."""
+    """A configuration value or command-line argument is invalid."""
 
 
 class UnknownEntryError(SqlkbError):

@@ -15,7 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .errors import (
     NonPositiveTimeError,
 )
 from .knowledge_base import normalize_text
-from .retriever import embed_blocks
+from .ranking import cosine_key
+from .retriever import raw_blocks
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase
@@ -218,25 +219,46 @@ class CoverageReport:
     per_gold: list[dict] = field(default_factory=list)
 
 
+def score_blocks(blocks: Iterable[tuple[int, np.ndarray]], probes: np.ndarray) -> np.ndarray:
+    """Each probe's best cosine similarity over the rows of raw row blocks,
+    given as (first row, rows) pairs.
+
+    `probes` holds raw provider rows, one per probe. Each block is scored
+    against all probes with one product and ranked by `cosine_key`; the best
+    key k of a probe p is returned as the cosine sign(k)·sqrt(|k|) / ‖p‖, 0
+    for an all-zero probe. With the hash backend the keys are exact, so the
+    result does not depend on the blocking. The result is -inf for a probe
+    with tokens when there are no rows.
+    """
+    best = np.full(len(probes), -np.inf)
+    for _, rows in blocks:
+        keys = cosine_key(probes @ rows.T, np.einsum("ij,ij->i", rows, rows))
+        np.maximum(best, keys.max(axis=1), out=best)
+    probe_norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
+    root = np.sign(best) * np.sqrt(np.abs(best))
+    return np.divide(root, probe_norms, out=np.zeros_like(best), where=probe_norms > 0)
+
+
 def kb_coverage(
     kb: "KnowledgeBase",
     gold_knowledge: Sequence[str],
     provider: "EmbeddingProvider",
-    best_similarity: Optional[Sequence[float]] = None,
+    blocks: Optional[Iterable[tuple[int, np.ndarray]]] = None,
 ) -> CoverageReport:
     """How well the KB covers a gold knowledge list: exact membership under
-    normalization, plus the best embedding similarity per gold item.
+    normalization, plus each gold item's best cosine similarity over the
+    KB's raw rows (see `score_blocks`), 0 for an empty KB.
 
-    `best_similarity` takes the per-gold maxima that
-    `load_or_build_index(..., probes)` computed already; without it the KB
-    is embedded and scored here, by `embed_blocks`.
+    `blocks` gives the KB's raw row blocks in id order, as
+    `StoredIndex.raw_blocks()` reads them from the index file; without it
+    the KB is embedded here one row block at a time (`raw_blocks`).
     """
     if not gold_knowledge:
         raise EmptySetError("gold knowledge list must be non-empty")
-    if best_similarity is None:
-        texts = [e.text for e in kb.sorted_entries()]
-        probes = np.array([provider.raw(g) for g in gold_knowledge])
-        best_similarity = embed_blocks(texts, provider, probes) if texts else [0.0] * len(probes)
+    probes = np.array([provider.raw(g) for g in gold_knowledge])
+    if blocks is None:
+        blocks = raw_blocks([e.text for e in kb.sorted_entries()], provider)
+    best_similarity = score_blocks(blocks, probes) if len(kb) else np.zeros(len(probes))
     per_gold = [
         {"gold": gold, "exact": gold in kb, "best_similarity": float(best)}
         for gold, best in zip(gold_knowledge, best_similarity, strict=True)

@@ -384,6 +384,8 @@ def _read_entries(
                 and isinstance(source, str) and isinstance(db_id, str)):
             key = next(k for k in ("id", "text", "source", "db_id") if not isinstance(obj[k], str))
             raise ParseError(f"{path}:{n}: {key} is not a string")
+        if not text.strip():  # KnowledgeEntry.from_text's rule
+            raise ParseError(f"{path}:{n}: text is empty or whitespace only")
         if origin is not None and not isinstance(origin, str):
             raise ParseError(f"{path}:{n}: origin_query_id is not a string or null")
         if iteration is not None and type(iteration) is not int:  # a bool is refused too

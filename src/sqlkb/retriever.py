@@ -26,7 +26,7 @@ from .errors import (
     UnknownEntryError,
 )
 from .knowledge_base import kb_digest
-from .ranking import ROW_CHUNK, cosine_key, normalize_rows, top_j
+from .ranking import ROW_CHUNK, normalize_rows, top_j
 from .transport import RetryPolicy, request_json
 
 if TYPE_CHECKING:
@@ -299,19 +299,19 @@ class StoredIndex:
     """The index kept in an index file, read one row block at a time.
 
     The matrix is never held whole: each scoring pass (`blocks()`) reads the
-    file again. `load_or_build_index` returns it once every member has been
-    read through the zip layer to its end, its CRC and shape checked, so a
-    damaged file is rebuilt before any score is made. The passes then read
-    the members' arrays straight from the file, at the places `layout` holds,
-    after checking that its `index.json` is still `meta`.
+    file again, as does each pass over the raw rows (`raw_blocks()`).
+    `load_or_build_index` returns it once every member has been read through
+    the zip layer to its end, its CRC and shape checked, so a damaged file is
+    rebuilt before any score is made. The passes then read the members'
+    arrays straight from the file, at the places `layout` and `raw_layout`
+    hold, after checking that its `index.json` is still `meta`.
     """
 
     entries: tuple["KnowledgeEntry", ...]
     path: Path
     meta: dict  # the file's index.json
     layout: list["_Member"]  # per row block, its matrix member, else its raw member
-    # Per probe of load_or_build_index: best provider cosine similarity over all entries.
-    probe_best: Optional[np.ndarray] = field(default=None, compare=False)
+    raw_layout: list["_Member"]  # per row block, its raw member
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -333,6 +333,18 @@ class StoredIndex:
         matrix rows or, without a head, the raw rows made into index rows as
         `build_index` makes them. With `only`, per block of those numbers
         (ascending); no other member is read."""
+        for first, rows in self._read_blocks(self.layout, only):
+            yield first, rows if self.meta["matrix"] else _index_rows(rows)
+
+    def raw_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first row, raw rows as float64) per row block, read from the raw
+        members: the rows `raw_blocks(texts, provider)` makes of the entries."""
+        for first, rows in self._read_blocks(self.raw_layout):
+            yield first, rows.astype(np.float64, copy=False)
+
+    def _read_blocks(
+        self, layout: list["_Member"], only: Optional[Sequence[int]] = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
         with open(self.path, "rb") as f:
             with zipfile.ZipFile(f) as zf:
                 if json.loads(zf.read(INDEX_META)) != self.meta:
@@ -340,15 +352,15 @@ class StoredIndex:
                         f"{self.path} was rebuilt for another KB, provider or head while in use"
                     )
             bounds = _block_bounds(len(self))
-            for k in range(len(self.layout)) if only is None else only:
-                yield bounds[k], self._read(f, self.layout[k])
+            for k in range(len(layout)) if only is None else only:
+                yield bounds[k], self._read(f, layout[k])
 
     def _read(self, f: BinaryIO, member: "_Member") -> np.ndarray:
         f.seek(member.offset)
         rows = np.empty(member.shape, member.dtype)
         if f.readinto(rows) != rows.nbytes:
             raise ParseError(f"{self.path} was cut short while in use")
-        return rows if self.meta["matrix"] else _index_rows(rows)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -444,30 +456,12 @@ def _ranks(
     return ranks
 
 
-def score_blocks(blocks: Iterable[np.ndarray], probes: np.ndarray) -> np.ndarray:
-    """Each probe's best cosine similarity over the rows of raw row blocks.
-
-    `probes` holds raw provider rows, one per probe. Each block is scored
-    against all probes with one product and ranked by `cosine_key`; the best
-    key k of a probe p is returned as the cosine sign(k)·sqrt(|k|) / ‖p‖, 0
-    for an all-zero probe. With the hash backend the keys are exact, so the
-    result does not depend on the blocking. The result is -inf for a probe
-    with tokens when there are no rows.
-    """
-    best = np.full(len(probes), -np.inf)
-    for rows in blocks:
-        keys = cosine_key(probes @ rows.T, np.einsum("ij,ij->i", rows, rows))
-        np.maximum(best, keys.max(axis=1), out=best)
-    probe_norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
-    root = np.sign(best) * np.sqrt(np.abs(best))
-    return np.divide(root, probe_norms, out=np.zeros_like(best), where=probe_norms > 0)
-
-
-def embed_blocks(
-    texts: Sequence[str], provider: EmbeddingProvider, probes: np.ndarray
-) -> np.ndarray:
-    """Embed texts one row block at a time and score them with `score_blocks`."""
-    return score_blocks((provider.raw_many(part) for _, part in _row_blocks(texts)), probes)
+def raw_blocks(
+    texts: Sequence[str], provider: EmbeddingProvider
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, raw rows) per row block of texts, embedded one block at a time."""
+    for first, part in _row_blocks(texts):
+        yield first, provider.raw_many(part)
 
 
 def _index_rows(raw: np.ndarray, head: Optional[ProjectionHead] = None) -> np.ndarray:
@@ -500,12 +494,11 @@ def _kept_rows(
     divided by their norms are `_index_rows` of them bit for bit."""
     rows = np.empty((len(texts), provider.dim), np.uint8)
     norms = np.empty((len(texts), 1))
-    for first, part in _row_blocks(texts):
-        raw = provider.raw_many(part)
-        norms[first : first + len(part)] = normalize_rows(raw)[1]
+    for first, raw in raw_blocks(texts, provider):
+        norms[first : first + len(raw)] = normalize_rows(raw)[1]
         block = _narrow(provider, raw)
         rows = rows.astype(np.promote_types(rows.dtype, block.dtype), copy=False)
-        rows[first : first + len(part)] = block
+        rows[first : first + len(raw)] = block
     return rows, norms
 
 
@@ -524,9 +517,8 @@ def build_index(
     """Embed and index every KB entry in memory, one row block at a time."""
     entries = _sorted_entries(kb)
     matrix = np.empty((len(entries), head.dim_out if head is not None else provider.dim))
-    for first, part in _row_blocks(entries):
-        raw = provider.raw_many([e.text for e in part])
-        matrix[first : first + len(part)] = _index_rows(raw, head)
+    for first, raw in raw_blocks([e.text for e in entries], provider):
+        matrix[first : first + len(raw)] = _index_rows(raw, head)
     return KnowledgeIndex(
         entries=entries,
         matrix=matrix,
@@ -540,7 +532,6 @@ def load_or_build_index(
     kb: "KnowledgeBase",
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead] = None,
-    probes: Optional[np.ndarray] = None,
 ) -> StoredIndex:
     """The KB's index, kept in the index file at `path` for later calls.
 
@@ -548,11 +539,9 @@ def load_or_build_index(
     text) pairs, the provider (its endpoint included) and the head.
     Otherwise, or when it is missing, truncated or corrupt, the index is
     built into a new file that replaces it; a stale or unreadable file is
-    reported with a warning. Its rows score bit for bit as `build_index`'s.
-    With `probes` (raw provider rows, one per probe), `probe_best` holds
-    each probe's best cosine similarity to the entries (see `score_blocks`),
-    scored against the raw rows stored in the file, one block at a time,
-    whether the file was loaded or just written.
+    reported with a warning. Its rows score bit for bit as `build_index`'s,
+    and its raw rows (`StoredIndex.raw_blocks`) are `raw_blocks`' of the
+    entries.
     """
     path = Path(path)
     key = {
@@ -562,7 +551,7 @@ def load_or_build_index(
     }
     if path.exists():
         try:
-            index = _load_index(path, key, kb, provider, head, probes)
+            index = _load_index(path, key, kb, provider, head)
         # Only a cache: whatever a damaged file raises (zipfile, numpy's header
         # parser and json each have their own errors), it is rebuilt.
         except Exception as exc:
@@ -575,7 +564,7 @@ def load_or_build_index(
             logger.warning(
                 "index file %s was built for another KB, provider or head; rebuilding it", path
             )
-    return _build_index_file(path, key, kb, provider, head, probes)
+    return _build_index_file(path, key, kb, provider, head)
 
 
 def _build_index_file(
@@ -584,7 +573,6 @@ def _build_index_file(
     kb: "KnowledgeBase",
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead],
-    probes: Optional[np.ndarray],
 ) -> StoredIndex:
     """Embed the KB one row block at a time into a temporary file, which
     then replaces the file at `path` at once, so no reader pairs the key with
@@ -599,8 +587,7 @@ def _build_index_file(
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as file, zipfile.ZipFile(file, "w") as zf:
-            for block, (_, part) in enumerate(_row_blocks(entries)):
-                raw = provider.raw_many([e.text for e in part])
+            for block, (_, raw) in enumerate(raw_blocks([e.text for e in entries], provider)):
                 if head is not None:
                     meta["matrix"].append(f"matrix/{block}.npy")
                     _write_array(zf, meta["matrix"][-1], _index_rows(raw.copy(), head))
@@ -610,16 +597,13 @@ def _build_index_file(
             # arrays: a name alone would stamp the current time
             zf.writestr(zipfile.ZipInfo(INDEX_META), json.dumps(meta))
         with open(tmp, "rb") as f, zipfile.ZipFile(f) as zf:
-            layout = _layout(f, zf, meta["matrix"] or meta["raw"])
-            best = None
-            if probes is not None:
-                raw_rows = _stored_rows(zf, meta["raw"], (len(entries), provider.dim))
-                best = score_blocks(raw_rows, probes)
+            raw_layout = _layout(f, zf, meta["raw"])
+            layout = _layout(f, zf, meta["matrix"]) or raw_layout
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
-    return StoredIndex(entries, path, meta, layout, best)
+    return StoredIndex(entries, path, meta, layout, raw_layout)
 
 
 def _load_index(
@@ -628,7 +612,6 @@ def _load_index(
     kb: "KnowledgeBase",
     provider: EmbeddingProvider,
     head: Optional[ProjectionHead],
-    probes: Optional[np.ndarray],
 ) -> Optional[StoredIndex]:
     """The index stored at `path`, or None when it was built for another key.
 
@@ -641,22 +624,20 @@ def _load_index(
             return None
         if bool(meta["matrix"]) != (head is not None):
             raise ValueError(f"matrix members {meta['matrix']} do not fit head {key['head']}")
-        n = len(kb)
-        raw = _stored_rows(zf, meta["raw"], (n, provider.dim))
-        best = score_blocks(raw, probes) if probes is not None else None
-        matrix = () if head is None else _stored_rows(zf, meta["matrix"], (n, head.dim_out), True)
-        for _ in chain(raw, matrix):  # to the end: a damaged member raises here
-            pass
-        layout = _layout(f, zf, meta["matrix"] or meta["raw"])
-    return StoredIndex(tuple(kb.sorted_entries()), path, meta, layout, best)
+        _check_members(zf, meta["raw"], (len(kb), provider.dim))
+        if head is not None:
+            _check_members(zf, meta["matrix"], (len(kb), head.dim_out), matrix=True)
+        raw_layout = _layout(f, zf, meta["raw"])
+        layout = _layout(f, zf, meta["matrix"]) or raw_layout
+    return StoredIndex(tuple(kb.sorted_entries()), path, meta, layout, raw_layout)
 
 
-def _stored_rows(
+def _check_members(
     zf: zipfile.ZipFile, names: list[str], shape: tuple[int, int], matrix: bool = False
-) -> Iterator[np.ndarray]:
-    """The stored row blocks as float64, one at a time, checked to be the row
-    blocks of `shape`, member k holding exactly the rows of block k (and, for
-    `matrix` blocks, to be stored as float64)."""
+) -> None:
+    """Read each member to its end, so a damaged one raises here, and check
+    that the members are the row blocks of `shape`, member k holding exactly
+    the rows of block k (and, for `matrix` members, stored as float64)."""
     bounds = _block_bounds(shape[0])
     if len(names) != len(bounds) - 1:
         raise ValueError(f"{len(names)} members stored for {len(bounds) - 1} row blocks")
@@ -666,7 +647,6 @@ def _stored_rows(
             raise ValueError(f"{name} has shape {rows.shape}, not {(end - first, shape[1])}")
         if matrix and rows.dtype != np.float64:
             raise ValueError(f"{name} is {rows.dtype}, not float64")
-        yield rows.astype(np.float64, copy=False)
 
 
 def _layout(f: BinaryIO, zf: zipfile.ZipFile, names: list[str]) -> list[_Member]:

@@ -70,7 +70,7 @@ def tie_heavy_texts() -> Callable[[int, int], list[str]]:
 
 @pytest.fixture(scope="session")
 def count_best_cosines() -> Callable[[EmbeddingProvider, list[str], list[str]], list[float]]:
-    """Per probe text, the best cosine over `texts` as `embed_blocks` reports
+    """Per probe text, the best cosine over `texts` as `kb_coverage` reports
     it, from the hash backend's token counts pair by pair in exact arithmetic:
     the largest key d·|d| / ‖row‖² (0 for an all-zero row), then
     sign(key)·sqrt(|key|) / ‖probe‖ (0 for an all-zero probe)."""

@@ -158,6 +158,23 @@ def test_retrieve_prints_ranked_entries(workdir, capsys):
     assert scores == sorted(scores, reverse=True)
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("",), "the query is empty or whitespace only"),
+        (("--force", "--set", "pipeline.top_j=0", "employees"),
+         "[pipeline] top_j must be >= 1 to retrieve, got 0"),
+    ],
+    ids=["empty query", "top_j=0"],
+)
+def test_retrieve_refuses_bad_input_with_a_config_error(workdir, capsys, argv, where):
+    run_cli(workdir, "build-kb")
+    capsys.readouterr()
+    assert run_cli(workdir, "retrieve", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and where in err
+
+
 def test_full_workflow(workdir, capsys):
     for cmd in ("build-kb", "train-retriever", "generate", "evaluate"):
         assert run_cli(workdir, cmd) == 0, cmd
@@ -644,6 +661,8 @@ def test_generate_on_empty_kb_retrieves_nothing(workdir, caplog):
         (OUTPUTS_FILE, "evaluate", "knowledge", "outputs.jsonl:2: knowledge is an empty string", ""),
         (OUTPUTS_FILE, "evaluate", "query_id", "outputs.jsonl:2: query_id is not a string", ["test000"]),
         (KB_FILE, "stats", "text", "kb.jsonl:2: text is not a string", 5),
+        (KB_FILE, "stats", "text", "kb.jsonl:2: text is empty or whitespace only", ""),
+        (KB_FILE, "evaluate", "text", "kb.jsonl:2: text is empty or whitespace only", " \t"),
         (KB_FILE, "generate", "id", "kb.jsonl:2: id is not a string", 7),
         (KB_FILE, "stats", "source", "kb.jsonl:2: source is not a string", ["dataset"]),
         (KB_FILE, "stats", "db_id", "kb.jsonl:2: db_id is not a string", ["company"]),

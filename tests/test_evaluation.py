@@ -246,9 +246,8 @@ def test_kb_coverage_best_similarity_bit_identical(
     gold = tie_heavy_texts(12, seed=5)
     want = count_best_cosines(provider, [e.text for e in kb.sorted_entries()], gold)
     walked = kb_coverage(kb, gold, provider)
-    probes = np.array([provider.raw(g) for g in gold])
-    index = load_or_build_index(tmp_path / "kb_index.npz", kb, provider, None, probes)
-    supplied = kb_coverage(kb, gold, provider, index.probe_best)
+    index = load_or_build_index(tmp_path / "kb_index.npz", kb, provider)
+    supplied = kb_coverage(kb, gold, provider, index.raw_blocks())
     for report in (walked, supplied):
         assert [p["best_similarity"] for p in report.per_gold] == want
         assert report.mean_best_similarity == float(np.mean(want))
@@ -262,13 +261,13 @@ def test_kb_coverage_maxima_do_not_depend_on_row_chunk(
     for text in tie_heavy_texts(300):
         kb.add(KnowledgeEntry.from_text(text, "dataset", "db"))
     gold = tie_heavy_texts(12, seed=5)
-    probes = np.array([provider.raw(g) for g in gold])
     maxima = []
     for chunk in (1, 7, 256):
         monkeypatch.setattr(retriever, "ROW_CHUNK", chunk)
-        maxima.append([p["best_similarity"] for p in kb_coverage(kb, gold, provider).per_gold])
-        index = load_or_build_index(tmp_path / f"index{chunk}.npz", kb, provider, None, probes)
-        maxima.append(index.probe_best.tolist())
+        index = load_or_build_index(tmp_path / f"index{chunk}.npz", kb, provider)
+        for blocks in (None, index.raw_blocks()):
+            report = kb_coverage(kb, gold, provider, blocks)
+            maxima.append([p["best_similarity"] for p in report.per_gold])
     assert all(m == maxima[0] for m in maxima)
 
 

@@ -19,6 +19,7 @@ from sqlkb.errors import (
     UnknownEntryError,
 )
 from sqlkb import retriever
+from sqlkb.evaluation import kb_coverage
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, entry_id
 from sqlkb.ranking import normalize_rows, rank_of, top_j
 from sqlkb.retriever import (
@@ -31,7 +32,6 @@ from sqlkb.retriever import (
     TrainingPair,
     build_index,
     embed,
-    embed_blocks,
     eval_retrieval,
     info_nce_batch,
     info_nce_loss,
@@ -282,6 +282,13 @@ def stored_matrix(index):
     return np.concatenate([rows for _, rows in index.blocks()])
 
 
+def best_similarities(kb, gold, provider, index=None):
+    """Per gold text, `kb_coverage`'s best similarity over the raw rows an
+    index file holds, or without an index over the KB embedded."""
+    blocks = index.raw_blocks() if index is not None else None
+    return [p["best_similarity"] for p in kb_coverage(kb, gold, provider, blocks).per_gold]
+
+
 def test_build_index_empty_kb(provider):
     with pytest.raises(EmptyKbError):
         build_index(KnowledgeBase(), provider)
@@ -316,18 +323,19 @@ KB_SIZES = [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3]
 
 @pytest.mark.parametrize("n", KB_SIZES)
 @pytest.mark.parametrize("head_dim", [None, 32])
-def test_build_index_probes_leave_matrix_unchanged(
+def test_stored_index_scores_as_built_and_covers_exactly(
     tmp_path, provider, tie_heavy_texts, count_best_cosines, n, head_dim
 ):
     kb = make_kb(tie_heavy_texts(n))
     head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
-    probe_texts = tie_heavy_texts(5, seed=9)
-    probes = provider.raw_many(probe_texts)
+    gold = tie_heavy_texts(5, seed=9)
     plain = build_index(kb, provider, head)
-    probed = load_or_build_index(tmp_path / "kb_index.npz", kb, provider, head, probes)
-    assert np.array_equal(stored_matrix(probed), plain.matrix)
+    stored = load_or_build_index(tmp_path / "kb_index.npz", kb, provider, head)
+    assert np.array_equal(stored_matrix(stored), plain.matrix)
     texts = [e.text for e in kb.sorted_entries()]
-    assert probed.probe_best.tolist() == count_best_cosines(provider, texts, probe_texts)
+    assert best_similarities(kb, gold, provider, stored) == count_best_cosines(
+        provider, texts, gold
+    )
 
 
 @pytest.mark.parametrize("n", KB_SIZES)
@@ -335,27 +343,21 @@ def test_build_index_probes_leave_matrix_unchanged(
 def test_loaded_index_equals_built_index(tmp_path, provider, tie_heavy_texts, n, head_dim):
     kb = make_kb(tie_heavy_texts(n))
     head = init_head(provider.dim, head_dim, seed=1) if head_dim else None
-    probes = provider.raw_many(tie_heavy_texts(5, seed=9))
-    built = load_or_build_index(tmp_path / "built.npz", kb, provider, head, probes)
-    texts = [e.text for e in kb.sorted_entries()]
-    assert built.probe_best.tolist() == embed_blocks(texts, provider, probes).tolist()
+    gold = tie_heavy_texts(5, seed=9)
+    built = load_or_build_index(tmp_path / "built.npz", kb, provider, head)
+    built_best = best_similarities(kb, gold, provider, built)
+    assert built_best == best_similarities(kb, gold, provider)
     path = tmp_path / "kb_index.npz"
-    # written without probes, as by generate; loaded with and without them
     load_or_build_index(path, kb, provider, head)
-    for loaded in (
-        load_or_build_index(path, kb, provider, head, probes),
-        load_or_build_index(path, kb, provider, head),
-    ):
+    for _ in range(2):
+        loaded = load_or_build_index(path, kb, provider, head)
         assert loaded.ids == built.ids
         assert np.array_equal(stored_matrix(loaded), stored_matrix(built))
         assert (loaded.provider_fingerprint, loaded.head_fingerprint) == (
             built.provider_fingerprint,
             built.head_fingerprint,
         )
-    assert loaded.probe_best is None
-    assert load_or_build_index(path, kb, provider, head, probes).probe_best.tolist() == (
-        built.probe_best.tolist()
-    )
+        assert best_similarities(kb, gold, provider, loaded) == built_best
     with pytest.raises(ConfigError):
         retrieve("alpha", loaded, 1, provider, init_head(provider.dim, 8, seed=2))
 
@@ -484,20 +486,20 @@ def test_damaged_index_file_is_rebuilt_with_a_warning(
     tmp_path, tmp_path_factory, provider, caplog, damage
 ):
     kb = make_kb([f"entry {i} token{i % 7} shared words" for i in range(2 * ROW_CHUNK)])
-    probes = provider.raw_many(["token3 words", "entry 5"])
+    gold = ["token3 words", "entry 5"]
     fresh = tmp_path_factory.mktemp("fresh") / "kb_index.npz"
-    built = load_or_build_index(fresh, kb, provider, None, probes)
-    texts = [e.text for e in kb.sorted_entries()]
-    assert built.probe_best.tolist() == embed_blocks(texts, provider, probes).tolist()
+    built = load_or_build_index(fresh, kb, provider)
+    built_best = best_similarities(kb, gold, provider, built)
+    assert built_best == best_similarities(kb, gold, provider)
     path = tmp_path / "kb_index.npz"
     load_or_build_index(path, kb, provider)
     path.write_bytes(damage(path.read_bytes()))
-    index = load_or_build_index(path, kb, provider, None, probes)
+    index = load_or_build_index(path, kb, provider)
     assert "is unreadable" in caplog.text
     assert np.array_equal(stored_matrix(index), stored_matrix(built))
-    assert index.probe_best.tolist() == built.probe_best.tolist()
+    assert best_similarities(kb, gold, provider, index) == built_best
     caplog.clear()
-    load_or_build_index(path, kb, provider, None, probes)
+    load_or_build_index(path, kb, provider)
     assert not caplog.text
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -508,18 +510,18 @@ def test_index_file_holds_token_counts_exactly(
 ):
     kb = make_kb(["word " * repeats, "word and other words", "no shared tokens"])
     texts = [e.text for e in kb.sorted_entries()]
-    probe_texts = ["word", "other words"]
-    probes = provider.raw_many(probe_texts)
-    built = load_or_build_index(tmp_path / "built.npz", kb, provider, None, probes)
-    assert built.probe_best.tolist() == count_best_cosines(provider, texts, probe_texts)
+    gold = ["word", "other words"]
+    built = load_or_build_index(tmp_path / "built.npz", kb, provider)
+    built_best = best_similarities(kb, gold, provider, built)
+    assert built_best == count_best_cosines(provider, texts, gold)
     path = tmp_path / "kb_index.npz"
     load_or_build_index(path, kb, provider)
     with np.load(path) as stored_file:
         stored = stored_file["raw/0"]
     assert stored.dtype == dtype
     assert np.array_equal(stored, provider.raw_many(texts))
-    loaded = load_or_build_index(path, kb, provider, None, probes)
-    assert loaded.probe_best.tolist() == built.probe_best.tolist()
+    loaded = load_or_build_index(path, kb, provider)
+    assert best_similarities(kb, gold, provider, loaded) == built_best
 
 
 def test_index_requires_entries_in_id_order(provider):
