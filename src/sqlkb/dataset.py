@@ -217,6 +217,8 @@ def load_dataset(
         gold_sql = rec.get("SQL")
         if gold_sql is not None and not isinstance(gold_sql, str):
             raise ParseError(f"{path}: record {qid} SQL must be a string or null")
+        if gold_sql is not None and not gold_sql.strip():  # it would run as a match for no rows
+            raise ParseError(f"{path}: record {qid} SQL is empty or whitespace only")
         records.append(
             ExampleTriplet(
                 query=Query(id=qid, text=text, db_id=db_id),

@@ -147,6 +147,9 @@ def init_kb(dataset: Dataset, config: Optional[KbBuildConfig] = None) -> Knowled
 # Query rows scored per count product: bounds the (block, records) temporaries.
 EXAMPLE_BLOCK = 64
 
+# float32 holds every integer up to 2**24 exactly.
+_FLOAT32_EXACT = 2**24
+
 
 def example_pools(
     dataset: Dataset,
@@ -160,21 +163,29 @@ def example_pools(
     candidate gets an empty list. Both `build-kb` and `generate` rank this
     way, in one pass over the dataset's question rows.
 
-    Query rows are scored EXAMPLE_BLOCK at a time, by one product with every
-    question row and `cosine_key`. Records without knowledge (or SQL, when
-    required) score -inf. So do those sharing the query's id when the query
-    is one of the dataset's own: a query of another split may share an id
-    alone. Ties break by record id; -inf keys are cut from the pools. Given
-    queries are embedded in one batch. Only with integer (hash) rows is
-    each pool the one-query call's bit for bit: a float row block's product
-    can differ in the last bits, so near-ties may order differently.
+    Query rows are scored EXAMPLE_BLOCK at a time, by their dot products
+    with every question row (`_dots`) and `cosine_key`. Records without
+    knowledge (or SQL, when required) score -inf. So do those sharing the
+    query's id when the query is one of the dataset's own: a query of
+    another split may share an id alone. Ties break by record id; -inf keys
+    are cut from the pools. Given queries are embedded in one batch. Only
+    with integer (hash) rows is each pool the one-query call's bit for bit:
+    a float row block's product can differ in the last bits, so near-ties
+    may order differently.
+
+    The question rows are kept as `_kept_rows` makes them (hash token counts
+    as uint8, or uint16 where a count passes 255), and the given queries'
+    as the embedder's cache keeps them; both are widened a row block at a
+    time.
     """
+    from .retriever import _kept_rows
+
     if k < 1:
         raise ValueError("k must be >= 1")
     records = dataset.records
     ids = [rec.query.id for rec in records]
-    rows = embedder.raw_many([rec.query.text for rec in records])
-    sq_norms = np.einsum("ij,ij->i", rows, rows)
+    rows = _kept_rows(embedder, [rec.query.text for rec in records])[0]
+    sq_norms = _sq_norms(rows)
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     positions: dict[str, list[int]] = {}  # record id -> positions of its records
@@ -186,14 +197,21 @@ def example_pools(
         dtype=bool,
     )
     if queries is None:
-        queries, query_rows = [rec.query for rec in records], rows
+        queries, query_rows, query_sq_norms = [rec.query for rec in records], rows, sq_norms
     else:
         texts = [q.text for q in queries]
         embedder.cache_raw(texts)
         query_rows = np.array([embedder.raw(t) for t in texts])
+        query_sq_norms = _sq_norms(query_rows)
+    # Counts (never negative) whose squared norms are all below 2**24 have
+    # every dot product, and every partial sum of one, an integer below
+    # 2**24 (Cauchy-Schwarz), so a float32 product makes them exactly.
+    largest = max(sq_norms.max(initial=0), query_sq_norms.max(initial=0))
+    wide = np.float32 if largest < _FLOAT32_EXACT else np.float64
     pools = []
     for start in range(0, len(queries), EXAMPLE_BLOCK):
-        keys = cosine_key(query_rows[start : start + EXAMPLE_BLOCK] @ rows.T, sq_norms)
+        dots = _dots(query_rows[start : start + EXAMPLE_BLOCK], rows, wide)
+        keys = cosine_key(dots, sq_norms)
         keys[:, ~usable] = -np.inf
         for key, query in zip(keys, queries[start : start + EXAMPLE_BLOCK]):
             same_id = positions.get(query.id, [])
@@ -201,6 +219,34 @@ def example_pools(
                 key[same_id] = -np.inf
             pools.append([records[i] for i in top_j(key, k, id_rank) if key[i] > -np.inf])
     return pools
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's squared norm in float64, widened ROW_CHUNK rows at a time."""
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), ROW_CHUNK):
+        part = rows[start : start + ROW_CHUNK].astype(np.float64)
+        out[start : start + len(part)] = np.einsum("ij,ij->i", part, part)
+    return out
+
+
+def _dots(queries: np.ndarray, rows: np.ndarray, wide: type) -> np.ndarray:
+    """dots[i, r]: query row i's dot product with row r, in float64.
+
+    Float rows (the http backend's) take one float64 matrix product, whose
+    last bits, and so near-tie order, do not depend on a row blocking. Count
+    rows are widened to `wide` ROW_CHUNK rows at a time; `example_pools`
+    picks float32 only where it gives every dot product exactly, so the
+    result is the float64 product's bit for bit.
+    """
+    if rows.dtype.kind == "f":
+        return queries @ rows.T
+    dots = np.empty((len(queries), len(rows)))
+    wide_queries = queries.astype(wide)
+    for start in range(0, len(rows), ROW_CHUNK):
+        part = rows[start : start + ROW_CHUNK].astype(wide)
+        dots[:, start : start + len(part)] = wide_queries @ part.T
+    return dots
 
 
 def select_examples(

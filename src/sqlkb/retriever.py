@@ -25,6 +25,7 @@ from .errors import (
     ProviderError,
     UnknownEntryError,
 )
+from .jsonl import scan_object
 from .knowledge_base import kb_digest
 from .ranking import ROW_CHUNK, normalize_rows, top_j
 from .transport import RetryPolicy, request_json
@@ -65,7 +66,10 @@ class EmbeddingProvider:
 
     `raw`/`raw_many` return the raw rows; `embed` returns one text's row
     L2-normalized (an all-zero row is returned as-is), as `_index_rows` makes
-    the index and query rows of many.
+    the index and query rows of many. The per-text cache that `raw` and
+    `cache_raw` fill holds the rows as `_narrow` keeps each batch (hash
+    token counts as uint8, or wider where a count needs it), so a caller
+    doing arithmetic on a cached row widens it first.
     """
 
     name: str = "hash"
@@ -73,7 +77,7 @@ class EmbeddingProvider:
     backend: str = "hash"  # "hash" | "http"
     endpoint: Optional[str] = None
     timeout: float = 30.0
-    _cache: dict = field(default_factory=dict, repr=False)  # text -> raw row
+    _cache: dict = field(default_factory=dict, repr=False)  # text -> `_narrow` raw row
 
     def __post_init__(self) -> None:
         if self.backend not in ("hash", "http"):
@@ -92,13 +96,14 @@ class EmbeddingProvider:
 
     def embed(self, text: str) -> np.ndarray:
         """Return an L2-normalized vector of length dim, from the cached raw row."""
-        return _index_rows(self.raw(text)[None].copy())[0]
+        return _index_rows(self.raw(text)[None].astype(np.float64))[0]
 
     def raw(self, text: str) -> np.ndarray:
-        """Return the raw (unnormalized) row of one text, cached per text."""
+        """Return the raw (unnormalized) row of one text, cached per text as
+        `_narrow` keeps it."""
         cached = self._cache.get(text)
         if cached is None:
-            cached = self._cache[text] = self.raw_many([text])[0]
+            cached = self._cache[text] = _narrow(self, self.raw_many([text])[0])
         return cached
 
     def cache_raw(self, texts: Iterable[str]) -> None:
@@ -106,7 +111,7 @@ class EmbeddingProvider:
         from one `raw_many` call (HTTP_BATCH texts per http request)."""
         missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
         if missing:
-            self._cache.update(zip(missing, self.raw_many(missing)))
+            self._cache.update(zip(missing, _narrow(self, self.raw_many(missing))))
 
     def raw_many(self, texts: Sequence[str]) -> np.ndarray:
         """Raw rows of a batch of texts as an (n, dim) array, bypassing the cache.
@@ -231,19 +236,38 @@ class ProjectionHead:
 
     @classmethod
     def load(cls, path: Path | str) -> tuple["ProjectionHead", dict]:
+        """The head and the file's other fields. The weights are built a row
+        at a time (`scan_object`); a file that scan does not take, or whose
+        rows are not flat lists of one length that float64 holds, goes
+        through `json.loads`, so every value and error text are its own."""
         try:
-            obj = json.loads(Path(path).read_text())
-            head = cls(
-                weights=np.asarray(obj["weights"], dtype=np.float64),
-                tau=obj["tau"],
-                holdout_mrr=obj.get("holdout_mrr"),
-            )
+            text = Path(path).read_text()
+            try:
+                obj, rows = scan_object(text, "weights", _weight_row)
+                weights = np.stack(rows)
+            # StopIteration: a value cut short; IndexError: the text cut
+            # short; TypeError, OverflowError: a weight float() refuses
+            except (StopIteration, IndexError, ValueError, TypeError, OverflowError,
+                    RecursionError):
+                obj = json.loads(text)
+                weights = np.asarray(obj["weights"], dtype=np.float64)
+            head = cls(weights=weights, tau=obj["tau"], holdout_mrr=obj.get("holdout_mrr"))
         except KeyError as exc:
             raise ParseError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        # OverflowError: an integer weight too large for a float
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
         meta = {k: v for k, v in obj.items() if k != "weights"}
         return head, meta
+
+
+def _weight_row(row: object) -> np.ndarray:
+    """One scanned weight row as float64, as `np.asarray` of the nested list
+    makes it; ValueError unless it is a flat list."""
+    values = np.array(row, dtype=np.float64) if type(row) is list else None
+    if values is None or values.ndim != 1:
+        raise ValueError("a weight row is not a flat list")
+    return values
 
 
 def init_head(dim_in: int, dim_out: int, seed: int = 0) -> ProjectionHead:
@@ -303,15 +327,15 @@ class StoredIndex:
     `load_or_build_index` returns it once every member has been read through
     the zip layer to its end, its CRC and shape checked, so a damaged file is
     rebuilt before any score is made. The passes then read the members'
-    arrays straight from the file, at the places `layout` and `raw_layout`
-    hold, after checking that its `index.json` is still `meta`.
+    arrays straight from the file, after checking that its `index.json` is
+    still `meta`: the scoring members at the places `layout` holds, the raw
+    members at the places each `raw_blocks()` pass finds.
     """
 
     entries: tuple["KnowledgeEntry", ...]
     path: Path
     meta: dict  # the file's index.json
     layout: list["_Member"]  # per row block, its matrix member, else its raw member
-    raw_layout: list["_Member"]  # per row block, its raw member
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -339,18 +363,22 @@ class StoredIndex:
     def raw_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """(first row, raw rows as float64) per row block, read from the raw
         members: the rows `raw_blocks(texts, provider)` makes of the entries."""
-        for first, rows in self._read_blocks(self.raw_layout):
+        for first, rows in self._read_blocks(None):
             yield first, rows.astype(np.float64, copy=False)
 
     def _read_blocks(
-        self, layout: list["_Member"], only: Optional[Sequence[int]] = None
+        self, layout: Optional[list["_Member"]], only: Optional[Sequence[int]] = None
     ) -> Iterator[tuple[int, np.ndarray]]:
+        """Row blocks read at the places `layout` holds; with None, at the
+        raw members' places, found in the file on this pass."""
         with open(self.path, "rb") as f:
             with zipfile.ZipFile(f) as zf:
                 if json.loads(zf.read(INDEX_META)) != self.meta:
                     raise ParseError(
                         f"{self.path} was rebuilt for another KB, provider or head while in use"
                     )
+                if layout is None:
+                    layout = _layout(f, zf, self.meta["raw"])
             bounds = _block_bounds(len(self))
             for k in range(len(layout)) if only is None else only:
                 yield bounds[k], self._read(f, layout[k])
@@ -597,13 +625,12 @@ def _build_index_file(
             # arrays: a name alone would stamp the current time
             zf.writestr(zipfile.ZipInfo(INDEX_META), json.dumps(meta))
         with open(tmp, "rb") as f, zipfile.ZipFile(f) as zf:
-            raw_layout = _layout(f, zf, meta["raw"])
-            layout = _layout(f, zf, meta["matrix"]) or raw_layout
+            layout = _layout(f, zf, meta["matrix"] or meta["raw"])
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
-    return StoredIndex(entries, path, meta, layout, raw_layout)
+    return StoredIndex(entries, path, meta, layout)
 
 
 def _load_index(
@@ -627,9 +654,8 @@ def _load_index(
         _check_members(zf, meta["raw"], (len(kb), provider.dim))
         if head is not None:
             _check_members(zf, meta["matrix"], (len(kb), head.dim_out), matrix=True)
-        raw_layout = _layout(f, zf, meta["raw"])
-        layout = _layout(f, zf, meta["matrix"]) or raw_layout
-    return StoredIndex(tuple(kb.sorted_entries()), path, meta, layout, raw_layout)
+        layout = _layout(f, zf, meta["matrix"] or meta["raw"])
+    return StoredIndex(tuple(kb.sorted_entries()), path, meta, layout)
 
 
 def _check_members(

@@ -624,6 +624,8 @@ def test_evaluate_on_empty_kb_reports_zero_coverage(workdir, capsys):
          "head.json: head weights must be a non-empty 2-D matrix"),
         (lambda text: json.dumps({**json.loads(text), "weights": []}),
          "head.json: head weights must be a non-empty 2-D matrix"),
+        (lambda text: json.dumps({**json.loads(text), "weights": [[10**400]]}),
+         "head.json: int too large to convert to float"),
     ],
 )
 def test_corrupt_head_is_clean_error(workdir, capsys, corrupt, where):

@@ -173,6 +173,18 @@ def test_non_string_sql_is_parse_error(tmp_path, toy_dir):
         load_dataset(path, toy_dir / "databases")
 
 
+@pytest.mark.parametrize("sql", ["", "  ", "\n\t"])
+def test_blank_sql_is_parse_error(tmp_path, toy_dir, sql):
+    """A blank gold statement would run as `ok` with no rows, so any
+    prediction returning no rows would match it."""
+    path = tmp_path / "sql.json"
+    path.write_text(json.dumps(
+        [{"question_id": "q7", "question": "blank gold", "db_id": "company", "SQL": sql}]
+    ))
+    with pytest.raises(ParseError, match=f"{re.escape(str(path))}: record q7 SQL is empty"):
+        load_dataset(path, toy_dir / "databases")
+
+
 def test_load_schema_empty_database(tmp_path):
     path = tmp_path / "empty.sqlite"
     sqlite3.connect(path).close()

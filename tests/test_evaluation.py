@@ -271,6 +271,32 @@ def test_kb_coverage_maxima_do_not_depend_on_row_chunk(
     assert all(m == maxima[0] for m in maxima)
 
 
+def test_narrow_cached_rows_score_as_float64_rows(tmp_path, count_best_cosines):
+    """The per-text cache keeps uint8 or uint16 rows (uint16 for a whole
+    `cache_raw` batch when one of its counts needs it); coverage, semantic
+    similarity and `embed` made from them are those of the float64 rows."""
+    provider = retriever.EmbeddingProvider(dim=64)
+    kb = KnowledgeBase()
+    for text in ["alpha " * 300 + "beta", "alpha beta gamma", "gamma delta", "beta " * 40]:
+        kb.add(KnowledgeEntry.from_text(text, "dataset", "db"))
+    gold = ["alpha " * 280 + "gamma", "beta gamma", "delta " * 256 + "alpha", "gamma beta"]
+    provider.cache_raw(gold[:2])
+    assert [provider.raw(g).dtype for g in gold] == [np.uint16, np.uint16, np.uint16, np.uint8]
+    want = count_best_cosines(provider, [e.text for e in kb.sorted_entries()], gold)
+    index = load_or_build_index(tmp_path / "kb_index.npz", kb, provider)
+    for blocks in (None, index.raw_blocks()):
+        report = kb_coverage(kb, gold, provider, blocks)
+        assert [p["best_similarity"] for p in report.per_gold] == want
+
+    def wide_embed(text):
+        return retriever._index_rows(provider.raw_many([text]))[0]
+
+    for text in gold:
+        assert provider.embed(text).tobytes() == wide_embed(text).tobytes()
+    for a, b in [(gold[0], gold[1]), (gold[2], gold[0]), (gold[1], gold[1])]:
+        assert knowledge_semantic_similarity(a, b, provider) == float(wide_embed(a) @ wide_embed(b))
+
+
 def test_kb_coverage_empty_kb_reports_zero(provider):
     report = kb_coverage(KnowledgeBase(), ["alpha beta", "gamma"], provider)
     assert report.mean_best_similarity == 0.0

@@ -1,5 +1,6 @@
 """The shared ranking core against full-sort oracles, on tie-heavy inputs."""
 
+import hashlib
 from fractions import Fraction
 from unittest import mock
 
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlkb.dataset import Dataset, ExampleTriplet, Query
-from sqlkb import knowledge_base
+from sqlkb import knowledge_base, retriever
 from sqlkb.errors import InsufficientExamplesError
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, example_pools, select_examples
-from sqlkb.ranking import normalize_rows, rank_of, top_j
+from sqlkb.ranking import ROW_CHUNK, cosine_key, normalize_rows, rank_of, top_j
 from sqlkb.retriever import EmbeddingProvider, build_index, embed, eval_retrieval
 
 
@@ -204,3 +205,85 @@ def test_select_examples_equals_exact_ranking(case, k):
                 assert [[r.query.id for r in pool] for pool in pools] == [
                     _exact_ranking(rec.query, records, provider)[:k] for rec in dataset.records
                 ]
+
+
+# --- the pool pass on narrow count rows ---
+
+def _records(texts):
+    return tuple(
+        ExampleTriplet(query=Query(id=f"r{i}", text=t, db_id="db"), schema_ref="db", knowledge="fact")
+        for i, t in enumerate(texts)
+    )
+
+
+def _ids(pools):
+    return [[r.query.id for r in pool] for pool in pools]
+
+
+def _check_pools_exact(records, probes, provider, k):
+    """Every pool of the dataset's own pass and of the probes' pass, and each
+    probe's one-query `select_examples` call, is the exact ranking."""
+    ds = Dataset(records=records)
+    assert _ids(example_pools(ds, k, provider)) == [
+        _exact_ranking(rec.query, records, provider)[:k] for rec in records
+    ]
+    want = [_exact_ranking(probe, records, provider)[:k] for probe in probes]
+    assert _ids(example_pools(ds, k, provider, probes)) == want
+    assert [_ids([select_examples(p, ds, k, provider)])[0] for p in probes] == want
+    return want
+
+
+def test_pools_past_the_float32_exact_range_equal_exact_ranking():
+    """One token 4,097 times makes squared norms above 2**24, where float32
+    holds only every other integer: a float32 product would rank the second
+    and third texts above the query's own text. The pass widens to float64."""
+    provider = EmbeddingProvider(dim=64)
+    assert provider.raw("alpha").argmax() != provider.raw("beta").argmax()
+    big = "alpha " * 4097
+    texts = [big + "beta", big + "beta beta", big, "alpha beta", "gamma"]
+    probe = Query(id="probe", text=big + "beta", db_id="db")
+    assert provider.raw(probe.text).dtype == np.uint16
+    want = _check_pools_exact(_records(texts), [probe], provider, 5)
+    assert want[0][:3] == ["r0", "r1", "r2"]
+
+
+def test_pools_of_uint16_counts_equal_exact_ranking():
+    """Counts above 255 are kept as uint16, in the pass and in the cache,
+    and widened (to float32: every squared norm is below 2**24) before the
+    product."""
+    provider = EmbeddingProvider(dim=32)
+    texts = ["alpha " * 300 + "beta", "alpha " * 300 + "beta beta", "alpha " * 299,
+             "alpha beta", "beta " * 256, "gamma delta", "alpha"]
+    records = _records(texts)
+    assert retriever._kept_rows(provider, texts)[0].dtype == np.uint16
+    probes = [Query(id="p0", text="alpha " * 300 + "beta", db_id="db"),
+              Query(id="p1", text="beta gamma", db_id="db")]
+    provider.cache_raw([p.text for p in probes])
+    assert [provider.raw(p.text).dtype for p in probes] == [np.uint16, np.uint16]
+    assert provider.raw("beta gamma delta").dtype == np.uint8
+    want = _check_pools_exact(records, probes, provider, 6)
+    assert want[0][:2] == ["r0", "r1"]
+
+
+def _float_rows(path, texts):
+    """Embedding-service rows of arbitrary floats, fixed per text."""
+    seeds = [int.from_bytes(hashlib.sha256(t.encode()).digest()[:4], "big") for t in texts]
+    return [np.random.default_rng(seed).standard_normal(16).tolist() for seed in seeds]
+
+
+def test_pools_of_http_float_rows_take_one_float64_product(embed_stub):
+    """Non-integer rows score by one float64 product per query block, as
+    before the pass kept count rows narrow."""
+    embed_stub.rows = _float_rows
+    provider = EmbeddingProvider(dim=16, backend="http", endpoint=embed_stub.url)
+    records = _records([f"question {i} about topic{i % 5}" for i in range(ROW_CHUNK + 40)])
+    probes = [Query(id=f"p{i}", text=f"probe {i} topic{i % 3}", db_id="db") for i in range(9)]
+    ds = Dataset(records=records)
+    rows = provider.raw_many([r.query.text for r in records])
+    queries = np.array(_float_rows("", [p.text for p in probes]))
+    keys = cosine_key(queries @ rows.T, np.einsum("ij,ij->i", rows, rows))
+    id_rank = np.empty(len(records), dtype=np.intp)
+    id_rank[sorted(range(len(records)), key=lambda i: records[i].query.id)] = np.arange(len(records))
+    want = [[records[i].query.id for i in top_j(key, 7, id_rank)] for key in keys]
+    assert _ids(example_pools(ds, 7, provider, probes)) == want
+    assert [_ids([select_examples(p, ds, 7, provider)])[0] for p in probes] == want
