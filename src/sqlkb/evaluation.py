@@ -223,10 +223,9 @@ def score_blocks(blocks: Iterable[tuple[int, np.ndarray]], probes: np.ndarray) -
     """Each probe's best cosine similarity over the rows of raw row blocks,
     given as (first row, rows) pairs.
 
-    `probes` holds raw provider rows as float64, one per probe. Each block
-    is scored against all probes with one product and ranked by
-    `cosine_key`; the best key k of a probe p is returned as the cosine
-    sign(k)·sqrt(|k|) / ‖p‖, 0
+    `probes` holds raw provider rows, one per probe. Each block is scored
+    against all probes with one product and ranked by `cosine_key`; the best
+    key k of a probe p is returned as the cosine sign(k)·sqrt(|k|) / ‖p‖, 0
     for an all-zero probe. With the hash backend the keys are exact, so the
     result does not depend on the blocking. The result is -inf for a probe
     with tokens when there are no rows.
@@ -256,8 +255,7 @@ def kb_coverage(
     """
     if not gold_knowledge:
         raise EmptySetError("gold knowledge list must be non-empty")
-    # the cache keeps narrow rows: widened here, before any arithmetic
-    probes = np.array([provider.raw(g) for g in gold_knowledge], dtype=np.float64)
+    probes = np.array([provider.raw(g) for g in gold_knowledge])
     if blocks is None:
         blocks = raw_blocks([e.text for e in kb.sorted_entries()], provider)
     best_similarity = score_blocks(blocks, probes) if len(kb) else np.zeros(len(probes))

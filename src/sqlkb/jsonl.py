@@ -1,12 +1,10 @@
 """The line format shared by kb.jsonl, outputs.jsonl and the LLM ledger:
 one JSON object per line. Blank lines, of JSON whitespace alone, are
-skipped but counted, so line numbers are the file's own. Also
-`scan_object`, which reads one JSON object whose list member is taken an
-item at a time (head.json's weight rows), with the same scanner."""
+skipped but counted, so line numbers are the file's own."""
 
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 
@@ -14,8 +12,6 @@ from .errors import ParseError
 _scan_once = json.JSONDecoder().scan_once
 _json_space = json.decoder.WHITESPACE.match
 _JSON_SPACE = " \t\r\n"
-
-T = TypeVar("T")
 
 
 def jsonl_line(obj: dict) -> str:
@@ -72,49 +68,3 @@ def _loads(line: str) -> object:
             if _json_space(line, end).end() == len(line):
                 return obj
     return json.loads(line)
-
-
-def scan_object(text: str, key: str, item: Callable[[object], T]) -> tuple[dict, list[T]]:
-    """`json.loads(text)` of a text holding one object, with its member `key`
-    apart: each item of that list passed through `item` as it is scanned, so
-    the list of every item is never built. Members are scanned one at a
-    time by the scanner json.loads runs; a key given twice keeps its last
-    value, as json.loads keeps it. Raises ValueError (or the scanner's
-    StopIteration, or IndexError past the text's end) on any other text, or
-    when `key`'s value is not a non-empty list; the caller can then read the
-    text with json.loads, for its own values and error text."""
-
-    def skip(pos: int) -> int:
-        return _json_space(text, pos).end()
-
-    def expect(char: str, pos: int) -> int:
-        if text[pos] != char:
-            raise ValueError(f"expected {char!r} at {pos}")
-        return skip(pos + 1)
-
-    obj, items = {}, None
-    pos = expect("{", skip(0))
-    while True:
-        name, pos = _scan_once(text, pos)
-        if type(name) is not str:
-            raise ValueError("an object key is not a string")
-        pos = expect(":", skip(pos))
-        if name == key:
-            items, pos = [], expect("[", pos)
-            while True:
-                value, pos = _scan_once(text, pos)
-                items.append(item(value))
-                pos = skip(pos)
-                if text[pos] == "]":
-                    break
-                pos = expect(",", pos)
-            pos += 1
-        else:
-            obj[name], pos = _scan_once(text, pos)
-        pos = skip(pos)
-        if text[pos] == "}":
-            break
-        pos = expect(",", pos)
-    if items is None or skip(pos + 1) != len(text):
-        raise ValueError(f"no {key!r} member, or text after the object")
-    return obj, items

@@ -147,9 +147,6 @@ def init_kb(dataset: Dataset, config: Optional[KbBuildConfig] = None) -> Knowled
 # Query rows scored per count product: bounds the (block, records) temporaries.
 EXAMPLE_BLOCK = 64
 
-# float32 holds every integer up to 2**24 exactly.
-_FLOAT32_EXACT = 2**24
-
 
 def example_pools(
     dataset: Dataset,
@@ -175,16 +172,16 @@ def example_pools(
 
     The question rows are kept as `_kept_rows` makes them (hash token counts
     as uint8, or uint16 where a count passes 255), and the given queries'
-    as the embedder's cache keeps them; both are widened a row block at a
-    time.
+    as the embedder's cache keeps them; both are widened to float64 a row
+    block at a time.
     """
-    from .retriever import _kept_rows
+    from .retriever import _dots, _kept_rows, _sq_norms
 
     if k < 1:
         raise ValueError("k must be >= 1")
     records = dataset.records
     ids = [rec.query.id for rec in records]
-    rows = _kept_rows(embedder, [rec.query.text for rec in records])[0]
+    rows = _kept_rows(embedder, [rec.query.text for rec in records])
     sq_norms = _sq_norms(rows)
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
@@ -197,21 +194,14 @@ def example_pools(
         dtype=bool,
     )
     if queries is None:
-        queries, query_rows, query_sq_norms = [rec.query for rec in records], rows, sq_norms
+        queries, query_rows = [rec.query for rec in records], rows
     else:
         texts = [q.text for q in queries]
         embedder.cache_raw(texts)
-        query_rows = np.array([embedder.raw(t) for t in texts])
-        query_sq_norms = _sq_norms(query_rows)
-    # Counts (never negative) whose squared norms are all below 2**24 have
-    # every dot product, and every partial sum of one, an integer below
-    # 2**24 (Cauchy-Schwarz), so a float32 product makes them exactly.
-    largest = max(sq_norms.max(initial=0), query_sq_norms.max(initial=0))
-    wide = np.float32 if largest < _FLOAT32_EXACT else np.float64
+        query_rows = np.array([embedder._cached(t) for t in texts])
     pools = []
     for start in range(0, len(queries), EXAMPLE_BLOCK):
-        dots = _dots(query_rows[start : start + EXAMPLE_BLOCK], rows, wide)
-        keys = cosine_key(dots, sq_norms)
+        keys = cosine_key(_dots(query_rows[start : start + EXAMPLE_BLOCK], rows), sq_norms)
         keys[:, ~usable] = -np.inf
         for key, query in zip(keys, queries[start : start + EXAMPLE_BLOCK]):
             same_id = positions.get(query.id, [])
@@ -219,34 +209,6 @@ def example_pools(
                 key[same_id] = -np.inf
             pools.append([records[i] for i in top_j(key, k, id_rank) if key[i] > -np.inf])
     return pools
-
-
-def _sq_norms(rows: np.ndarray) -> np.ndarray:
-    """Each row's squared norm in float64, widened ROW_CHUNK rows at a time."""
-    out = np.empty(len(rows))
-    for start in range(0, len(rows), ROW_CHUNK):
-        part = rows[start : start + ROW_CHUNK].astype(np.float64)
-        out[start : start + len(part)] = np.einsum("ij,ij->i", part, part)
-    return out
-
-
-def _dots(queries: np.ndarray, rows: np.ndarray, wide: type) -> np.ndarray:
-    """dots[i, r]: query row i's dot product with row r, in float64.
-
-    Float rows (the http backend's) take one float64 matrix product, whose
-    last bits, and so near-tie order, do not depend on a row blocking. Count
-    rows are widened to `wide` ROW_CHUNK rows at a time; `example_pools`
-    picks float32 only where it gives every dot product exactly, so the
-    result is the float64 product's bit for bit.
-    """
-    if rows.dtype.kind == "f":
-        return queries @ rows.T
-    dots = np.empty((len(queries), len(rows)))
-    wide_queries = queries.astype(wide)
-    for start in range(0, len(rows), ROW_CHUNK):
-        part = rows[start : start + ROW_CHUNK].astype(wide)
-        dots[:, start : start + len(part)] = wide_queries @ part.T
-    return dots
 
 
 def select_examples(

@@ -25,7 +25,6 @@ from .errors import (
     ProviderError,
     UnknownEntryError,
 )
-from .jsonl import scan_object
 from .knowledge_base import kb_digest
 from .ranking import ROW_CHUNK, normalize_rows, top_j
 from .transport import RetryPolicy, request_json
@@ -68,8 +67,8 @@ class EmbeddingProvider:
     L2-normalized (an all-zero row is returned as-is), as `_index_rows` makes
     the index and query rows of many. The per-text cache that `raw` and
     `cache_raw` fill holds the rows as `_narrow` keeps each batch (hash
-    token counts as uint8, or wider where a count needs it), so a caller
-    doing arithmetic on a cached row widens it first.
+    token counts as uint8, or wider where a count needs it); `raw` returns
+    a float64 copy of one.
     """
 
     name: str = "hash"
@@ -96,11 +95,15 @@ class EmbeddingProvider:
 
     def embed(self, text: str) -> np.ndarray:
         """Return an L2-normalized vector of length dim, from the cached raw row."""
-        return _index_rows(self.raw(text)[None].astype(np.float64))[0]
+        return _index_rows(self.raw(text)[None])[0]
 
     def raw(self, text: str) -> np.ndarray:
-        """Return the raw (unnormalized) row of one text, cached per text as
-        `_narrow` keeps it."""
+        """Return the raw (unnormalized) row of one text as a float64 copy of
+        its cached row."""
+        return self._cached(text).astype(np.float64)
+
+    def _cached(self, text: str) -> np.ndarray:
+        """One text's raw row as the per-text cache keeps it (`_narrow`)."""
         cached = self._cache.get(text)
         if cached is None:
             cached = self._cache[text] = _narrow(self, self.raw_many([text])[0])
@@ -236,22 +239,13 @@ class ProjectionHead:
 
     @classmethod
     def load(cls, path: Path | str) -> tuple["ProjectionHead", dict]:
-        """The head and the file's other fields. The weights are built a row
-        at a time (`scan_object`); a file that scan does not take, or whose
-        rows are not flat lists of one length that float64 holds, goes
-        through `json.loads`, so every value and error text are its own."""
         try:
-            text = Path(path).read_text()
-            try:
-                obj, rows = scan_object(text, "weights", _weight_row)
-                weights = np.stack(rows)
-            # StopIteration: a value cut short; IndexError: the text cut
-            # short; TypeError, OverflowError: a weight float() refuses
-            except (StopIteration, IndexError, ValueError, TypeError, OverflowError,
-                    RecursionError):
-                obj = json.loads(text)
-                weights = np.asarray(obj["weights"], dtype=np.float64)
-            head = cls(weights=weights, tau=obj["tau"], holdout_mrr=obj.get("holdout_mrr"))
+            obj = json.loads(Path(path).read_text())
+            head = cls(
+                weights=np.asarray(obj["weights"], dtype=np.float64),
+                tau=obj["tau"],
+                holdout_mrr=obj.get("holdout_mrr"),
+            )
         except KeyError as exc:
             raise ParseError(f"{path}: missing key {exc}") from exc
         # OverflowError: an integer weight too large for a float
@@ -259,15 +253,6 @@ class ProjectionHead:
             raise ParseError(f"{path}: {exc}") from exc
         meta = {k: v for k, v in obj.items() if k != "weights"}
         return head, meta
-
-
-def _weight_row(row: object) -> np.ndarray:
-    """One scanned weight row as float64, as `np.asarray` of the nested list
-    makes it; ValueError unless it is a flat list."""
-    values = np.array(row, dtype=np.float64) if type(row) is list else None
-    if values is None or values.ndim != 1:
-        raise ValueError("a weight row is not a flat list")
-    return values
 
 
 def init_head(dim_in: int, dim_out: int, seed: int = 0) -> ProjectionHead:
@@ -513,21 +498,51 @@ def _narrow(provider: EmbeddingProvider, raw: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _kept_rows(
-    provider: EmbeddingProvider, texts: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
+def _kept_rows(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
     """The `_narrow` raw rows of texts, in the widest type any block needs,
-    and each row's `normalize_rows` norm (shape (n, 1)), embedded one row
-    block at a time. A norm is a per-row reduction, so the widened rows
-    divided by their norms are `_index_rows` of them bit for bit."""
+    embedded one row block at a time."""
     rows = np.empty((len(texts), provider.dim), np.uint8)
-    norms = np.empty((len(texts), 1))
     for first, raw in raw_blocks(texts, provider):
-        norms[first : first + len(raw)] = normalize_rows(raw)[1]
         block = _narrow(provider, raw)
         rows = rows.astype(np.promote_types(rows.dtype, block.dtype), copy=False)
         rows[first : first + len(raw)] = block
-    return rows, norms
+    return rows
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each kept row's `normalize_rows` norm (shape (n, 1)), widened one row
+    block at a time. A norm is a per-row reduction, so the widened rows
+    divided by their norms are `_index_rows` of them bit for bit."""
+    norms = np.empty((len(rows), 1))
+    for first, part in _row_blocks(rows):
+        norms[first : first + len(part)] = normalize_rows(part.astype(np.float64))[1]
+    return norms
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's squared norm in float64, widened one row block at a time."""
+    out = np.empty(len(rows))
+    for first, part in _row_blocks(rows):
+        part = part.astype(np.float64)
+        out[first : first + len(part)] = np.einsum("ij,ij->i", part, part)
+    return out
+
+
+def _dots(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """dots[i, r]: query row i's dot product with row r, in float64.
+
+    Float rows (the http backend's) take one matrix product, whose last
+    bits, and so near-tie order, do not depend on a row blocking. Count rows
+    are widened one row block at a time; every sum of their products is an
+    integer far below 2**53, so the result is the one product's bit for bit.
+    """
+    if rows.dtype.kind == "f":
+        return queries @ rows.T
+    dots = np.empty((len(queries), len(rows)))
+    wide_queries = queries.astype(np.float64)
+    for first, part in _row_blocks(rows):
+        dots[:, first : first + len(part)] = wide_queries @ part.astype(np.float64).T
+    return dots
 
 
 def _sorted_entries(kb: "KnowledgeBase") -> tuple["KnowledgeEntry", ...]:
@@ -862,7 +877,7 @@ class RetrievalMetrics:
 
 def _pairwise_mrr(head_w: np.ndarray, q: tuple, k: tuple) -> float:
     """MRR of each query's own positive ranked against all positives, from
-    `_kept_rows` (rows, norms) pairs, one row block of queries at a time."""
+    (`_kept_rows` rows, `_row_norms`) pairs, one row block of queries at a time."""
 
     def projected(kept: tuple, first: int, part: np.ndarray) -> np.ndarray:
         return normalize_rows((part / kept[1][first : first + len(part)]) @ head_w)[0]
@@ -896,8 +911,9 @@ def train_head(
     if len(pairs) < 2:
         raise ConfigError("need at least 2 training pairs")
 
-    q_raw, q_norms = _kept_rows(provider, [p.query for p in pairs])
-    k_raw, k_norms = _kept_rows(provider, [p.positive for p in pairs])
+    q_raw = _kept_rows(provider, [p.query for p in pairs])
+    k_raw = _kept_rows(provider, [p.positive for p in pairs])
+    q_norms, k_norms = _row_norms(q_raw), _row_norms(k_raw)
 
     rng = np.random.default_rng(config.seed)
     n = len(pairs)

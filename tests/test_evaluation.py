@@ -273,15 +273,19 @@ def test_kb_coverage_maxima_do_not_depend_on_row_chunk(
 
 def test_narrow_cached_rows_score_as_float64_rows(tmp_path, count_best_cosines):
     """The per-text cache keeps uint8 or uint16 rows (uint16 for a whole
-    `cache_raw` batch when one of its counts needs it); coverage, semantic
-    similarity and `embed` made from them are those of the float64 rows."""
+    `cache_raw` batch when one of its counts needs it); `raw`, coverage,
+    semantic similarity and `embed` made from them are those of the float64
+    rows."""
     provider = retriever.EmbeddingProvider(dim=64)
     kb = KnowledgeBase()
     for text in ["alpha " * 300 + "beta", "alpha beta gamma", "gamma delta", "beta " * 40]:
         kb.add(KnowledgeEntry.from_text(text, "dataset", "db"))
     gold = ["alpha " * 280 + "gamma", "beta gamma", "delta " * 256 + "alpha", "gamma beta"]
     provider.cache_raw(gold[:2])
-    assert [provider.raw(g).dtype for g in gold] == [np.uint16, np.uint16, np.uint16, np.uint8]
+    assert [provider._cached(g).dtype for g in gold] == [np.uint16, np.uint16, np.uint16, np.uint8]
+    for g in gold:
+        assert provider.raw(g).dtype == np.float64
+        assert provider.raw(g).tobytes() == provider.raw_many([g])[0].tobytes()
     want = count_best_cosines(provider, [e.text for e in kb.sorted_entries()], gold)
     index = load_or_build_index(tmp_path / "kb_index.npz", kb, provider)
     for blocks in (None, index.raw_blocks()):

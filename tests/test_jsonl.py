@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlkb.errors import ParseError
-from sqlkb.jsonl import read_jsonl, scan_object, write_jsonl
+from sqlkb.jsonl import read_jsonl, write_jsonl
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, kb_header, load_kb, save_kb
 from sqlkb.llm import CallLedger, LedgerRecord, load_fixture, prompt_sha256
 from sqlkb.pipeline import PipelineOutput, load_outputs, save_outputs
@@ -217,46 +217,3 @@ def test_read_jsonl_reads_each_line_as_json_loads(
     with pytest.raises(ParseError) as raised:
         list(read_jsonl(path, header))
     assert str(raised.value) == f"{path}:1: {problem}"
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=8,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    members=st.lists(
-        st.tuples(st.sampled_from(["a", "b", "é"]), _JSON_VALUES), max_size=5
-    ),
-    rows=st.lists(_JSON_VALUES, min_size=1, max_size=4),
-    indent=st.sampled_from([None, 0, 2, "\t"]),
-)
-def test_scan_object_reads_as_json_loads(members, rows, indent):
-    """Every member but the list under the key is json.loads' own, as is each
-    item of that list, in any spacing; a key given twice keeps its last value
-    in json.loads' order."""
-    pairs = [*members[:1], ("rows", rows), *members[1:]]
-    text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
-    if indent is not None:
-        text = json.dumps(json.loads(text), indent=indent)
-    want = json.loads(text)
-    seen = []
-    obj, items = scan_object(text, "rows", lambda item: seen.append(item) or len(seen))
-    assert seen == want.pop("rows") and items == list(range(1, len(seen) + 1))
-    assert obj == want and list(obj) == list(want)
-
-
-def test_scan_object_keeps_the_last_list_of_a_key_given_twice():
-    assert scan_object('{"rows": [1], "a": 0, "rows": [2, 3]}', "rows", str) == ({"a": 0}, ["2", "3"])
-
-
-@pytest.mark.parametrize(
-    "text", ["", "[1]", "{}", '{"rows": []}', '{"rows": 5}', '{"rows": [1]} x', '{"rows": [1',
-             '{"rows": [1],}', '{1: 2, "rows": [1]}', '{"a": 1}']
-)
-def test_scan_object_refuses_what_it_does_not_read(text):
-    with pytest.raises((ValueError, StopIteration, IndexError)):
-        scan_object(text, "rows", lambda item: item)

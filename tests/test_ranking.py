@@ -233,34 +233,19 @@ def _check_pools_exact(records, probes, provider, k):
     return want
 
 
-def test_pools_past_the_float32_exact_range_equal_exact_ranking():
-    """One token 4,097 times makes squared norms above 2**24, where float32
-    holds only every other integer: a float32 product would rank the second
-    and third texts above the query's own text. The pass widens to float64."""
-    provider = EmbeddingProvider(dim=64)
-    assert provider.raw("alpha").argmax() != provider.raw("beta").argmax()
-    big = "alpha " * 4097
-    texts = [big + "beta", big + "beta beta", big, "alpha beta", "gamma"]
-    probe = Query(id="probe", text=big + "beta", db_id="db")
-    assert provider.raw(probe.text).dtype == np.uint16
-    want = _check_pools_exact(_records(texts), [probe], provider, 5)
-    assert want[0][:3] == ["r0", "r1", "r2"]
-
-
 def test_pools_of_uint16_counts_equal_exact_ranking():
     """Counts above 255 are kept as uint16, in the pass and in the cache,
-    and widened (to float32: every squared norm is below 2**24) before the
-    product."""
+    and widened to float64 before the product."""
     provider = EmbeddingProvider(dim=32)
     texts = ["alpha " * 300 + "beta", "alpha " * 300 + "beta beta", "alpha " * 299,
              "alpha beta", "beta " * 256, "gamma delta", "alpha"]
     records = _records(texts)
-    assert retriever._kept_rows(provider, texts)[0].dtype == np.uint16
+    assert retriever._kept_rows(provider, texts).dtype == np.uint16
     probes = [Query(id="p0", text="alpha " * 300 + "beta", db_id="db"),
               Query(id="p1", text="beta gamma", db_id="db")]
     provider.cache_raw([p.text for p in probes])
-    assert [provider.raw(p.text).dtype for p in probes] == [np.uint16, np.uint16]
-    assert provider.raw("beta gamma delta").dtype == np.uint8
+    assert [provider._cached(p.text).dtype for p in probes] == [np.uint16, np.uint16]
+    assert provider._cached("beta gamma delta").dtype == np.uint8
     want = _check_pools_exact(records, probes, provider, 6)
     assert want[0][:2] == ["r0", "r1"]
 

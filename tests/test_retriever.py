@@ -20,7 +20,6 @@ from sqlkb.errors import (
 )
 from sqlkb import retriever
 from sqlkb.evaluation import kb_coverage
-from sqlkb.jsonl import scan_object
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, entry_id
 from sqlkb.ranking import normalize_rows, rank_of, top_j
 from sqlkb.retriever import (
@@ -962,33 +961,12 @@ def test_head_file_rewritten_loads_bit_for_bit(tmp_path, rewrite):
     head.save(path, "hash:5:hash", config_hash="abc")
     obj = json.loads(path.read_text())
     path.write_text(rewrite(obj))
-    scan_object(path.read_text(), "weights", retriever._weight_row)  # no json.loads fallback
     again, meta = ProjectionHead.load(path)
     assert again.weights.tobytes() == head.weights.tobytes()
     assert np.signbit(again.weights[0, 0])
     want = json.loads(path.read_text())
     del want["weights"]
     assert meta == want and list(meta) == list(want)
-
-
-def test_head_scan_holds_the_weights_a_row_at_a_time(tmp_path):
-    """Scanning a 256x64 head file builds each weight row as an array as it
-    is read: its peak stays under 3x the weights' array, where `json.loads`'
-    nested list of every weight alone takes about 4x."""
-    head = init_head(256, 64, seed=0)
-    path = tmp_path / "head.json"
-    head.save(path, "hash:256:hash")
-    text = path.read_text()
-    scan_object(text, "weights", retriever._weight_row)  # first-call allocations
-    tracemalloc.start()
-    try:
-        _, rows = scan_object(text, "weights", retriever._weight_row)
-        weights = np.stack(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert weights.tobytes() == head.weights.tobytes()
-    assert peak < 3 * head.weights.nbytes
 
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, 0.1]
