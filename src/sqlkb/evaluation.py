@@ -27,7 +27,7 @@ from .errors import (
 )
 from .knowledge_base import normalize_text
 from .ranking import cosine_key
-from .retriever import raw_blocks
+from .retriever import _dots, _sq_norms, raw_blocks
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase
@@ -223,18 +223,20 @@ def score_blocks(blocks: Iterable[tuple[int, np.ndarray]], probes: np.ndarray) -
     """Each probe's best cosine similarity over the rows of raw row blocks,
     given as (first row, rows) pairs.
 
-    `probes` holds raw provider rows, one per probe. Each block is scored
-    against all probes with one product and ranked by `cosine_key`; the best
-    key k of a probe p is returned as the cosine sign(k)·sqrt(|k|) / ‖p‖, 0
-    for an all-zero probe. With the hash backend the keys are exact, so the
-    result does not depend on the blocking. The result is -inf for a probe
-    with tokens when there are no rows.
+    `probes` holds raw provider rows, one per probe; the rows are taken as
+    stored (hash token counts in their narrow type). Each block is scored
+    against all probes by `_dots` and `_sq_norms`, which widen count rows to
+    float64, and ranked by `cosine_key`; the best key k of a probe p is
+    returned as the cosine sign(k)·sqrt(|k|) / ‖p‖, 0 for an all-zero probe.
+    With the hash backend the keys are exact, so the result does not depend
+    on the blocking. The result is -inf for a probe with tokens when there
+    are no rows.
     """
     best = np.full(len(probes), -np.inf)
     for _, rows in blocks:
-        keys = cosine_key(probes @ rows.T, np.einsum("ij,ij->i", rows, rows))
+        keys = cosine_key(_dots(probes, rows), _sq_norms(rows))
         np.maximum(best, keys.max(axis=1), out=best)
-    probe_norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
+    probe_norms = np.sqrt(_sq_norms(probes))
     root = np.sign(best) * np.sqrt(np.abs(best))
     return np.divide(root, probe_norms, out=np.zeros_like(best), where=probe_norms > 0)
 

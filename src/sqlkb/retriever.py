@@ -63,12 +63,12 @@ class EmbeddingProvider:
     `transport.request_json` does under the default `RetryPolicy`; the last
     failure, or a malformed answer, is a ProviderError.
 
-    `raw`/`raw_many` return the raw rows; `embed` returns one text's row
-    L2-normalized (an all-zero row is returned as-is), as `_index_rows` makes
-    the index and query rows of many. The per-text cache that `raw` and
-    `cache_raw` fill holds the rows as `_narrow` keeps each batch (hash
-    token counts as uint8, or wider where a count needs it); `raw` returns
-    a float64 copy of one.
+    `raw_many` returns the raw rows of a batch: hash token counts in the
+    narrowest unsigned type that holds the batch's largest count (uint8,
+    uint16 or uint32), http rows as float64. The per-text cache that `raw`
+    and `cache_raw` fill keeps them so; `raw` returns a float64 copy of one.
+    `embed` returns one text's row L2-normalized (an all-zero row is returned
+    as-is), as `_index_rows` makes the index and query rows of many.
     """
 
     name: str = "hash"
@@ -76,7 +76,7 @@ class EmbeddingProvider:
     backend: str = "hash"  # "hash" | "http"
     endpoint: Optional[str] = None
     timeout: float = 30.0
-    _cache: dict = field(default_factory=dict, repr=False)  # text -> `_narrow` raw row
+    _cache: dict = field(default_factory=dict, repr=False)  # text -> `raw_many` row
 
     def __post_init__(self) -> None:
         if self.backend not in ("hash", "http"):
@@ -95,7 +95,7 @@ class EmbeddingProvider:
 
     def embed(self, text: str) -> np.ndarray:
         """Return an L2-normalized vector of length dim, from the cached raw row."""
-        return _index_rows(self.raw(text)[None])[0]
+        return _index_rows(self._cached(text)[None])[0]
 
     def raw(self, text: str) -> np.ndarray:
         """Return the raw (unnormalized) row of one text as a float64 copy of
@@ -103,10 +103,10 @@ class EmbeddingProvider:
         return self._cached(text).astype(np.float64)
 
     def _cached(self, text: str) -> np.ndarray:
-        """One text's raw row as the per-text cache keeps it (`_narrow`)."""
+        """One text's raw row as the per-text cache keeps it (`raw_many`'s)."""
         cached = self._cache.get(text)
         if cached is None:
-            cached = self._cache[text] = _narrow(self, self.raw_many([text])[0])
+            cached = self._cache[text] = self.raw_many([text])[0]
         return cached
 
     def cache_raw(self, texts: Iterable[str]) -> None:
@@ -114,12 +114,14 @@ class EmbeddingProvider:
         from one `raw_many` call (HTTP_BATCH texts per http request)."""
         missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
         if missing:
-            self._cache.update(zip(missing, _narrow(self, self.raw_many(missing))))
+            self._cache.update(zip(missing, self.raw_many(missing)))
 
     def raw_many(self, texts: Sequence[str]) -> np.ndarray:
         """Raw rows of a batch of texts as an (n, dim) array, bypassing the cache.
 
-        Hash backend: each text's token counts.
+        Hash backend: each text's token counts, counted in the narrowest
+        unsigned type that holds the longest text's token count (no count
+        exceeds it) and returned in the one that holds the largest count.
         """
         if not all(texts):
             raise ValueError("cannot embed empty text")
@@ -138,11 +140,13 @@ class EmbeddingProvider:
         bucket = dict.fromkeys(flat)  # each distinct token of the call is hashed once
         for token in bucket:
             bucket[token] = int.from_bytes(hashlib.sha256(token).digest()[:8], "big") % self.dim
-        rows = np.repeat(np.arange(len(texts)), [len(t) for t in tokens])
+        lengths = [len(t) for t in tokens]
         cols = np.fromiter(map(bucket.__getitem__, flat), np.intp, len(flat))
-        counts = np.zeros((len(texts), self.dim))
-        np.add.at(counts, (rows, cols), 1.0)
-        return counts
+        one = np.min_scalar_type(max(lengths)).type(1)  # a Python 1 is many times slower
+        counts = np.zeros(len(texts) * self.dim, one.dtype)
+        np.add.at(counts, np.repeat(np.arange(len(texts)) * self.dim, lengths) + cols, one)
+        counts = counts.reshape(len(texts), self.dim)
+        return counts.astype(np.min_scalar_type(int(counts.max())), copy=False)
 
     def _http_rows(self, texts: Sequence[str]) -> np.ndarray:
         chunks = []
@@ -157,6 +161,8 @@ class EmbeddingProvider:
                 raise ProviderError(
                     f"service returned shape {rows.shape}, expected ({len(chunk)}, {self.dim})"
                 )
+            if not np.isfinite(rows).all():
+                raise ProviderError("embedding service returned a non-finite value")
             chunks.append(rows)
         return np.concatenate(chunks)
 
@@ -346,10 +352,9 @@ class StoredIndex:
             yield first, rows if self.meta["matrix"] else _index_rows(rows)
 
     def raw_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(first row, raw rows as float64) per row block, read from the raw
+        """(first row, raw rows as stored) per row block, read from the raw
         members: the rows `raw_blocks(texts, provider)` makes of the entries."""
-        for first, rows in self._read_blocks(None):
-            yield first, rows.astype(np.float64, copy=False)
+        return self._read_blocks(None)
 
     def _read_blocks(
         self, layout: Optional[list["_Member"]], only: Optional[Sequence[int]] = None
@@ -478,34 +483,24 @@ def raw_blocks(
 
 
 def _index_rows(raw: np.ndarray, head: Optional[ProjectionHead] = None) -> np.ndarray:
-    """Index or query rows of raw provider rows: L2-normalized 32 rows at a
-    time, since `normalize_rows` holds a temporary the size of its input,
-    then projected by the head when there is one. Float64 `raw` is normalized
-    in place, so a caller keeping raw rows (a cached row) passes a copy. No
-    row's bits depend on the rows it is made with."""
-    rows = raw.astype(np.float64, copy=False)
+    """Index or query rows of raw provider rows: widened into a float64 array
+    of their own, L2-normalized 32 rows at a time, since `normalize_rows`
+    holds a temporary the size of its input, then projected by the head when
+    there is one. No row's bits depend on the rows it is made with."""
+    rows = raw.astype(np.float64)
     for start in range(0, len(rows), 32):
         part = rows[start : start + 32]
         normalize_rows(part, out=part)
     return head.project(rows) if head is not None else rows
 
 
-def _narrow(provider: EmbeddingProvider, raw: np.ndarray) -> np.ndarray:
-    """Raw rows as they are kept: hash token counts in the narrowest unsigned
-    type that holds them exactly, other backends' rows as they are."""
-    if provider.backend == "hash":
-        return raw.astype(np.min_scalar_type(int(raw.max())))
-    return raw
-
-
 def _kept_rows(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
-    """The `_narrow` raw rows of texts, in the widest type any block needs,
-    embedded one row block at a time."""
+    """The raw rows of texts, in the widest type any block's `raw_many` rows
+    have, embedded one row block at a time."""
     rows = np.empty((len(texts), provider.dim), np.uint8)
     for first, raw in raw_blocks(texts, provider):
-        block = _narrow(provider, raw)
-        rows = rows.astype(np.promote_types(rows.dtype, block.dtype), copy=False)
-        rows[first : first + len(raw)] = block
+        rows = rows.astype(np.promote_types(rows.dtype, raw.dtype), copy=False)
+        rows[first : first + len(raw)] = raw
     return rows
 
 
@@ -633,9 +628,9 @@ def _build_index_file(
             for block, (_, raw) in enumerate(raw_blocks([e.text for e in entries], provider)):
                 if head is not None:
                     meta["matrix"].append(f"matrix/{block}.npy")
-                    _write_array(zf, meta["matrix"][-1], _index_rows(raw.copy(), head))
+                    _write_array(zf, meta["matrix"][-1], _index_rows(raw, head))
                 meta["raw"].append(f"raw/{block}.npy")
-                _write_array(zf, meta["raw"][-1], _narrow(provider, raw))
+                _write_array(zf, meta["raw"][-1], raw)
             # a ZipInfo dates the member 1980-01-01, as zf.open dates the
             # arrays: a name alone would stamp the current time
             zf.writestr(zipfile.ZipInfo(INDEX_META), json.dumps(meta))
@@ -900,7 +895,7 @@ def train_head(
     """Minimize mean in-batch InfoNCE with plain gradient descent.
 
     Raw rows are computed once up front (the provider is frozen) and kept
-    as `_narrow` makes them, with their norms; each batch is made into index
+    as `raw_many` makes them, with their norms; each batch is made into index
     rows (the widened rows divided by their norms) just before its step. A
     seeded holdout split is scored by pairwise MRR after every epoch and the
     best-scoring weights are returned. With fewer than 2 pairs

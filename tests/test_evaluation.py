@@ -285,7 +285,7 @@ def test_narrow_cached_rows_score_as_float64_rows(tmp_path, count_best_cosines):
     assert [provider._cached(g).dtype for g in gold] == [np.uint16, np.uint16, np.uint16, np.uint8]
     for g in gold:
         assert provider.raw(g).dtype == np.float64
-        assert provider.raw(g).tobytes() == provider.raw_many([g])[0].tobytes()
+        assert provider.raw(g).tobytes() == provider.raw_many([g])[0].astype(np.float64).tobytes()
     want = count_best_cosines(provider, [e.text for e in kb.sorted_entries()], gold)
     index = load_or_build_index(tmp_path / "kb_index.npz", kb, provider)
     for blocks in (None, index.raw_blocks()):

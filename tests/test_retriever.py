@@ -157,6 +157,45 @@ def test_hash_rows_keep_no_token_state():
     assert held < 0.25 * 2**20
 
 
+@pytest.mark.parametrize(
+    "text, dtype",
+    [
+        # 300 tokens are counted as uint16; no count reaches 256
+        (" ".join(f"t{i}" for i in range(300)), np.uint8),
+        ("word " * 256, np.uint16),
+        ("!!!", np.uint8),
+        ("word " * 70_000, np.uint32),
+    ],
+    ids=["300-distinct", "256-repeats", "no-token", "70000-repeats"],
+)
+def test_hash_counts_come_in_the_narrowest_type_of_their_largest_count(tmp_path, text, dtype):
+    """`raw_many`, the per-text cache and the index file's raw member hold a
+    text's token counts in the narrowest unsigned type of its largest count."""
+    prov = EmbeddingProvider(dim=256)
+    want = _documented_rows([text], 256)
+    load_or_build_index(tmp_path / "kb_index.npz", make_kb([text]), prov)
+    with np.load(tmp_path / "kb_index.npz") as stored:
+        rows = [prov.raw_many([text]), prov._cached(text)[None], stored["raw/0"]]
+    for row in rows:
+        assert row.dtype == dtype
+        assert np.array_equal(row, want)
+
+
+def test_hash_rows_hold_no_float64_count_block():
+    """Neither `raw_many` nor `cache_raw` of 5,000 texts peaks at the size of
+    their (n, dim) float64 count block: the counts are made narrow."""
+    texts = [f"school {i} enrolment" for i in range(5_000)]
+    float64_block = len(texts) * 256 * 8
+    for call in (EmbeddingProvider(dim=256).raw_many, EmbeddingProvider(dim=256).cache_raw):
+        tracemalloc.start()
+        try:
+            call(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < float64_block, call.__name__
+
+
 def test_embed_empty_text_rejected(provider):
     with pytest.raises(ValueError):
         provider.embed("")
@@ -229,6 +268,25 @@ def test_http_raw_many_rejects_wrong_shape(embed_stub, rows_delta, dim_delta):
         prov.raw_many(["one text", "another text"])
     with pytest.raises(ProviderError):
         prov.embed("a single text")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_http_embed_refuses_a_non_finite_value(embed_stub, tmp_path, value):
+    """`json.loads` reads NaN, Infinity and -Infinity; one such value in any
+    row is refused before it reaches an index row or a score, and leaves no
+    index file behind."""
+
+    def rows(path, texts):
+        return [[1.0] * 7 + [value if t == "last text" else 2.0] for t in texts]
+
+    embed_stub.rows = rows
+    prov = EmbeddingProvider(dim=8, backend="http", endpoint=embed_stub.url)
+    message = "^embedding service returned a non-finite value$"
+    with pytest.raises(ProviderError, match=message):
+        prov.raw_many(["one text", "last text"])
+    with pytest.raises(ProviderError, match=message):
+        load_or_build_index(tmp_path / "kb_index.npz", make_kb(["one text", "last text"]), prov)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
