@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence, TypeVar
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .evaluation import EvalConfig
 from .knowledge_base import KbBuildConfig
 from .llm import LlmConfig
@@ -141,7 +141,11 @@ def load_config(
     values = []  # (section, key, raw), file first so --set wins
     if config_file is not None:
         parser = configparser.ConfigParser()
-        if not parser.read(config_file):
+        try:
+            read = parser.read(config_file, encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{config_file}: {exc}") from exc
+        if not read:
             raise ConfigError(f"cannot read config file {config_file}")
         for section in parser.sections():
             if section not in DEFAULTS:

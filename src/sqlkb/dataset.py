@@ -187,8 +187,9 @@ def load_dataset(
     if db_dir is None:
         db_dir = path.parent / "databases"
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    # UnicodeDecodeError: bytes that are not UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON array of records")

@@ -26,8 +26,7 @@ from .errors import (
     NonPositiveTimeError,
 )
 from .knowledge_base import normalize_text
-from .ranking import cosine_key
-from .retriever import _dots, _sq_norms, raw_blocks
+from .retriever import _raw_keys, raw_blocks
 
 if TYPE_CHECKING:
     from .knowledge_base import KnowledgeBase
@@ -219,28 +218,6 @@ class CoverageReport:
     per_gold: list[dict] = field(default_factory=list)
 
 
-def score_blocks(blocks: Iterable[tuple[int, np.ndarray]], probes: np.ndarray) -> np.ndarray:
-    """Each probe's best cosine similarity over the rows of raw row blocks,
-    given as (first row, rows) pairs.
-
-    `probes` holds raw provider rows, one per probe; the rows are taken as
-    stored (hash token counts in their narrow type). Each block is scored
-    against all probes by `_dots` and `_sq_norms`, which widen count rows to
-    float64, and ranked by `cosine_key`; the best key k of a probe p is
-    returned as the cosine sign(k)·sqrt(|k|) / ‖p‖, 0 for an all-zero probe.
-    With the hash backend the keys are exact, so the result does not depend
-    on the blocking. The result is -inf for a probe with tokens when there
-    are no rows.
-    """
-    best = np.full(len(probes), -np.inf)
-    for _, rows in blocks:
-        keys = cosine_key(_dots(probes, rows), _sq_norms(rows))
-        np.maximum(best, keys.max(axis=1), out=best)
-    probe_norms = np.sqrt(_sq_norms(probes))
-    root = np.sign(best) * np.sqrt(np.abs(best))
-    return np.divide(root, probe_norms, out=np.zeros_like(best), where=probe_norms > 0)
-
-
 def kb_coverage(
     kb: "KnowledgeBase",
     gold_knowledge: Sequence[str],
@@ -249,18 +226,28 @@ def kb_coverage(
 ) -> CoverageReport:
     """How well the KB covers a gold knowledge list: exact membership under
     normalization, plus each gold item's best cosine similarity over the
-    KB's raw rows (see `score_blocks`), 0 for an empty KB.
+    KB's raw rows, 0 for an empty KB.
 
     `blocks` gives the KB's raw row blocks in id order, as
-    `StoredIndex.raw_blocks()` reads them from the index file; without it
-    the KB is embedded here one row block at a time (`raw_blocks`).
+    `StoredIndex.raw_blocks()` reads them from the index file (hash token
+    counts in their narrow type); without it the KB is embedded here one
+    row block at a time (`raw_blocks`). Each block is keyed against every
+    gold item's raw row by `_raw_keys`, and a gold item p's best key k is
+    the cosine sign(k)·sqrt(|k|) / ‖p‖, 0 for an item without tokens. With
+    the hash backend the keys are exact, so the result does not depend on
+    the blocking.
     """
     if not gold_knowledge:
         raise EmptySetError("gold knowledge list must be non-empty")
     probes = np.array([provider.raw(g) for g in gold_knowledge])
     if blocks is None:
         blocks = raw_blocks([e.text for e in kb.sorted_entries()], provider)
-    best_similarity = score_blocks(blocks, probes) if len(kb) else np.zeros(len(probes))
+    best_key = np.full(len(probes), -np.inf if len(kb) else 0.0)
+    for _, rows in blocks:
+        np.maximum(best_key, _raw_keys(probes, rows).max(axis=1), out=best_key)
+    probe_norms = np.sqrt(np.einsum("ij,ij->i", probes, probes))
+    root = np.sign(best_key) * np.sqrt(np.abs(best_key))
+    best_similarity = np.divide(root, probe_norms, out=np.zeros_like(root), where=probe_norms > 0)
     per_gold = [
         {"gold": gold, "exact": gold in kb, "best_similarity": float(best)}
         for gold, best in zip(gold_knowledge, best_similarity, strict=True)

@@ -32,24 +32,31 @@ def read_jsonl(path: Path | str, header: bool = False) -> Iterator[tuple[int, di
     other space, such as a form feed or a no-break space, is parsed. A line
     that is not JSON, or not a JSON object, raises ParseError naming
     `path:line`; with `header`, the first non-blank line's error says
-    "bad header". Each line is parsed as `json.loads(line)` parses it (see
-    `_loads`).
+    "bad header". The file is read as UTF-8; bytes that are not UTF-8 raise
+    ParseError naming `path`. Each line is parsed as `json.loads(line)`
+    parses it (see `_loads`).
     """
     prefix = "bad header: " if header else ""
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            # str.isspace first, as the fast test; it also passes "\x0c" and "\xa0"
-            if line.isspace() and not line.strip(_JSON_SPACE):
-                continue
-            try:
-                obj = _loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{n}: {prefix}{exc}") from exc
-            if not isinstance(obj, dict):
-                problem = f"{prefix}not a JSON object" if prefix else "entry is not a JSON object"
-                raise ParseError(f"{path}:{n}: {problem}")
-            yield n, obj
-            prefix = ""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for n, line in enumerate(fh, 1):
+                # str.isspace first, as the fast test; it also passes "\x0c" and "\xa0"
+                if line.isspace() and not line.strip(_JSON_SPACE):
+                    continue
+                try:
+                    obj = _loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{path}:{n}: {prefix}{exc}") from exc
+                if not isinstance(obj, dict):
+                    problem = (
+                        f"{prefix}not a JSON object" if prefix else "entry is not a JSON object"
+                    )
+                    raise ParseError(f"{path}:{n}: {problem}")
+                yield n, obj
+                prefix = ""
+        # the file is decoded a chunk at a time, so the error names no line
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def _loads(line: str) -> object:

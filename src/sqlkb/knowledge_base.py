@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import Dataset, Query
 from .errors import InsufficientExamplesError, LlmError, ParseError
 from .jsonl import read_jsonl, write_jsonl
-from .ranking import ROW_CHUNK, cosine_key, top_j
+from .ranking import ROW_CHUNK, top_j
 
 if TYPE_CHECKING:
     from .dataset import ExampleTriplet
@@ -160,29 +160,28 @@ def example_pools(
     candidate gets an empty list. Both `build-kb` and `generate` rank this
     way, in one pass over the dataset's question rows.
 
-    Query rows are scored EXAMPLE_BLOCK at a time, by their dot products
-    with every question row (`_dots`) and `cosine_key`. Records without
-    knowledge (or SQL, when required) score -inf. So do those sharing the
-    query's id when the query is one of the dataset's own: a query of
+    Query rows are keyed EXAMPLE_BLOCK at a time against every question
+    row by `_raw_keys`, the cosine order key of their raw rows. Records
+    without knowledge (or SQL, when required) key -inf. So do those sharing
+    the query's id when the query is one of the dataset's own: a query of
     another split may share an id alone. Ties break by record id; -inf keys
     are cut from the pools. Given queries are embedded in one batch. Only
     with integer (hash) rows is each pool the one-query call's bit for bit:
-    a float row block's product can differ in the last bits, so near-ties
-    may order differently.
+    float rows take one product per query block, which can differ from a
+    one-query product in the last bits, so near-ties may order differently.
 
     The question rows are kept as `_kept_rows` makes them (hash token counts
-    as uint8, or uint16 where a count passes 255), and the given queries'
-    as the embedder's cache keeps them; both are widened to float64 a row
-    block at a time.
+    in the narrowest unsigned type of their largest count), and the given
+    queries' as the embedder's cache keeps them; `_raw_keys` widens them to
+    float64 a row block at a time.
     """
-    from .retriever import _dots, _kept_rows, _sq_norms
+    from .retriever import _kept_rows, _raw_keys
 
     if k < 1:
         raise ValueError("k must be >= 1")
     records = dataset.records
     ids = [rec.query.id for rec in records]
     rows = _kept_rows(embedder, [rec.query.text for rec in records])
-    sq_norms = _sq_norms(rows)
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     positions: dict[str, list[int]] = {}  # record id -> positions of its records
@@ -201,7 +200,7 @@ def example_pools(
         query_rows = np.array([embedder._cached(t) for t in texts])
     pools = []
     for start in range(0, len(queries), EXAMPLE_BLOCK):
-        keys = cosine_key(_dots(query_rows[start : start + EXAMPLE_BLOCK], rows), sq_norms)
+        keys = _raw_keys(query_rows[start : start + EXAMPLE_BLOCK], rows)
         keys[:, ~usable] = -np.inf
         for key, query in zip(keys, queries[start : start + EXAMPLE_BLOCK]):
             same_id = positions.get(query.id, [])
@@ -223,7 +222,7 @@ def select_examples(
     When the query is one of the dataset's own, the records sharing its id
     are excluded; ties break by record id ascending. Returns at most k
     records, never padded. The dataset's question rows are embedded on every
-    call. Candidates are ranked by `cosine_key` of the raw rows, which is
+    call. Candidates are ranked by `_raw_keys` of the raw rows, which is
     exact for the hash backend, so the id rule decides every exact tie. This
     is the one-query call of `example_pools`.
     """

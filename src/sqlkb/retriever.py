@@ -26,7 +26,7 @@ from .errors import (
     UnknownEntryError,
 )
 from .knowledge_base import kb_digest
-from .ranking import ROW_CHUNK, normalize_rows, top_j
+from .ranking import ROW_CHUNK, cosine_key, normalize_rows, top_j
 from .transport import RetryPolicy, request_json
 
 if TYPE_CHECKING:
@@ -246,7 +246,7 @@ class ProjectionHead:
     @classmethod
     def load(cls, path: Path | str) -> tuple["ProjectionHead", dict]:
         try:
-            obj = json.loads(Path(path).read_text())
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
             head = cls(
                 weights=np.asarray(obj["weights"], dtype=np.float64),
                 tau=obj["tau"],
@@ -254,6 +254,7 @@ class ProjectionHead:
             )
         except KeyError as exc:
             raise ParseError(f"{path}: missing key {exc}") from exc
+        # ValueError includes UnicodeDecodeError, for bytes that are not UTF-8;
         # OverflowError: an integer weight too large for a float
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
@@ -514,30 +515,26 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _sq_norms(rows: np.ndarray) -> np.ndarray:
-    """Each row's squared norm in float64, widened one row block at a time."""
-    out = np.empty(len(rows))
-    for first, part in _row_blocks(rows):
-        part = part.astype(np.float64)
-        out[first : first + len(part)] = np.einsum("ij,ij->i", part, part)
-    return out
-
-
-def _dots(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """dots[i, r]: query row i's dot product with row r, in float64.
+def _raw_keys(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """keys[i, r]: `cosine_key` of raw query row i's dot product with raw row
+    r, in float64.
 
     Float rows (the http backend's) take one matrix product, whose last
     bits, and so near-tie order, do not depend on a row blocking. Count rows
-    are widened one row block at a time; every sum of their products is an
-    integer far below 2**53, so the result is the one product's bit for bit.
+    are widened one row block at a time, and each widened block gives both
+    its dot products and its squared norms; every sum of their products is
+    an integer far below 2**53, so the keys are the one product's bit for bit.
     """
     if rows.dtype.kind == "f":
-        return queries @ rows.T
-    dots = np.empty((len(queries), len(rows)))
-    wide_queries = queries.astype(np.float64)
+        return cosine_key(queries @ rows.T, np.einsum("ij,ij->i", rows, rows))
+    keys = np.empty((len(queries), len(rows)))
+    wide_queries = queries.astype(np.float64, copy=False)
     for first, part in _row_blocks(rows):
-        dots[:, first : first + len(part)] = wide_queries @ part.astype(np.float64).T
-    return dots
+        part = part.astype(np.float64)
+        keys[:, first : first + len(part)] = cosine_key(
+            wide_queries @ part.T, np.einsum("ij,ij->i", part, part)
+        )
+    return keys
 
 
 def _sorted_entries(kb: "KnowledgeBase") -> tuple["KnowledgeEntry", ...]:

@@ -1,8 +1,11 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -880,3 +883,44 @@ def test_replay_fails_a_recorded_failure_again(workdir, monkeypatch, capsys):
     replayed = (workdir / OUTPUTS_FILE).read_text().splitlines()
     assert records(replayed) == records(first)
     assert sum(o["error"] for o in records(replayed)) == 1
+
+
+@pytest.mark.parametrize(
+    "artifact, byte, made_by, command",
+    [
+        ("train.json", b"\xff", (), "build-kb"),
+        (KB_FILE, b"\xe9", ("build-kb",), "stats"),
+        (HEAD_FILE, b"\xe9", ("build-kb", "train-retriever"), "generate"),
+        ("run.ini", b"\xe9", (), "stats"),
+    ],
+)
+def test_input_file_not_utf8_is_clean_error(workdir, capsys, artifact, byte, made_by, command):
+    """Input files are read as UTF-8: a byte that is not UTF-8 is a
+    ParseError naming the file, not a traceback."""
+    for cmd in made_by:
+        assert run_cli(workdir, cmd) == 0, cmd
+    path = workdir / artifact
+    path.write_bytes(path.read_bytes().replace(b"e", byte, 1))
+    capsys.readouterr()
+    assert run_cli(workdir, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and f"{artifact}: 'utf-8' codec can't decode" in err
+
+
+def test_non_ascii_question_runs_under_an_ascii_locale(workdir):
+    """A UTF-8 question outside ASCII is read as UTF-8 whatever the locale's
+    encoding is: under the C locale, with UTF-8 mode off, as on a host
+    without a UTF-8 locale."""
+    path = workdir / "train.json"
+    records = json.loads(path.read_text(encoding="utf-8"))
+    records[0]["question"] = "Straße São Paulo " + records[0]["question"]
+    path.write_bytes(json.dumps(records, ensure_ascii=False).encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONUTF8", None)
+    for command in ("build-kb", "stats"):
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "sqlkb.cli", command,
+             "--config", str(workdir / "run.ini")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr

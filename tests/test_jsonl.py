@@ -108,7 +108,7 @@ def test_line_of_other_space_is_parse_error(tmp_path, space):
     """Only JSON whitespace makes a line blank: str.isspace also passes a
     form feed or a no-break space, which json.loads refuses."""
     path = tmp_path / "a.jsonl"
-    path.write_text(f'{{"a": 1}}\n{space}\n{{"b": 2}}\n')
+    path.write_text(f'{{"a": 1}}\n{space}\n{{"b": 2}}\n', encoding="utf-8")
     with pytest.raises(ParseError) as raised:
         list(read_jsonl(path))
     with pytest.raises(json.JSONDecodeError) as loads:
@@ -200,7 +200,7 @@ def test_read_jsonl_reads_each_line_as_json_loads(
     dump = lambda value: json.dumps(value, ensure_ascii=ascii_only)  # noqa: E731
     line = MUTATIONS[mutation](dump(obj), dump(other), cut) + "\n"
     path = tmp_path_factory.mktemp("one_line") / "a.jsonl"
-    path.write_text(line)
+    path.write_text(line, encoding="utf-8")
     if not line.strip(" \t\r\n"):
         assert list(read_jsonl(path, header)) == []
         return

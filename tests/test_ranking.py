@@ -234,17 +234,20 @@ def _check_pools_exact(records, probes, provider, k):
 
 
 def test_pools_of_uint16_counts_equal_exact_ranking():
-    """Counts above 255 are kept as uint16, in the pass and in the cache,
-    and widened to float64 before the product."""
+    """Counts above 255 are kept as uint16, and above 65,535 as uint32, in
+    the pass and in the cache, and widened to float64 before the product."""
     provider = EmbeddingProvider(dim=32)
     texts = ["alpha " * 300 + "beta", "alpha " * 300 + "beta beta", "alpha " * 299,
              "alpha beta", "beta " * 256, "gamma delta", "alpha"]
     records = _records(texts)
     assert retriever._kept_rows(provider, texts).dtype == np.uint16
     probes = [Query(id="p0", text="alpha " * 300 + "beta", db_id="db"),
-              Query(id="p1", text="beta gamma", db_id="db")]
-    provider.cache_raw([p.text for p in probes])
-    assert [provider._cached(p.text).dtype for p in probes] == [np.uint16, np.uint16]
+              Query(id="p1", text="beta gamma", db_id="db"),
+              Query(id="p2", text="alpha " * 65536 + "beta", db_id="db")]
+    # a batch's rows share the type of its largest count
+    provider.cache_raw([p.text for p in probes[:2]])
+    provider.cache_raw([probes[2].text])
+    assert [provider._cached(p.text).dtype for p in probes] == [np.uint16, np.uint16, np.uint32]
     assert provider._cached("beta gamma delta").dtype == np.uint8
     want = _check_pools_exact(records, probes, provider, 6)
     assert want[0][:2] == ["r0", "r1"]

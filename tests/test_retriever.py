@@ -21,7 +21,7 @@ from sqlkb.errors import (
 from sqlkb import retriever
 from sqlkb.evaluation import kb_coverage
 from sqlkb.knowledge_base import KnowledgeBase, KnowledgeEntry, entry_id
-from sqlkb.ranking import normalize_rows, rank_of, top_j
+from sqlkb.ranking import cosine_key, normalize_rows, rank_of, top_j
 from sqlkb.retriever import (
     HTTP_BATCH,
     ROW_CHUNK,
@@ -683,6 +683,34 @@ def test_block_scores_equal_matrix_vector_products(n, dim, seed):
         axis=1,
     )
     assert np.array_equal(got, np.stack([matrix @ q for q in vecs]))
+
+
+# count values that keep every float64 dot product of 32 columns exact
+RAW_KEY_HIGH = {np.uint8: 255, np.uint16: 65535, np.uint32: 2**20}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from(EDGE_SIZES),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.uint32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_raw_keys_equal_cosine_key_of_one_float64_product(n, dtype, seed):
+    """`_raw_keys` of narrow count rows, widened block by block, and of float
+    rows are `cosine_key` of one float64 product bit for bit, also when the
+    last block would hold a single row and for an all-zero row."""
+    rng = np.random.default_rng(seed)
+    if dtype is np.float64:
+        queries, rows = rng.standard_normal((5, 32)), rng.standard_normal((n, 32))
+    else:
+        queries, rows = (
+            rng.integers(0, RAW_KEY_HIGH[dtype], shape, dtype=dtype, endpoint=True)
+            for shape in ((5, 32), (n, 32))
+        )
+    rows[rng.integers(n)] = 0
+    q64, r64 = queries.astype(np.float64), rows.astype(np.float64)
+    want = cosine_key(q64 @ r64.T, np.einsum("ij,ij->i", r64, r64))
+    assert np.array_equal(retriever._raw_keys(queries, rows), want)
 
 
 ROW_SPLITS = [1, 31, 32, 33, ROW_CHUNK + 1]
